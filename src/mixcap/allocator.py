@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+
+import numpy as np
 
 from .universe import (
     FactSpec,
@@ -46,11 +47,6 @@ __all__ = [
     "apply_subsampling",
     "apply_ckm",
 ]
-
-# Absolute tolerance on m1 for the golden-section search.
-SEARCH_TOL = 1e-9
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -129,66 +125,43 @@ class ThresholdReport:
         }
 
 
-def _marginal_ratio(mixture: MixtureUniverse, p: float) -> float:
-    """Threshold t = r*p/(1-r) that the web marginal is compared against."""
+def _marginal_ratio(mixture: MixtureUniverse, p):
+    """Threshold t = r*p/(1-r) that the web marginal is compared against.
+
+    p may be a float or an array of frequencies.
+    """
     r = mixture.mixing_ratio
     return r * p / (1.0 - r)
-
-
-def _golden_section(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Minimize a convex f on [a, b] to absolute tolerance tol on x."""
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
 
 
 def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Allocation:
     """Split total_capacity between the knowledge and web domains optimally.
 
-    With uniform fact frequencies the optimum is closed-form: the web keeps
-    m0_minus(r*p/(1-r)) bits (the last capacity where its marginal still
-    beats a fact's) and the knowledge domain gets the rest, clamped to
-    [0, min(M, H_tot)]. Choosing the m0_minus end of any flat-marginal band
-    breaks ties toward the knowledge domain. Heterogeneous frequencies fall
-    back to a golden-section search over the convex objective with both
-    interval endpoints checked explicitly; exact ties also go to the larger
-    knowledge share.
+    The knowledge frontier spends capacity on facts in decreasing exposure
+    frequency, so the optimum is an exact fractional knapsack (marginal
+    matching). Sorted fact k, with marginal ratio t_k = r*p_k/(1-r), is
+    worth learning while the web keeps at least m0_minus(t_k) bits, so the
+    knowledge domain may grow to M - m0_minus(t_k) while it learns fact k.
+    That bound shrinks along the order while the cumulative entropy grows,
+    so the fully learned facts form a prefix, the first fact after it takes
+    the bits left up to its bound, and no other fact is fractional. Taking
+    the m0_minus end of any flat-marginal band breaks ties toward the
+    knowledge domain. Uniform frequencies give the closed form
+    m1 = clip(M - m0_minus(r*p/(1-r)), 0, min(M, H_tot)).
     """
-    if total_capacity < 0.0:
-        raise ValueError(f"total_capacity must be >= 0, got {total_capacity}")
-    knowledge, web, r = mixture.knowledge, mixture.web, mixture.mixing_ratio
-    frontier = _FrontierCurve(knowledge)
-    h_tot = frontier.h_tot
-    upper = min(total_capacity, h_tot)
-
-    p = knowledge.uniform_frequency()
-    if upper <= 0.0:
-        m1 = 0.0
-    elif p is not None:
-        m0 = m0_minus(web, _marginal_ratio(mixture, p))
-        m1 = min(max(total_capacity - m0, 0.0), upper)
+    if not (math.isfinite(total_capacity) and total_capacity >= 0.0):
+        raise ValueError(
+            f"total_capacity must be finite and >= 0, got {total_capacity}"
+        )
+    web, r = mixture.web, mixture.mixing_ratio
+    frontier = _FrontierCurve(mixture.knowledge)
+    bound = total_capacity - m0_minus(web, _marginal_ratio(mixture, frontier.p_sorted))
+    j = int(np.count_nonzero(bound >= frontier.cum_h))
+    if j == len(bound):
+        # h_tot is summed apart from cum_h, so it can pass M by an ulp.
+        m1 = min(frontier.h_tot, total_capacity)
     else:
-        def objective(x: float) -> float:
-            return r * frontier.loss_at(x) + (1.0 - r) * eval_web_loss(
-                web, total_capacity - x
-            )
-
-        m1 = _golden_section(objective, 0.0, upper, SEARCH_TOL)
-        best = objective(m1)
-        for cand in (upper, 0.0):  # prefer the larger m1 on exact ties
-            val = objective(cand)
-            if val < best or (val == best and cand > m1):
-                best, m1 = val, cand
+        m1 = max(float(bound[j]), float(frontier.cum_h[j - 1]) if j else 0.0)
 
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)

@@ -156,9 +156,36 @@ def estimate_threshold_popularity(
     return x[index[0]]
 
 
-def _ols(u: np.ndarray, v: np.ndarray, model: str) -> tuple[float, float, dict]:
-    """Least squares v = intercept + slope * u with standard OLS uncertainty."""
+def _check_points(points, model: str) -> tuple[np.ndarray, np.ndarray]:
+    pts = [(float(a), float(b)) for a, b in points]
+    if len(pts) < 3:
+        raise ValueError(f"{model} fit needs at least 3 points, got {len(pts)}")
+    a = np.array([p[0] for p in pts])
+    b = np.array([p[1] for p in pts])
+    return a, b
+
+
+def _fit_line(
+    model: str, u: np.ndarray, v: np.ndarray, names: dict[str, str], slope_sign: float = 1.0
+) -> FitResult:
+    """Least squares v = intercept + slope * u with standard OLS uncertainty.
+
+    names maps "intercept" and "slope" to the reported parameter names, in
+    reporting order; the slope is reported times slope_sign (the power
+    law's D = -slope). A constant response is fitted exactly with slope 0.
+    """
     n = len(u)
+    if np.all(v == v[0]):
+        est = {"intercept": float(v[0]), "slope": 0.0}
+        return FitResult(
+            model=model,
+            params={name: est[role] for role, name in names.items()},
+            r_squared=1.0,
+            stderr={name: 0.0 for name in names.values()},
+            ci95={name: (est[role], est[role]) for role, name in names.items()},
+            n=n,
+            _intercept=est["intercept"],
+        )
     u_mean = float(u.mean())
     v_mean = float(v.mean())
     du = u - u_mean
@@ -171,47 +198,29 @@ def _ols(u: np.ndarray, v: np.ndarray, model: str) -> tuple[float, float, dict]:
     resid = v - fitted
     ss_res = float(np.dot(resid, resid))
     ss_tot = float(np.dot(v - v_mean, v - v_mean))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     dof = n - 2
     resid_var = ss_res / dof if dof > 0 else 0.0
-    se_slope = math.sqrt(resid_var / suu)
-    se_intercept = math.sqrt(resid_var * (1.0 / n + u_mean**2 / suu))
     tq = float(stats.t.ppf(0.975, dof)) if dof > 0 else 0.0
-    extras = {
-        "se_slope": se_slope,
-        "se_intercept": se_intercept,
-        "tq": tq,
-        "u_mean": u_mean,
-        "suu": suu,
-        "resid_var": resid_var,
-        "r2": r2,
-        "n": n,
+    est = {"intercept": intercept, "slope": slope_sign * slope}
+    se = {
+        "intercept": math.sqrt(resid_var * (1.0 / n + u_mean**2 / suu)),
+        "slope": math.sqrt(resid_var / suu),
     }
-    return slope, intercept, extras
-
-
-def _check_points(points, model: str) -> tuple[np.ndarray, np.ndarray]:
-    pts = [(float(a), float(b)) for a, b in points]
-    if len(pts) < 3:
-        raise ValueError(f"{model} fit needs at least 3 points, got {len(pts)}")
-    a = np.array([p[0] for p in pts])
-    b = np.array([p[1] for p in pts])
-    return a, b
-
-
-def _constant_response(model: str, params0: dict, v0: float, n: int) -> FitResult:
-    """Exact fit for a constant response: slope 0, intercept ln of the value."""
-    names = list(params0)
     return FitResult(
         model=model,
-        params=params0,
-        r_squared=1.0,
-        stderr={k: 0.0 for k in names},
-        ci95={k: (params0[k], params0[k]) for k in names},
+        params={name: est[role] for role, name in names.items()},
+        r_squared=1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot,
+        stderr={name: se[role] for role, name in names.items()},
+        ci95={
+            name: (est[role] - tq * se[role], est[role] + tq * se[role])
+            for role, name in names.items()
+        },
         n=n,
-        _slope=0.0,
-        _intercept=v0,
-        _resid_var=0.0,
+        _slope=slope,
+        _intercept=intercept,
+        _u_mean=u_mean,
+        _suu=suu,
+        _resid_var=resid_var,
     )
 
 
@@ -226,30 +235,7 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
         raise ValueError("T values must be > 0")
     if np.any((r <= 0.0) | (r >= 1.0)):
         raise ValueError("r values must be in (0, 1)")
-    lt = np.log(t)
-    if np.all(lt == lt[0]):
-        v0 = float(lt[0])
-        return _constant_response("exponential", {"logA": v0, "B": 0.0}, v0, len(r))
-    slope, intercept, ex = _ols(1.0 / r, lt, "exponential")
-    return FitResult(
-        model="exponential",
-        params={"logA": intercept, "B": slope},
-        r_squared=ex["r2"],
-        stderr={"logA": ex["se_intercept"], "B": ex["se_slope"]},
-        ci95={
-            "logA": (
-                intercept - ex["tq"] * ex["se_intercept"],
-                intercept + ex["tq"] * ex["se_intercept"],
-            ),
-            "B": (slope - ex["tq"] * ex["se_slope"], slope + ex["tq"] * ex["se_slope"]),
-        },
-        n=ex["n"],
-        _slope=slope,
-        _intercept=intercept,
-        _u_mean=ex["u_mean"],
-        _suu=ex["suu"],
-        _resid_var=ex["resid_var"],
-    )
+    return _fit_line("exponential", 1.0 / r, np.log(t), {"intercept": "logA", "slope": "B"})
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -263,30 +249,8 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
         raise ValueError("T values must be > 0")
     if np.any((r <= 0.0) | (r >= 1.0)):
         raise ValueError("r values must be in (0, 1)")
-    lt = np.log(t)
-    if np.all(lt == lt[0]):
-        v0 = float(lt[0])
-        return _constant_response("power_law", {"logC": v0, "D": 0.0}, v0, len(r))
-    slope, intercept, ex = _ols(np.log(r), lt, "power_law")
-    d = -slope
-    return FitResult(
-        model="power_law",
-        params={"logC": intercept, "D": d},
-        r_squared=ex["r2"],
-        stderr={"logC": ex["se_intercept"], "D": ex["se_slope"]},
-        ci95={
-            "logC": (
-                intercept - ex["tq"] * ex["se_intercept"],
-                intercept + ex["tq"] * ex["se_intercept"],
-            ),
-            "D": (d - ex["tq"] * ex["se_slope"], d + ex["tq"] * ex["se_slope"]),
-        },
-        n=ex["n"],
-        _slope=slope,
-        _intercept=intercept,
-        _u_mean=ex["u_mean"],
-        _suu=ex["suu"],
-        _resid_var=ex["resid_var"],
+    return _fit_line(
+        "power_law", np.log(r), np.log(t), {"intercept": "logC", "slope": "D"}, -1.0
     )
 
 
@@ -295,34 +259,8 @@ def fit_loglog(points: Iterable[tuple[float, float]]) -> FitResult:
     x, y = _check_points(points, "loglog")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("loglog fit needs strictly positive data")
-    ly = np.log(y)
-    if np.all(ly == ly[0]):
-        v0 = float(ly[0])
-        return _constant_response(
-            "loglog", {"slope": 0.0, "intercept": v0}, v0, len(x)
-        )
-    slope, intercept, ex = _ols(np.log(x), ly, "loglog")
-    return FitResult(
-        model="loglog",
-        params={"slope": slope, "intercept": intercept},
-        r_squared=ex["r2"],
-        stderr={"slope": ex["se_slope"], "intercept": ex["se_intercept"]},
-        ci95={
-            "slope": (
-                slope - ex["tq"] * ex["se_slope"],
-                slope + ex["tq"] * ex["se_slope"],
-            ),
-            "intercept": (
-                intercept - ex["tq"] * ex["se_intercept"],
-                intercept + ex["tq"] * ex["se_intercept"],
-            ),
-        },
-        n=ex["n"],
-        _slope=slope,
-        _intercept=intercept,
-        _u_mean=ex["u_mean"],
-        _suu=ex["suu"],
-        _resid_var=ex["resid_var"],
+    return _fit_line(
+        "loglog", np.log(x), np.log(y), {"slope": "slope", "intercept": "intercept"}
     )
 
 

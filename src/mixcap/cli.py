@@ -20,8 +20,6 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, corpus, simulator
 from .allocator import full_threshold_report, optimal_allocation
 from .universe import MixtureUniverse, mixture_from_dict, web_curve_from_dict
@@ -222,10 +220,7 @@ def cmd_synbio(args) -> None:
     if args.render_out:
         lines = []
         for i, record in enumerate(records):
-            render_seed = int(
-                np.random.SeedSequence(entropy=seed, spawn_key=(12, i)).generate_state(1)[0]
-            )
-            lines.append(corpus.render_exposure(record, render_seed))
+            lines.append(corpus.render_exposure(record, corpus.render_seed(seed, i)))
         _atomic_write(Path(args.render_out), "\n".join(lines) + "\n")
 
 
@@ -258,11 +253,8 @@ def cmd_mixplan(args) -> None:
             raise ValueError("records file is empty; cannot measure tokens_per_fact")
         total_tokens = 0
         for i, record in enumerate(records):
-            render_seed = int(
-                np.random.SeedSequence(entropy=seed, spawn_key=(12, i)).generate_state(1)[0]
-            )
             total_tokens += corpus.whitespace_tokens(
-                corpus.render_exposure(record, render_seed)
+                corpus.render_exposure(record, corpus.render_seed(seed, i))
             )
         tokens_per_fact = total_tokens / len(records)
     if tokens_per_fact is None:

@@ -38,6 +38,7 @@ __all__ = [
     "plan_mixture",
     "subsample_corpus",
     "ckm_augment",
+    "render_seed",
     "whitespace_tokens",
     "record_to_dict",
     "record_from_dict",
@@ -223,6 +224,33 @@ def _permuted_index(i: int, seed: int) -> int:
 
 def _record_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+# Spawn-key tags of the streams derived from a master seed besides the
+# per-record attribute streams; see _tagged_stream.
+_CKM_RENDER_TAG = 10
+_CKM_FLIP_TAG = 11
+_RENDER_TAG = 12
+
+
+def _tagged_stream(seed: int, tag: int, index: int) -> np.random.SeedSequence:
+    """Seed sequence with the two-part spawn key (tag, index) under ``seed``.
+
+    Tags: _CKM_RENDER_TAG renders record ``index`` to count ckm_augment's
+    original tokens; _CKM_FLIP_TAG (index 0) drives ckm_augment's field
+    flips; _RENDER_TAG renders record ``index`` for the CLI (synbio
+    --render-out and mixplan's measured tokens_per_fact). Record i's
+    attributes use the one-part key (i,). SeedSequence hashes every
+    spawn-key word into its pool in turn, so a two-part key is a different
+    hash input from any one-part key and its stream cannot repeat a
+    per-record stream.
+    """
+    return np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
+
+
+def render_seed(seed: int, index: int, tag: int = _RENDER_TAG) -> int:
+    """32-bit render_exposure seed for record ``index`` of a corpus with master ``seed``."""
+    return int(_tagged_stream(seed, tag, index).generate_state(1)[0])
 
 
 def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
@@ -426,19 +454,13 @@ def ckm_augment(
     records = list(records)
     original_tokens = 0
     for i, record in enumerate(records):
-        # Tagged two-part spawn keys cannot collide with the per-record
-        # attribute streams, which use one-part keys.
-        render_seed = int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(10, i)).generate_state(1)[0]
-        )
-        original_tokens += token_counter(render_exposure(record, render_seed))
+        text = render_exposure(record, render_seed(seed, i, _CKM_RENDER_TAG))
+        original_tokens += token_counter(text)
     target = ckm_ratio * original_tokens
     texts: list[str] = []
     compact_tokens = 0
     if records and target > 0.0:
-        flip_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(11, 0))
-        )
+        flip_rng = np.random.default_rng(_tagged_stream(seed, _CKM_FLIP_TAG, 0))
         i = 0
         while compact_tokens < target:
             record = records[i % len(records)]

@@ -255,20 +255,16 @@ def web_marginal(curve: WebLossCurve, capacity: float, side: Side) -> float:
     return float(-slopes[i])
 
 
-def _tabulated_marginals_desc(curve: TabulatedCurve) -> np.ndarray:
-    """Per-segment marginals -slope, non-increasing by convexity."""
-    return -curve._slopes
-
-
-def m0_minus(curve: WebLossCurve, t: float) -> float:
+def m0_minus(curve: WebLossCurve, t):
     """Last capacity at which the web marginal still exceeds t.
 
-    sup{M >= 0 : -F'(M) > t}; returns 0 when no capacity qualifies.
+    sup{M >= 0 : -F'(M) > t}; returns 0 when no capacity qualifies. An
+    array of thresholds gives an array of capacities.
     """
     return _m0(curve, t, plus=False)
 
 
-def m0_plus(curve: WebLossCurve, t: float) -> float:
+def m0_plus(curve: WebLossCurve, t):
     """First capacity at which the web marginal falls below t.
 
     inf{M >= 0 : -F'(M) < t}; returns 0 when the marginal at 0+ is already
@@ -278,19 +274,22 @@ def m0_plus(curve: WebLossCurve, t: float) -> float:
     return _m0(curve, t, plus=True)
 
 
-def _m0(curve: WebLossCurve, t: float, plus: bool) -> float:
-    if t <= 0.0:
-        raise ValueError(f"marginal threshold t must be > 0, got {t}")
+def _m0(curve: WebLossCurve, t, plus: bool):
+    if np.any(np.asarray(t) <= 0.0):
+        raise ValueError(f"marginal threshold t must be > 0, got {np.min(t)}")
     if isinstance(curve, PowerLawCurve):
-        return (curve.amplitude * curve.exponent / t) ** (1.0 / (curve.exponent + 1.0))
-    marg = _tabulated_marginals_desc(curve)  # non-increasing
-    # Binary search on the descending marginals; negate to search ascending.
-    side = "right" if plus else "left"
-    k = int(np.searchsorted(-marg, -t, side=side))
-    # k = number of segments with marginal > t (minus) or >= t (plus); the
-    # answer is the breakpoint that ends that run of segments.
-    k = min(k, len(curve._capacities) - 1)
-    return float(curve._capacities[k])
+        # np.power rather than **, so that a float t and the same t inside an
+        # array round alike: threshold reports and the allocator must agree.
+        m0 = np.power(curve.amplitude * curve.exponent / t, 1.0 / (curve.exponent + 1.0))
+    else:
+        # The marginals -slope are non-increasing by convexity, so the slopes
+        # are searched ascending. k = number of segments with marginal > t
+        # (minus) or >= t (plus); the answer is the breakpoint that ends
+        # that run of segments.
+        side = "right" if plus else "left"
+        k = np.minimum(np.searchsorted(curve._slopes, -t, side=side), len(curve._slopes))
+        m0 = curve._capacities[k]
+    return m0 if np.ndim(m0) else float(m0)
 
 
 def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
@@ -317,8 +316,7 @@ class _FrontierCurve:
 
     Facts are ordered by exposure frequency descending (ties by original
     index ascending) and capacity is spent in that order; the boundary fact
-    is learned fractionally. Prefix sums make repeated loss evaluations
-    O(log K), which the allocator's line search relies on.
+    is learned fractionally. Prefix sums make each loss evaluation O(log K).
     """
 
     def __init__(self, knowledge: KnowledgeUniverse):

@@ -1,6 +1,7 @@
 """Optimal allocation, phase-transition thresholds, and mitigation strategies."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -88,8 +89,10 @@ class TestOptimalAllocation:
             alloc = optimal_allocation(mix, m)
             assert alloc.knowledge_capacity >= 0.0
             assert alloc.web_capacity >= 0.0
-            assert alloc.knowledge_capacity + alloc.web_capacity <= m + 1e-9
+            assert alloc.knowledge_capacity + alloc.web_capacity == m
             assert alloc.knowledge_capacity <= mix.knowledge.h_tot + 1e-9
+            learned = np.array(alloc.learned)
+            assert np.count_nonzero((learned > 0.0) & (learned < 1.0)) <= 1
             expected = (
                 mix.mixing_ratio * alloc.knowledge_loss
                 + (1 - mix.mixing_ratio) * alloc.web_loss
@@ -148,6 +151,47 @@ class TestOptimalAllocation:
         alloc = optimal_allocation(mix, 16.0)
         # m0_minus(0.2) = 10, so knowledge takes everything above 10 bits.
         assert alloc.knowledge_capacity == pytest.approx(6.0, abs=1e-9)
+        # Heterogeneous facts follow the same rule: the first fact's t = 0.3
+        # equals the second segment's marginal, so every m1 in [20, 50] is
+        # optimal and the whole fact is learned.
+        mix = MixtureUniverse(
+            knowledge=KnowledgeUniverse(facts=(FactSpec(0.3, 50.0), FactSpec(0.2, 50.0))),
+            web=TabulatedCurve(points=((0.0, 100.0), (100.0, 70.0), (200.0, 65.0))),
+            mixing_ratio=0.5,
+        )
+        alloc = optimal_allocation(mix, 120.0)
+        assert alloc.knowledge_capacity == 50.0
+        assert alloc.learned == (1.0, 0.0)
+
+    def test_heterogeneous_exact_at_large_magnitudes(self):
+        # m1 of 1.6e7 and 1e12 bits, where one ulp of m1 exceeds a 1e-9
+        # absolute search tolerance; the alarm turns a hang into a failure.
+        web = PowerLawCurve(floor=1.0, amplitude=1e6, exponent=0.283)
+        t_low = 0.01 * 0.3 / 0.99
+        m0_low = (1e6 * 0.283 / t_low) ** (1.0 / 1.283)
+        cases = (
+            (8e6, 1e10, 1.6e7, (1.0, 1.0)),
+            (6e11, m0_low + 1e12, 1e12, (1.0, 2.0 / 3.0)),
+        )
+
+        def timeout(signum, frame):
+            raise TimeoutError("optimal_allocation did not return")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            for h, m, m1, learned in cases:
+                mix = MixtureUniverse(
+                    knowledge=KnowledgeUniverse(facts=(FactSpec(0.6, h), FactSpec(0.3, h))),
+                    web=web,
+                    mixing_ratio=0.01,
+                )
+                alloc = optimal_allocation(mix, m)
+                assert alloc.knowledge_capacity == pytest.approx(m1, rel=1e-12)
+                assert alloc.learned == pytest.approx(learned, rel=1e-9)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_json_field_names(self):
         alloc = optimal_allocation(_uniform_mixture(), 100.0)
@@ -226,6 +270,21 @@ class TestThresholdModelSize:
             for m in (report.model_size_upper, report.model_size_upper * 2.0):
                 alloc = optimal_allocation(mix, m)
                 assert abs(alloc.knowledge_capacity - h_tot) <= 1e-9
+
+    def test_power_law_lower_bound_learns_nothing(self):
+        # Threshold reports and the allocator evaluate m0 alike, so not even
+        # one ulp of knowledge is learned at the lower bound itself.
+        rng = np.random.default_rng(157)
+        from helpers import make_power_law, make_uniform_knowledge
+
+        for _ in range(200):
+            mix = MixtureUniverse(
+                knowledge=make_uniform_knowledge(rng),
+                web=make_power_law(rng),
+                mixing_ratio=float(rng.uniform(0.05, 0.95)),
+            )
+            lower = threshold_model_size(mix).model_size_lower
+            assert optimal_allocation(mix, lower).knowledge_capacity == 0.0
 
     def test_scale_invariance_of_transition(self):
         # Multiplying A by c multiplies the power-law m0 by c**(1/(alpha+1)).

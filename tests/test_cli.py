@@ -59,6 +59,16 @@ class TestAllocate:
         assert code == 2
         assert "mixing_ratio" in capsys.readouterr().err
 
+    def test_non_finite_capacity_exits_2_naming_parameter(
+        self, tmp_path, config_path, capsys
+    ):
+        for value in ("nan", "inf"):
+            out = tmp_path / f"{value}.json"
+            code = run(["allocate", "--config", config_path, "--capacity", value, "--out", out])
+            assert code == 2
+            assert "capacity" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_json_errors_flag(self, tmp_path, config_path, capsys):
         code = run(
             [
