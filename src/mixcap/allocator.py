@@ -23,12 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
     WebLossCurve,
-    _FrontierCurve,
     eval_web_loss,
     m0_minus,
     m0_plus,
@@ -154,7 +152,7 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
             f"total_capacity must be finite and >= 0, got {total_capacity}"
         )
     web, r = mixture.web, mixture.mixing_ratio
-    frontier = _FrontierCurve(mixture.knowledge)
+    frontier = mixture.knowledge._frontier
     bound = total_capacity - m0_minus(web, _marginal_ratio(mixture, frontier.p_sorted))
     j = int(np.count_nonzero(bound >= frontier.cum_h))
     if j == len(bound):
@@ -233,8 +231,8 @@ def threshold_mixing_ratio(
     M - H_tot, everything is. When M <= H_tot full learning may require
     r -> 1, so the upper bound is reported as 1.
     """
-    if total_capacity <= 0.0:
-        raise ValueError(f"total_capacity must be > 0, got {total_capacity}")
+    if not (math.isfinite(total_capacity) and total_capacity > 0.0):
+        raise ValueError(f"total_capacity must be finite and > 0, got {total_capacity}")
     p = _require_uniform(knowledge)
     g = web_marginal(web, total_capacity, "left")
     r_lower = g / (p + g)
@@ -257,8 +255,8 @@ def threshold_frequency(
     asymptotic value is the small-r limit f ~ -F2'(M), which for a power law
     is A * alpha * M**(-alpha-1).
     """
-    if total_capacity <= 0.0:
-        raise ValueError(f"total_capacity must be > 0, got {total_capacity}")
+    if not (math.isfinite(total_capacity) and total_capacity > 0.0):
+        raise ValueError(f"total_capacity must be finite and > 0, got {total_capacity}")
     if not 0.0 < within_domain_p <= 1.0:
         raise ValueError(
             f"within_domain_p must be in (0, 1], got {within_domain_p}"
@@ -266,9 +264,7 @@ def threshold_frequency(
     if h_tot < 0.0:
         raise ValueError(f"h_tot must be >= 0, got {h_tot}")
     # A surrogate single-fact universe carrying the given p and H_tot.
-    knowledge = KnowledgeUniverse(
-        facts=(FactSpec(exposure_frequency=within_domain_p, target_entropy=h_tot),)
-    )
+    knowledge = KnowledgeUniverse.from_arrays([within_domain_p], [h_tot])
     r_lower, r_upper = threshold_mixing_ratio(knowledge, web, total_capacity)
     asymptotic = web_marginal(web, total_capacity, "left")
     return r_lower * within_domain_p, r_upper * within_domain_p, asymptotic
@@ -316,19 +312,12 @@ def apply_subsampling(mixture: MixtureUniverse, keep_ratio: float) -> MixtureUni
         raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     if keep_ratio == 1.0:
         return mixture
-    facts = mixture.knowledge.facts
-    kept = facts[: math.ceil(keep_ratio * len(facts))]
-    scaled = tuple(
-        FactSpec(
-            exposure_frequency=f.exposure_frequency / keep_ratio,
-            target_entropy=f.target_entropy,
-        )
-        for f in kept
+    knowledge = mixture.knowledge
+    kept = math.ceil(keep_ratio * knowledge.fact_count)
+    scaled = KnowledgeUniverse.from_arrays(
+        knowledge.p[:kept] / keep_ratio, knowledge.h[:kept], knowledge.irreducible_loss
     )
-    knowledge = KnowledgeUniverse(
-        facts=scaled, irreducible_loss=mixture.knowledge.irreducible_loss
-    )
-    return replace(mixture, knowledge=knowledge)
+    return replace(mixture, knowledge=scaled)
 
 
 def apply_ckm(
@@ -358,14 +347,8 @@ def apply_ckm(
     multiplier = (
         1.0 + ckm_ratio * original_tokens_per_fact / compact_tokens_per_fact
     ) / (1.0 + ckm_ratio)
-    scaled = tuple(
-        FactSpec(
-            exposure_frequency=f.exposure_frequency * multiplier,
-            target_entropy=f.target_entropy,
-        )
-        for f in mixture.knowledge.facts
+    knowledge = mixture.knowledge
+    scaled = KnowledgeUniverse.from_arrays(
+        knowledge.p * multiplier, knowledge.h, knowledge.irreducible_loss
     )
-    knowledge = KnowledgeUniverse(
-        facts=scaled, irreducible_loss=mixture.knowledge.irreducible_loss
-    )
-    return replace(mixture, knowledge=knowledge)
+    return replace(mixture, knowledge=scaled)

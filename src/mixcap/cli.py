@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,7 +99,7 @@ def _mixture_from(config: dict, args) -> MixtureUniverse:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,8 @@ def cmd_thresholds(args) -> None:
     bits_per_param = float(
         _param(config, args.bits_per_param, "bits_per_param", default=2.0)
     )
-    if bits_per_param <= 0.0:
-        raise ValueError(f"bits_per_param must be > 0, got {bits_per_param}")
+    if not (math.isfinite(bits_per_param) and bits_per_param > 0.0):
+        raise ValueError(f"bits_per_param must be finite and > 0, got {bits_per_param}")
     units = _param(config, args.units, "units", default="bits")
     if units not in ("bits", "params"):
         raise ValueError(f"units must be 'bits' or 'params', got {units!r}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from . import analysis
 from .allocator import Allocation, optimal_allocation
 from .corpus import RECORD_ENTROPY_BITS, power_law_partition
 from .universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
@@ -112,7 +112,7 @@ def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
     vacuously scores 1. Numerator and denominator share one dot-product
     formulation so fully learned universes score exactly 1.0.
     """
-    h = knowledge.entropies()
+    h = knowledge.h
     frac = np.asarray(allocation.learned, dtype=float)
     denom = float(np.dot(h, np.ones_like(h))) if len(h) else 0.0
     if denom == 0.0:
@@ -139,6 +139,7 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
             mixture = config.mixture
             capacity = value
         else:
+            # The same KnowledgeUniverse object, so its sorted frontier is reused.
             mixture = replace(config.mixture, mixing_ratio=value)
             capacity = config.total_capacity
         alloc = optimal_allocation(mixture, capacity)
@@ -210,6 +211,13 @@ class SubsetExperiment:
                 f"entropy_per_fact must be > 0, got {self.entropy_per_fact}"
             )
 
+    @cached_property
+    def weights(self) -> list[float]:
+        """Per-group sampling weights, descending, computed once."""
+        return power_law_partition(
+            self.group_count * self.group_size, self.group_count, self.powerlaw_exponent
+        )
+
 
 @dataclass(frozen=True)
 class SubsetCapacityResult:
@@ -219,15 +227,8 @@ class SubsetCapacityResult:
 
 
 def build_subset_universe(exp: SubsetExperiment) -> KnowledgeUniverse:
-    weights = power_law_partition(
-        exp.group_count * exp.group_size, exp.group_count, exp.powerlaw_exponent
-    )
-    facts = tuple(
-        FactSpec(exposure_frequency=w / exp.group_size, target_entropy=exp.entropy_per_fact)
-        for w in weights
-        for _ in range(exp.group_size)
-    )
-    return KnowledgeUniverse(facts=facts)
+    p = np.repeat(np.divide(exp.weights, exp.group_size), exp.group_size)
+    return KnowledgeUniverse.from_arrays(p, np.full(p.size, exp.entropy_per_fact))
 
 
 def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
@@ -238,9 +239,6 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     whose accuracy misses the target, or None if every group clears it.
     """
     knowledge = build_subset_universe(exp)
-    weights = power_law_partition(
-        exp.group_count * exp.group_size, exp.group_count, exp.powerlaw_exponent
-    )
     mixture = MixtureUniverse(
         knowledge=knowledge, web=exp.web_curve, mixing_ratio=exp.mixing_ratio
     )
@@ -252,7 +250,7 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
         f_thres = None
         for g in range(exp.group_count):
             if group_acc[g] < exp.accuracy_target:
-                f_thres = exp.mixing_ratio * weights[g] / exp.group_size
+                f_thres = exp.mixing_ratio * exp.weights[g] / exp.group_size
                 break
         results.append(
             SubsetCapacityResult(
@@ -301,15 +299,12 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def subset_long_csv(results: list[SubsetCapacityResult], exp: SubsetExperiment) -> str:
-    weights = power_law_partition(
-        exp.group_count * exp.group_size, exp.group_count, exp.powerlaw_exponent
-    )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["capacity", "group", "weight", "accuracy"])
     for res in results:
         for g, acc in enumerate(res.group_accuracies):
-            writer.writerow([_fmt(res.capacity), g + 1, _fmt(weights[g]), _fmt(acc)])
+            writer.writerow([_fmt(res.capacity), g + 1, _fmt(exp.weights[g]), _fmt(acc)])
     return out.getvalue()
 
 

@@ -8,7 +8,10 @@ curve. All entropies and losses are in bits; callers converting from nats do
 so before construction.
 
 Everything here is immutable after construction and all operations are pure,
-so values can be shared freely across threads or worker processes.
+so values can be shared freely across threads or worker processes. A
+knowledge universe keeps its facts in read-only columns and caches its
+sorted frontier on first use; the cache is a pure function of those
+columns, so sharing a universe shares the sort.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Union
+from functools import cached_property
+from typing import Iterable, Literal, Union
 
 import numpy as np
 
@@ -70,57 +74,129 @@ class FactSpec:
             )
 
 
-@dataclass(frozen=True)
 class KnowledgeUniverse:
     """A knowledge-dense domain of disjoint facts plus its irreducible loss.
 
-    irreducible_loss is the loss that remains with unbounded capacity (the
-    floor of the domain's loss curve).
+    Facts are stored as two read-only float64 columns: ``p`` (exposure
+    frequencies) and ``h`` (target entropies, bits). irreducible_loss is the
+    loss that remains with unbounded capacity (the floor of the domain's
+    loss curve). Build from FactSpec rows with ``KnowledgeUniverse(facts=...)``
+    or from columns with ``KnowledgeUniverse.from_arrays``; both apply the
+    same rules. The sorted frontier is built on first use and shared by
+    every later solve on this universe.
     """
 
-    facts: tuple[FactSpec, ...]
-    irreducible_loss: float = 0.0
+    def __init__(self, facts: Iterable[FactSpec], irreducible_loss: float = 0.0):
+        facts = tuple(facts)
+        self._set_columns(
+            np.array([f.exposure_frequency for f in facts], dtype=float),
+            np.array([f.target_entropy for f in facts], dtype=float),
+            irreducible_loss,
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "facts", tuple(self.facts))
-        if self.irreducible_loss < 0.0:
+    @classmethod
+    def from_arrays(cls, p, h, irreducible_loss: float = 0.0) -> KnowledgeUniverse:
+        """A universe over copies of the frequency and entropy columns."""
+        knowledge = cls.__new__(cls)
+        knowledge._set_columns(
+            np.array(p, dtype=float), np.array(h, dtype=float), irreducible_loss
+        )
+        return knowledge
+
+    def _set_columns(self, p: np.ndarray, h: np.ndarray, irreducible_loss: float):
+        if p.ndim != 1 or p.shape != h.shape:
             raise ValueError(
-                f"irreducible_loss must be >= 0, got {self.irreducible_loss}"
+                f"p and h must be 1-D and of equal length, got shapes {p.shape} and {h.shape}"
             )
-        total_p = math.fsum(f.exposure_frequency for f in self.facts)
+        bad = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))
+        if bad.size:
+            raise ValueError(
+                f"exposure_frequency must be in (0, 1], got {float(p[bad[0]])}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(h) & (h >= 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"target_entropy must be finite and >= 0, got {float(h[bad[0]])}"
+            )
+        if not (math.isfinite(irreducible_loss) and irreducible_loss >= 0.0):
+            raise ValueError(
+                f"irreducible_loss must be finite and >= 0, got {irreducible_loss}"
+            )
+        total_p = math.fsum(p.tolist())
         if total_p > 1.0 + 1e-12:
             raise ValueError(
                 f"fact exposure_frequency values must sum to <= 1 "
                 f"(contexts are disjoint), got {total_p}"
             )
+        p.flags.writeable = False
+        h.flags.writeable = False
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "irreducible_loss", irreducible_loss)
+        # Total target entropy (bits): the cost of learning every fact.
+        object.__setattr__(self, "h_tot", math.fsum(h.tolist()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"KnowledgeUniverse is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"KnowledgeUniverse is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, KnowledgeUniverse):
+            return NotImplemented
+        return (
+            self.irreducible_loss == other.irreducible_loss
+            and np.array_equal(self.p, other.p)
+            and np.array_equal(self.h, other.h)
+        )
+
+    def __hash__(self):
+        return hash((self.irreducible_loss, self.fact_count, self.h_tot))
+
+    def __repr__(self):
+        return (
+            f"KnowledgeUniverse(fact_count={self.fact_count}, "
+            f"irreducible_loss={self.irreducible_loss!r})"
+        )
+
+    def __reduce__(self):
+        return KnowledgeUniverse.from_arrays, (self.p, self.h, self.irreducible_loss)
+
+    @property
+    def facts(self) -> tuple[FactSpec, ...]:
+        """The facts as FactSpec rows, built on each access."""
+        return tuple(
+            FactSpec(exposure_frequency=p, target_entropy=h)
+            for p, h in zip(self.p.tolist(), self.h.tolist())
+        )
 
     @property
     def fact_count(self) -> int:
-        return len(self.facts)
-
-    @property
-    def h_tot(self) -> float:
-        """Total target entropy (bits): the cost of learning every fact."""
-        return math.fsum(f.target_entropy for f in self.facts)
+        return self.p.size
 
     def frequencies(self) -> np.ndarray:
-        return np.array([f.exposure_frequency for f in self.facts], dtype=float)
+        return self.p
 
     def entropies(self) -> np.ndarray:
-        return np.array([f.target_entropy for f in self.facts], dtype=float)
+        return self.h
 
     def uniform_frequency(self) -> float | None:
         """The shared exposure frequency, or None if facts differ.
 
         Frequencies within relative 1e-12 of each other count as equal.
         """
-        if not self.facts:
+        if not self.fact_count:
             return None
-        p = self.frequencies()
-        p_max = float(p.max())
-        if p_max - float(p.min()) <= EQUAL_FREQUENCY_RTOL * p_max:
-            return float(p[0])
+        p_max = float(self.p.max())
+        if p_max - float(self.p.min()) <= EQUAL_FREQUENCY_RTOL * p_max:
+            return float(self.p[0])
         return None
+
+    @cached_property
+    def _frontier(self) -> _FrontierCurve:
+        """The greedy frontier, sorted once per universe."""
+        return _FrontierCurve(self.p, self.h, self.irreducible_loss, self.h_tot)
 
 
 @dataclass(frozen=True)
@@ -300,7 +376,7 @@ def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
     """
     if capacity < 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    if not knowledge.facts:
+    if not knowledge.fact_count:
         return knowledge.irreducible_loss
     p = knowledge.uniform_frequency()
     if p is None:
@@ -319,39 +395,32 @@ class _FrontierCurve:
     is learned fractionally. Prefix sums make each loss evaluation O(log K).
     """
 
-    def __init__(self, knowledge: KnowledgeUniverse):
-        self.knowledge = knowledge
-        k = knowledge.fact_count
-        p = knowledge.frequencies()
-        h = knowledge.entropies()
-        # lexsort's last key is primary: -p descending, then index ascending.
-        order = np.lexsort((np.arange(k), -p))
-        self.order = order
-        self.p_sorted = p[order]
-        self.h_sorted = h[order]
+    def __init__(self, p: np.ndarray, h: np.ndarray, c1: float, h_tot: float):
+        self.c1 = c1
+        self.count = p.size
+        self.h_tot = h_tot
+        # A stable sort of -p: descending frequency, ties by index ascending.
+        self.order = np.argsort(-p, kind="stable")
+        self.p_sorted = p[self.order]
+        self.h_sorted = h[self.order]
         self.cum_h = np.cumsum(self.h_sorted)
-        weighted = self.p_sorted * self.h_sorted
-        self.cum_ph = np.cumsum(weighted)
-        self.total_ph = float(self.cum_ph[-1]) if k else 0.0
-        self.h_tot = knowledge.h_tot
+        self.cum_ph = np.cumsum(self.p_sorted * self.h_sorted)
+        self.total_ph = float(self.cum_ph[-1]) if self.count else 0.0
 
     def loss_at(self, capacity: float) -> float:
-        c1 = self.knowledge.irreducible_loss
-        if self.knowledge.fact_count == 0:
-            return c1
-        if capacity >= self.h_tot:
-            return c1
+        if self.count == 0 or capacity >= self.h_tot:
+            return self.c1
         if capacity <= 0.0:
-            return c1 + self.total_ph
+            return self.c1 + self.total_ph
         k = int(np.searchsorted(self.cum_h, capacity, side="right"))
         learned = float(self.cum_ph[k - 1]) if k > 0 else 0.0
-        if k < len(self.h_sorted):
+        if k < self.count:
             prev = float(self.cum_h[k - 1]) if k > 0 else 0.0
             learned += float(self.p_sorted[k]) * (capacity - prev)
-        return c1 + (self.total_ph - learned)
+        return self.c1 + (self.total_ph - learned)
 
     def fractions_at(self, capacity: float) -> np.ndarray:
-        n = self.knowledge.fact_count
+        n = self.count
         frac_sorted = np.zeros(n)
         if n == 0:
             return frac_sorted
@@ -383,7 +452,7 @@ def knowledge_frontier(
     """
     if capacity < 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    frontier = _FrontierCurve(knowledge)
+    frontier = knowledge._frontier
     return frontier.loss_at(capacity), frontier.fractions_at(capacity).tolist()
 
 
@@ -403,41 +472,90 @@ def web_curve_to_dict(curve: WebLossCurve) -> dict:
     return {"tabulated": [[m, f] for m, f in curve.points]}
 
 
-def web_curve_from_dict(doc: dict) -> WebLossCurve:
-    if "power_law" in doc:
-        pl = doc["power_law"]
-        return PowerLawCurve(floor=pl["c"], amplitude=pl["a"], exponent=pl["alpha"])
+def web_curve_from_dict(doc: dict, path: str = "web") -> WebLossCurve:
+    """A web curve from its document; path names the document in errors."""
+    if "power_law" in _object(doc, path):
+        path += ".power_law"
+        pl = _object(doc["power_law"], path)
+        return PowerLawCurve(
+            floor=_number(pl["c"], f"{path}.c"),
+            amplitude=_number(pl["a"], f"{path}.a"),
+            exponent=_number(pl["alpha"], f"{path}.alpha"),
+        )
     if "tabulated" in doc:
-        return TabulatedCurve(points=tuple((m, f) for m, f in doc["tabulated"]))
+        path += ".tabulated"
+        points = doc["tabulated"]
+        if not isinstance(points, (list, tuple)) or not all(
+            isinstance(pt, (list, tuple)) and len(pt) == 2 for pt in points
+        ):
+            raise ValueError(f"{path} must be a JSON array of [capacity, loss] pairs")
+        return TabulatedCurve(
+            points=tuple(
+                (_number(m, f"{path}[{i}][0]"), _number(f, f"{path}[{i}][1]"))
+                for i, (m, f) in enumerate(points)
+            )
+        )
     raise ValueError("web curve document needs a 'power_law' or 'tabulated' entry")
 
 
 def mixture_to_dict(mixture: MixtureUniverse) -> dict:
+    knowledge = mixture.knowledge
     return {
         "knowledge": {
             "facts": [
-                {"p": f.exposure_frequency, "h": f.target_entropy}
-                for f in mixture.knowledge.facts
+                {"p": p, "h": h}
+                for p, h in zip(knowledge.p.tolist(), knowledge.h.tolist())
             ],
-            "c1": mixture.knowledge.irreducible_loss,
+            "c1": knowledge.irreducible_loss,
         },
         "web": web_curve_to_dict(mixture.web),
         "r": mixture.mixing_ratio,
     }
 
 
+def _number(value, path: str):
+    """value itself if it is a JSON number; numeric strings are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be a JSON object")
+    return value
+
+
+def _fact_column(facts: list, key: str) -> np.ndarray:
+    """One field of every fact document, as a float64 column."""
+    try:
+        column = [f[key] for f in facts]
+    except TypeError:
+        i = next(i for i, f in enumerate(facts) if not isinstance(f, dict))
+        raise ValueError(f"mixture.knowledge.facts[{i}] must be a JSON object") from None
+    # One pass over the element types; the per-element check only runs to
+    # name the offending fact.
+    if not set(map(type, column)) <= {int, float}:
+        for i, value in enumerate(column):
+            _number(value, f"mixture.knowledge.facts[{i}].{key}")
+    return np.array(column, dtype=float)
+
+
 def mixture_from_dict(doc: dict) -> MixtureUniverse:
     try:
-        kdoc = doc["knowledge"]
-        facts = tuple(
-            FactSpec(exposure_frequency=f["p"], target_entropy=f["h"])
-            for f in kdoc["facts"]
+        kdoc = _object(_object(doc, "mixture")["knowledge"], "mixture.knowledge")
+        facts = kdoc["facts"]
+        if not isinstance(facts, (list, tuple)):
+            raise ValueError("mixture.knowledge.facts must be a JSON array")
+        knowledge = KnowledgeUniverse.from_arrays(
+            _fact_column(facts, "p"),
+            _fact_column(facts, "h"),
+            _number(kdoc.get("c1", 0.0), "mixture.knowledge.c1"),
         )
-        knowledge = KnowledgeUniverse(
-            facts=facts, irreducible_loss=kdoc.get("c1", 0.0)
+        web = web_curve_from_dict(doc["web"], "mixture.web")
+        return MixtureUniverse(
+            knowledge=knowledge, web=web, mixing_ratio=_number(doc["r"], "mixture.r")
         )
-        web = web_curve_from_dict(doc["web"])
-        return MixtureUniverse(knowledge=knowledge, web=web, mixing_ratio=doc["r"])
     except KeyError as exc:
         raise ValueError(f"mixture document is missing field {exc}") from exc
 

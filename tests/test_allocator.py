@@ -378,6 +378,17 @@ class TestThresholdFrequency:
             assert f_lower == pytest.approx(asym, rel=1e-3)
 
 
+def _hetero_mixture(rng, k=60):
+    p = rng.uniform(0.05, 1.0, size=k)
+    return MixtureUniverse(
+        knowledge=KnowledgeUniverse.from_arrays(
+            p / p.sum() * 0.3, rng.uniform(0.1, 10.0, size=k), float(rng.uniform(0.0, 2.0))
+        ),
+        web=PowerLawCurve(floor=1.0, amplitude=50.0, exponent=0.4),
+        mixing_ratio=0.1,
+    )
+
+
 class TestApplySubsampling:
     def _mixture(self, k=100, p=1e-4):
         return MixtureUniverse(
@@ -419,6 +430,19 @@ class TestApplySubsampling:
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError, match="keep_ratio"):
             apply_subsampling(self._mixture(), 0.0)
+
+    def test_matches_per_fact_formula_exactly(self):
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            mix = _hetero_mixture(rng)
+            keep = float(rng.uniform(0.3, 1.0))
+            facts = mix.knowledge.facts
+            kept = facts[: math.ceil(keep * len(facts))]
+            sub = apply_subsampling(mix, keep)
+            assert sub.knowledge.facts == tuple(
+                FactSpec(f.exposure_frequency / keep, f.target_entropy) for f in kept
+            )
+            assert sub.knowledge.irreducible_loss == mix.knowledge.irreducible_loss
 
 
 class TestApplyCkm:
@@ -463,6 +487,20 @@ class TestApplyCkm:
     def test_rejects_bad_tokens(self):
         with pytest.raises(ValueError, match="token counts"):
             apply_ckm(self._mixture(), 0.5, 0.0, 10.0)
+
+    def test_matches_per_fact_formula_exactly(self):
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            mix = _hetero_mixture(rng)
+            tau, t_o = float(rng.uniform(0.01, 2.0)), float(rng.uniform(10.0, 100.0))
+            t_c = float(rng.uniform(t_o, 500.0))
+            multiplier = (1.0 + tau * t_o / t_c) / (1.0 + tau)
+            out = apply_ckm(mix, tau, t_o, t_c)
+            assert out.knowledge.facts == tuple(
+                FactSpec(f.exposure_frequency * multiplier, f.target_entropy)
+                for f in mix.knowledge.facts
+            )
+            assert out.knowledge.irreducible_loss == mix.knowledge.irreducible_loss
 
 
 class TestThresholdReportSerialization:

@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: determinism, validation exits, overrides."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from mixcap.analysis import estimate_threshold_popularity, AccuracyObservation
-from mixcap.cli import main
+from mixcap.cli import _json_text, main
 from mixcap.corpus import RECORD_ENTROPY_BITS
 
 
@@ -127,6 +128,70 @@ class TestThresholds:
         path.write_text(json.dumps(doc))
         assert run(["thresholds", "--config", path, "--out", tmp_path / "t.json"]) == 2
         assert "uniform" in capsys.readouterr().err
+
+    def test_non_finite_capacity_exits_2_naming_parameter(
+        self, tmp_path, config_path, capsys
+    ):
+        for value in ("nan", "inf"):
+            out = tmp_path / f"{value}.json"
+            code = run(["thresholds", "--config", config_path, "--capacity", value, "--out", out])
+            assert code == 2
+            assert "capacity" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_non_finite_bits_per_param_exits_2(self, tmp_path, config_path, capsys):
+        out = tmp_path / "t.json"
+        code = run(
+            ["thresholds", "--config", config_path, "--units", "params",
+             "--bits-per-param", "nan", "--out", out]
+        )
+        assert code == 2
+        assert "bits_per_param" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "mixture, field",
+        [
+            ([], "mixture must be a JSON object"),
+            ({**MIX_DOC["mixture"], "knowledge": {"facts": [{"p": "x", "h": 1.0}]}},
+             "mixture.knowledge.facts[0].p"),
+            ({**MIX_DOC["mixture"], "knowledge": {"facts": [{"p": 0.1, "h": "5"}]}},
+             "mixture.knowledge.facts[0].h"),
+            ({**MIX_DOC["mixture"], "web": {"power_law": {"c": 1.0, "a": "100", "alpha": 0.5}}},
+             "mixture.web.power_law.a"),
+        ],
+    )
+    def test_wrong_typed_values_exit_2_naming_field(self, tmp_path, capsys, mixture, field):
+        path = _write_config(tmp_path, {**MIX_DOC, "mixture": mixture})
+        out = tmp_path / "a.json"
+        assert run(["allocate", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "internal" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c1", [math.nan, math.inf, -1.0])
+    def test_non_finite_c1_exits_2(self, tmp_path, capsys, c1):
+        mixture = json.loads(json.dumps(MIX_DOC["mixture"]))
+        mixture["knowledge"]["c1"] = c1
+        path = _write_config(tmp_path, {**MIX_DOC, "mixture": mixture})
+        out = tmp_path / "a.json"
+        assert run(["allocate", "--config", path, "--out", out]) == 2
+        assert "irreducible_loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_output_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            _json_text({"loss": math.nan})
+        assert _json_text({"loss": 1.5}) == '{\n  "loss": 1.5\n}\n'
 
 
 class TestSweep:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import allocation_grid_oracle
+from mixcap import simulator
+from mixcap.corpus import power_law_partition
 from mixcap.allocator import optimal_allocation, threshold_model_size, threshold_mixing_ratio
 from mixcap.simulator import (
     SubsetExperiment,
@@ -250,6 +252,27 @@ class TestSubsetExperiment:
         thr = subset_thresholds_csv(results).strip().split("\n")
         assert thr[0] == "capacity,f_thres"
         assert thr[-1].endswith("NA")  # saturated capacity carries the sentinel
+
+    def test_universe_matches_per_fact_rows_exactly(self):
+        exp = SubsetExperiment(group_count=7, group_size=5, powerlaw_exponent=1.2)
+        rows = tuple(
+            FactSpec(w / exp.group_size, exp.entropy_per_fact)
+            for w in power_law_partition(35, 7, 1.2)
+            for _ in range(exp.group_size)
+        )
+        assert build_subset_universe(exp).facts == rows
+
+    def test_partition_computed_once_per_experiment(self, monkeypatch):
+        calls = []
+
+        def counting_partition(*args):
+            calls.append(args)
+            return power_law_partition(*args)
+
+        monkeypatch.setattr(simulator, "power_law_partition", counting_partition)
+        exp = SubsetExperiment(group_count=4, group_size=3, capacity_grid=(1e9, 1e10))
+        subset_long_csv(run_subset_experiment(exp), exp)
+        assert calls == [(12, 4, 1.5)]
 
 
 class TestThresholdLaw:

@@ -2,9 +2,12 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
+
+import mixcap.universe as universe
 
 from helpers import (
     frontier_grid_oracle,
@@ -14,6 +17,7 @@ from helpers import (
     make_tabulated,
     make_uniform_knowledge,
 )
+from mixcap.simulator import SweepConfig, sweep
 from mixcap.universe import (
     FactSpec,
     KnowledgeUniverse,
@@ -80,6 +84,104 @@ class TestTypes:
         web = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
         with pytest.raises(ValueError, match="mixing_ratio"):
             MixtureUniverse(knowledge=ku, web=web, mixing_ratio=1.0)
+
+
+class TestColumnarUniverse:
+    def _columns(self, k=40, seed=3):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.05, 1.0, size=k)
+        return p / p.sum() * 0.9, rng.uniform(0.1, 10.0, size=k)
+
+    def test_from_arrays_equals_fact_rows(self):
+        p, h = self._columns()
+        rows = tuple(FactSpec(float(a), float(b)) for a, b in zip(p, h))
+        ku = KnowledgeUniverse.from_arrays(p, h, 1.25)
+        assert ku == KnowledgeUniverse(facts=rows, irreducible_loss=1.25)
+        assert hash(ku) == hash(KnowledgeUniverse(facts=rows, irreducible_loss=1.25))
+        assert ku.facts == rows
+        assert ku.h_tot == math.fsum(h.tolist())
+        assert ku != KnowledgeUniverse.from_arrays(p, h, 1.0)
+        assert ku != KnowledgeUniverse.from_arrays(p[::-1], h[::-1], 1.25)
+
+    def test_columns_are_read_only_and_not_copied(self):
+        p, h = self._columns()
+        ku = KnowledgeUniverse.from_arrays(p, h)
+        assert ku.frequencies() is ku.p and ku.entropies() is ku.h
+        assert ku.p.dtype == np.float64 and ku.h.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            ku.p[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            ku.h[0] = 1.0
+        with pytest.raises(AttributeError):
+            ku.p = p
+        with pytest.raises(AttributeError):
+            ku.irreducible_loss = 2.0
+        # The universe holds its own copy of the caller's arrays.
+        p[0] = 0.5
+        assert ku.p[0] != 0.5
+
+    def test_pickle_round_trip_stays_read_only(self):
+        p, h = self._columns()
+        ku = KnowledgeUniverse.from_arrays(p, h, 0.5)
+        knowledge_frontier(ku, 1.0)
+        back = pickle.loads(pickle.dumps(ku))
+        assert back == ku
+        assert not back.p.flags.writeable and not back.h.flags.writeable
+
+    @pytest.mark.parametrize(
+        "p, h, c1, message",
+        [
+            (0.0, 1.0, 0.0, "exposure_frequency must be in (0, 1], got 0.0"),
+            (1.5, 1.0, 0.0, "exposure_frequency must be in (0, 1], got 1.5"),
+            (math.nan, 1.0, 0.0, "exposure_frequency must be in (0, 1], got nan"),
+            (0.5, -1.0, 0.0, "target_entropy must be finite and >= 0, got -1.0"),
+            (0.5, math.inf, 0.0, "target_entropy must be finite and >= 0, got inf"),
+            (0.5, math.nan, 0.0, "target_entropy must be finite and >= 0, got nan"),
+            (0.5, 1.0, -1.0, "irreducible_loss must be finite and >= 0, got -1.0"),
+            (0.5, 1.0, math.nan, "irreducible_loss must be finite and >= 0, got nan"),
+            (0.5, 1.0, math.inf, "irreducible_loss must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_invalid_values_give_the_same_message_on_both_constructors(
+        self, p, h, c1, message
+    ):
+        with pytest.raises(ValueError) as rows:
+            KnowledgeUniverse(facts=(FactSpec(0.1, 1.0), FactSpec(p, h)), irreducible_loss=c1)
+        with pytest.raises(ValueError) as columns:
+            KnowledgeUniverse.from_arrays([0.1, p], [1.0, h], c1)
+        assert str(rows.value) == str(columns.value) == message
+
+    def test_mass_bound_and_shapes(self):
+        with pytest.raises(ValueError, match="sum"):
+            KnowledgeUniverse.from_arrays([0.7, 0.7], [1.0, 1.0])
+        with pytest.raises(ValueError, match="equal length"):
+            KnowledgeUniverse.from_arrays([0.1, 0.2], [1.0])
+
+    def test_frontier_sorted_once_across_sweeps(self, monkeypatch):
+        built = []
+
+        class CountingFrontier(universe._FrontierCurve):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(universe, "_FrontierCurve", CountingFrontier)
+        p, h = self._columns(k=500)
+        mix = MixtureUniverse(
+            knowledge=KnowledgeUniverse.from_arrays(p, h, 0.5),
+            web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
+            mixing_ratio=0.1,
+        )
+        sizes = tuple(np.geomspace(1.0, 5.0 * float(h.sum()), 200).tolist())
+        sweep(SweepConfig(mixture=mix, sweep_axis="model_size", grid=sizes))
+        ratios = tuple(np.geomspace(1e-3, 0.9, 50).tolist())
+        sweep(
+            SweepConfig(
+                mixture=mix, sweep_axis="mixing_ratio", grid=ratios, total_capacity=sizes[100]
+            )
+        )
+        knowledge_frontier(mix.knowledge, 1.0)
+        assert len(built) == 1
 
 
 class TestEvalWebLoss:
@@ -389,3 +491,38 @@ class TestSerialization:
     def test_missing_field_reported(self):
         with pytest.raises(ValueError, match="missing field"):
             mixture_from_dict({"knowledge": {"facts": []}})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "mixture must be a JSON object"),
+            ({"knowledge": [], "web": {}, "r": 0.5}, "mixture.knowledge must be a JSON object"),
+            ({"knowledge": {"facts": {}}}, "mixture.knowledge.facts must be a JSON array"),
+            ({"knowledge": {"facts": [[0.1, 1.0]]}}, r"mixture.knowledge.facts\[0\] must be"),
+            ({"knowledge": {"facts": [{"p": 0.1, "h": 1.0}, {"p": "x", "h": 1.0}]}},
+             r"mixture.knowledge.facts\[1\].p must be a number"),
+            ({"knowledge": {"facts": [{"p": 0.1, "h": "5"}]}},
+             r"mixture.knowledge.facts\[0\].h must be a number, got '5'"),
+            ({"knowledge": {"facts": [{"p": True, "h": 1.0}]}},
+             r"mixture.knowledge.facts\[0\].p must be a number"),
+            ({"knowledge": {"facts": [], "c1": "1"}}, "mixture.knowledge.c1 must be a number"),
+            ({"knowledge": {"facts": []}, "web": {"tabulated": [[0, 1], [1, 0]]}, "r": "0.5"},
+             "mixture.r must be a number"),
+            ({"knowledge": {"facts": []}, "web": [], "r": 0.5}, "mixture.web must be a JSON object"),
+            ({"knowledge": {"facts": []}, "web": {"power_law": {"c": 1.0, "a": "100", "alpha": 0.5}},
+              "r": 0.5}, "mixture.web.power_law.a must be a number, got '100'"),
+            ({"knowledge": {"facts": []}, "web": {"tabulated": [0, 1]}, "r": 0.5},
+             r"mixture.web.tabulated must be a JSON array of \[capacity, loss\] pairs"),
+            ({"knowledge": {"facts": []}, "web": {"tabulated": [[0, 1], [1, "0"]]}, "r": 0.5},
+             r"mixture.web.tabulated\[1\]\[1\] must be a number, got '0'"),
+        ],
+    )
+    def test_wrong_types_name_the_field(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            mixture_from_dict(doc)
+
+    def test_integer_values_are_numbers(self):
+        doc = {"knowledge": {"facts": [{"p": 1, "h": 5}], "c1": 1}, "web": {"tabulated": [[0, 1], [1, 0]]}, "r": 0.5}
+        knowledge = mixture_from_dict(doc).knowledge
+        assert knowledge.p.tolist() == [1.0] and knowledge.h.tolist() == [5.0]
+        assert knowledge.irreducible_loss == 1
