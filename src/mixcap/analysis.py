@@ -37,6 +37,7 @@ __all__ = [
     "invert_size",
     "r_squared",
     "read_observations_csv",
+    "read_points_csv",
     "DEFAULT_ACCURACY_TARGET",
     "DEFAULT_MAX_FAILURES",
 ]
@@ -160,6 +161,9 @@ def _check_points(points, model: str) -> tuple[np.ndarray, np.ndarray]:
     pts = [(float(a), float(b)) for a, b in points]
     if len(pts) < 3:
         raise ValueError(f"{model} fit needs at least 3 points, got {len(pts)}")
+    for i, pt in enumerate(pts):
+        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+            raise ValueError(f"{model} fit needs finite points; point {i} is {pt}")
     a = np.array([p[0] for p in pts])
     b = np.array([p[1] for p in pts])
     return a, b
@@ -333,22 +337,45 @@ def r_squared(observed: Sequence[float], fitted: Sequence[float]) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def read_observations_csv(path) -> list[AccuracyObservation]:
-    """Read observations from a CSV with header ``popularity,correct``."""
-    observations = []
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _read_csv(path, columns: dict):
+    """Yield one tuple per data row, from columns {name: (converter, what it expects)}.
+
+    A cell its converter refuses raises a ValueError naming its line and column.
+    """
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"popularity", "correct"} <= set(
-            reader.fieldnames
-        ):
-            raise ValueError("observation CSV needs a 'popularity,correct' header")
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise ValueError(f"{path} needs a '{','.join(columns)}' header")
         for row in reader:
-            correct = row["correct"].strip()
-            if correct not in ("0", "1"):
-                raise ValueError(f"correct must be 0 or 1, got {correct!r}")
-            observations.append(
-                AccuracyObservation(
-                    popularity=float(row["popularity"]), correct=correct == "1"
-                )
-            )
-    return observations
+            cells = []
+            for column, (convert, expected) in columns.items():
+                try:
+                    cells.append(convert(row[column]))
+                except (TypeError, ValueError, KeyError):
+                    raise ValueError(
+                        f"{path} line {reader.line_num}, column '{column}': "
+                        f"expected {expected}, got {row[column]!r}"
+                    ) from None
+            yield tuple(cells)
+
+
+def read_observations_csv(path) -> list[AccuracyObservation]:
+    """Read observations from a CSV with header ``popularity,correct``."""
+    columns = {
+        "popularity": (_finite, "a finite number"),
+        "correct": (lambda text: {"0": False, "1": True}[(text or "").strip()], "0 or 1"),
+    }
+    return [AccuracyObservation(*cells) for cells in _read_csv(path, columns)]
+
+
+def read_points_csv(path) -> list[tuple[float, float]]:
+    """Read (x, y) points from a CSV with header ``x,y``."""
+    number = (_finite, "a finite number")
+    return list(_read_csv(path, {"x": number, "y": number}))

@@ -1,10 +1,13 @@
 """Command-line entry point: one binary, subcommand dispatch.
 
 Parameters come from an optional JSON config file plus flags; a flag always
-overrides the file value. All randomness flows from --seed, which generating
-commands require outright (no wall-clock fallback), so rerunning any command
-with the same config and seed produces byte-identical artifacts. Files are
-written atomically (temp file + rename) to keep long sweeps restartable.
+overrides the file value. Each parameter is declared once, as a row of
+COMMANDS, and _params merges and checks every row in one pass, so config
+values and flags follow the same rules. All randomness flows from --seed,
+which generating commands require outright (no wall-clock fallback), so
+rerunning any command with the same config and seed produces byte-identical
+artifacts. Files are written atomically (temp file + rename) to keep long
+sweeps restartable.
 
 Exit codes: 0 success, 2 usage or validation failure, 1 internal error.
 With --json-errors a machine-readable {"error": ...} object goes to stderr.
@@ -18,8 +21,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import analysis, corpus, simulator
 from .allocator import full_threshold_report, optimal_allocation
@@ -27,8 +31,6 @@ from .universe import MixtureUniverse, mixture_from_dict, web_curve_from_dict
 from .simulator import SubsetExperiment, SweepConfig
 
 OUT_DIR_ENV = "MIXCAP_OUT_DIR"
-
-_GENERATING_COMMANDS = {"synbio", "subsample", "ckm"}
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -44,10 +46,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _resolve_out(args, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
+def _write_out(p, default_name: str, text: str) -> Path:
+    """Write the command's main output to --out, else $MIXCAP_OUT_DIR/default_name."""
+    out = Path(p.out) if p.out else Path(os.environ.get(OUT_DIR_ENV, ".")) / default_name
+    _atomic_write(out, text)
+    return out
 
 
 def _load_config(args) -> dict:
@@ -60,247 +63,251 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _param(config: dict, flag_value, name: str, default=None, required: bool = False):
-    """Flag overrides config; config overrides default."""
-    if flag_value is not None:
-        return flag_value
-    if name in config:
-        return config[name]
-    if required:
-        raise ValueError(f"missing required parameter '{name}' (config key or flag)")
-    return default
-
-
-def _require_format(args, allowed: tuple[str, ...]) -> str:
-    fmt = args.format or allowed[0]
-    if fmt not in allowed:
-        raise ValueError(
-            f"format '{fmt}' is not supported by this command (allowed: {', '.join(allowed)})"
-        )
-    return fmt
-
-
-def _require_seed(args, config: dict) -> int:
-    seed = _param(config, args.seed, "seed")
-    if seed is None:
-        raise ValueError(
-            "--seed is required for generating commands; wall-clock seeding is not supported"
-        )
-    return int(seed)
-
-
-def _mixture_from(config: dict, args) -> MixtureUniverse:
-    doc = _param(config, None, "mixture", required=True)
-    mixture = mixture_from_dict(doc)
-    ratio = getattr(args, "ratio", None)
-    if ratio is not None:
-        mixture = replace(mixture, mixing_ratio=float(ratio))
-    return mixture
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Command handlers
-# ---------------------------------------------------------------------------
+# Parameter kinds: each returns its checked value or raises a ValueError
+# naming the key. As in mixture documents, only JSON numbers are numbers:
+# numeric strings and bools are refused, and so are non-finite values.
 
 
-def cmd_allocate(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("json",))
-    mixture = _mixture_from(config, args)
-    capacity = float(_param(config, args.capacity, "capacity", required=True))
-    alloc = optimal_allocation(mixture, capacity)
-    out = _resolve_out(args, "allocation.json")
-    _atomic_write(out, _json_text(alloc.to_dict()))
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return number
 
 
-def cmd_thresholds(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("json",))
-    mixture = _mixture_from(config, args)
-    capacity = _param(config, args.capacity, "capacity")
-    bits_per_param = float(
-        _param(config, args.bits_per_param, "bits_per_param", default=2.0)
-    )
-    if not (math.isfinite(bits_per_param) and bits_per_param > 0.0):
-        raise ValueError(f"bits_per_param must be finite and > 0, got {bits_per_param}")
-    units = _param(config, args.units, "units", default="bits")
-    if units not in ("bits", "params"):
-        raise ValueError(f"units must be 'bits' or 'params', got {units!r}")
-    capacity_bits = None
-    if capacity is not None:
-        capacity_bits = float(capacity)
-        if units == "params":
-            capacity_bits *= bits_per_param
-    report = full_threshold_report(mixture, capacity_bits)
-    doc = report.to_dict()
-    if units == "params":
-        for key in ("m_lower", "m_upper", "m_asymptotic"):
-            if doc[key] is not None:
-                doc[key] = doc[key] / bits_per_param
-    doc["units"] = "parameters" if units == "params" else "bits"
-    doc["bits_per_param"] = bits_per_param
-    out = _resolve_out(args, "thresholds.json")
-    _atomic_write(out, _json_text(doc))
+def _integer(value, key: str) -> int:
+    """An integer; an integral float such as 1e3 counts as one."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
-def cmd_sweep(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("csv",))
-    mixture = _mixture_from(config, args)
-    axis = _param(config, args.axis, "axis", required=True)
-    grid = _param(config, None, "grid", required=True)
-    capacity = _param(config, args.capacity, "capacity")
-    target = float(_param(config, args.target, "accuracy_target", default=0.8))
+def _seed(value, key: str) -> int:
+    seed = _integer(value, key)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{key} must be an integer in [0, 2**64), got {seed}")
+    return seed
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON array of numbers, got {value!r}")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def integer(text: str) -> int | float:
+    """Parse integer flag text; a float such as 1e3 is left for _integer to check."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+_FLAG_TYPES = {_number: float, _integer: integer, _seed: integer}
+
+
+class Param(NamedTuple):
+    """One parameter; key is its config key (none if flag_only) and the name handlers read."""
+
+    key: str
+    kind: Callable
+    flag: str | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    help: str | None = None
+    flag_only: bool = False
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    formats: tuple[str, ...]  # the first is the default
+    params: tuple[Param, ...]
+
+
+SEED = Param("seed", _seed, "--seed", help="64-bit master seed")
+
+
+def _params(args, config: dict) -> argparse.Namespace:
+    """The command's parameters, each merged flag over config over default, and checked."""
+    command = COMMANDS[args.command]
+    fmt = args.format or command.formats[0]
+    if fmt not in command.formats:
+        allowed = ", ".join(command.formats)
+        raise ValueError(f"format '{fmt}' is not supported by this command (allowed: {allowed})")
+    values = {"out": args.out, "format": fmt}
+    for row in (*command.params, SEED):
+        value = getattr(args, row.key) if row.flag else None
+        if value is None and not row.flag_only:
+            value = config.get(row.key)
+        if value is None:
+            value = row.default
+        if value is not None:
+            value = row.kind(value, row.key)
+            if row.choices and value not in row.choices:
+                choices = ", ".join(row.choices)
+                raise ValueError(f"{row.key} must be one of {choices}, got {value!r}")
+        elif row.required:
+            where = ([] if row.flag_only else ["config key"]) + ([row.flag] if row.flag else [])
+            raise ValueError(f"missing required parameter '{row.key}' ({' or '.join(where)})")
+        values[row.key] = value
+    return argparse.Namespace(**values)
+
+
+def _require_seed(p) -> int:
+    if p.seed is None:
+        raise ValueError(
+            "--seed is required for generating commands; wall-clock seeding is not supported"
+        )
+    return p.seed
+
+
+def _mixture_of(p) -> MixtureUniverse:
+    """The config's mixture, its mixing ratio overridden by --ratio."""
+    return p.mixture if p.ratio is None else replace(p.mixture, mixing_ratio=p.ratio)
+
+
+# Command handlers: each takes the checked parameters from _params.
+
+
+def cmd_allocate(p) -> None:
+    alloc = optimal_allocation(_mixture_of(p), p.capacity)
+    if math.isinf(alloc.web_loss):
+        raise ValueError(
+            f"capacity {p.capacity} leaves the web loss infinite: "
+            "a power-law web loss diverges as its capacity goes to 0"
+        )
+    _write_out(p, "allocation.json", _json_text(alloc.to_dict()))
+
+
+def cmd_thresholds(p) -> None:
+    mixture = _mixture_of(p)
+    if p.bits_per_param <= 0.0:
+        raise ValueError(f"bits_per_param must be > 0, got {p.bits_per_param}")
+    # Model sizes are in bits, or in parameters of bits_per_param bits each.
+    per_unit = p.bits_per_param if p.units == "params" else 1.0
+    capacity_bits = None if p.capacity is None else p.capacity * per_unit
+    doc = full_threshold_report(mixture, capacity_bits).to_dict()
+    for key in ("m_lower", "m_upper", "m_asymptotic"):
+        if doc[key] is not None:
+            doc[key] = doc[key] / per_unit
+    doc["units"] = "parameters" if p.units == "params" else "bits"
+    doc["bits_per_param"] = p.bits_per_param
+    _write_out(p, "thresholds.json", _json_text(doc))
+
+
+def cmd_sweep(p) -> None:
+    mixture = _mixture_of(p)
     sweep_config = SweepConfig(
         mixture=mixture,
-        sweep_axis=axis,
-        grid=tuple(grid),
-        accuracy_target=target,
-        total_capacity=None if capacity is None else float(capacity),
+        sweep_axis=p.axis,
+        grid=p.grid,
+        accuracy_target=p.accuracy_target,
+        total_capacity=p.capacity,
     )
-    rows = simulator.sweep(sweep_config)
-    out = _resolve_out(args, "sweep.csv")
-    _atomic_write(out, simulator.sweep_csv(rows))
+    out = _write_out(p, "sweep.csv", simulator.sweep_csv(simulator.sweep(sweep_config)))
     # Sidecar threshold report for the swept configuration.
     try:
-        report = full_threshold_report(
-            mixture, None if capacity is None else float(capacity)
-        )
-        sidecar = report.to_dict()
+        sidecar = full_threshold_report(mixture, p.capacity).to_dict()
     except ValueError as exc:
         sidecar = {"error": str(exc)}
     _atomic_write(out.with_name(out.stem + "_thresholds.json"), _json_text(sidecar))
 
 
-def cmd_subsets(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("csv",))
-    kwargs = {}
-    for key in (
-        "group_count",
-        "group_size",
-        "powerlaw_exponent",
-        "mixing_ratio",
-        "capacity_grid",
-        "accuracy_target",
-        "entropy_per_fact",
-    ):
-        if key in config:
-            kwargs[key] = config[key]
-    if "capacity_grid" in kwargs:
-        kwargs["capacity_grid"] = tuple(kwargs["capacity_grid"])
-    if "web" in config:
-        kwargs["web_curve"] = web_curve_from_dict(config["web"])
-    exp = SubsetExperiment(**kwargs)
+_SUBSET_FIELDS = {f.name for f in fields(SubsetExperiment)}
+
+
+def cmd_subsets(p) -> None:
+    settings = {k: v for k, v in vars(p).items() if k in _SUBSET_FIELDS and v is not None}
+    if p.web is not None:
+        settings["web_curve"] = p.web
+    exp = SubsetExperiment(**settings)
     results = simulator.run_subset_experiment(exp)
-    out = _resolve_out(args, "subsets.csv")
-    _atomic_write(out, simulator.subset_long_csv(results, exp))
+    out = _write_out(p, "subsets.csv", simulator.subset_long_csv(results, exp))
     _atomic_write(
         out.with_name(out.stem + "_thresholds" + out.suffix),
         simulator.subset_thresholds_csv(results),
     )
 
 
-def cmd_synbio(args) -> None:
-    config = _load_config(args)
-    fmt = _require_format(args, ("jsonl", "json"))
-    seed = _require_seed(args, config)
-    count = int(_param(config, args.count, "count", required=True))
-    records = corpus.generate_synbio(count, seed)
+def cmd_synbio(p) -> None:
+    seed = _require_seed(p)
+    records = corpus.generate_synbio(p.count, seed)
     docs = [corpus.record_to_dict(r) for r in records]
-    out = _resolve_out(args, "synbio.jsonl" if fmt == "jsonl" else "synbio.json")
-    if fmt == "jsonl":
+    if p.format == "jsonl":
         text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
     else:
         text = _json_text(docs)
-    _atomic_write(out, text)
-    if args.render_out:
-        lines = []
-        for i, record in enumerate(records):
-            lines.append(corpus.render_exposure(record, corpus.render_seed(seed, i)))
-        _atomic_write(Path(args.render_out), "\n".join(lines) + "\n")
+    _write_out(p, f"synbio.{p.format}", text)
+    if p.render_out:
+        lines = [corpus.render_exposure(r, corpus.render_seed(seed, i))
+                 for i, r in enumerate(records)]
+        _atomic_write(Path(p.render_out), "\n".join(lines) + "\n")
 
 
 def _read_records(path: str) -> list:
-    records = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(corpus.record_from_dict(json.loads(line)))
-    return records
+        return [corpus.record_from_dict(json.loads(line)) for line in handle if line.strip()]
 
 
-def cmd_mixplan(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("json",))
-    total = float(_param(config, args.total_tokens, "total_tokens", required=True))
-    ratio = float(_param(config, args.ratio, "mixing_ratio", required=True))
-    knowledge = float(
-        _param(config, args.knowledge_tokens, "knowledge_tokens", required=True)
-    )
-    pool = _param(config, args.web_pool_tokens, "web_pool_tokens")
-    fact_count = int(_param(config, args.fact_count, "fact_count", default=1))
-    tokens_per_fact = _param(config, args.tokens_per_fact, "tokens_per_fact")
-    if tokens_per_fact is None and args.records:
+def cmd_mixplan(p) -> None:
+    tokens_per_fact = p.tokens_per_fact
+    if tokens_per_fact is None and p.records:
         # Measure the mean rendered exposure length as the per-fact token cost.
-        seed = _require_seed(args, config)
-        records = _read_records(args.records)
+        seed = _require_seed(p)
+        records = _read_records(p.records)
         if not records:
             raise ValueError("records file is empty; cannot measure tokens_per_fact")
-        total_tokens = 0
-        for i, record in enumerate(records):
-            total_tokens += corpus.whitespace_tokens(
-                corpus.render_exposure(record, corpus.render_seed(seed, i))
-            )
-        tokens_per_fact = total_tokens / len(records)
-    if tokens_per_fact is None:
-        tokens_per_fact = 1.0
+        tokens_per_fact = sum(
+            corpus.whitespace_tokens(corpus.render_exposure(r, corpus.render_seed(seed, i)))
+            for i, r in enumerate(records)
+        ) / len(records)
     plan = corpus.plan_mixture(
-        total_tokens=total,
-        mixing_ratio=ratio,
-        knowledge_tokens=knowledge,
-        web_pool_tokens=None if pool is None else float(pool),
-        fact_count=fact_count,
-        tokens_per_fact=float(tokens_per_fact),
+        total_tokens=p.total_tokens,
+        mixing_ratio=p.mixing_ratio,
+        knowledge_tokens=p.knowledge_tokens,
+        web_pool_tokens=p.web_pool_tokens,
+        fact_count=p.fact_count,
+        tokens_per_fact=1.0 if tokens_per_fact is None else tokens_per_fact,
     )
-    out = _resolve_out(args, "mixplan.json")
-    _atomic_write(out, _json_text(plan.to_dict()))
+    _write_out(p, "mixplan.json", _json_text(plan.to_dict()))
 
 
-def cmd_subsample(args) -> None:
-    config = _load_config(args)
-    fmt = _require_format(args, ("jsonl",))
-    seed = _require_seed(args, config)
-    keep = float(_param(config, args.keep_ratio, "keep_ratio", required=True))
-    if not args.records:
-        raise ValueError("--records is required")
-    records = _read_records(args.records)
-    kept = corpus.subsample_corpus(records, keep, seed)
-    out = _resolve_out(args, "subsample.jsonl")
+def cmd_subsample(p) -> None:
+    seed = _require_seed(p)
+    kept = corpus.subsample_corpus(_read_records(p.records), p.keep_ratio, seed)
     text = "".join(
         json.dumps(corpus.record_to_dict(r), sort_keys=True) + "\n" for r in kept
     )
-    _atomic_write(out, text)
+    _write_out(p, "subsample.jsonl", text)
 
 
-def cmd_ckm(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("jsonl",))
-    seed = _require_seed(args, config)
-    ratio = float(_param(config, args.ckm_ratio, "ckm_ratio", required=True))
-    if not args.records:
-        raise ValueError("--records is required")
-    records = _read_records(args.records)
-    texts, original, compact, realized = corpus.ckm_augment(records, ratio, seed)
-    out = _resolve_out(args, "ckm.txt")
-    _atomic_write(out, "".join(t + "\n" for t in texts))
+def cmd_ckm(p) -> None:
+    seed = _require_seed(p)
+    texts, original, compact, realized = corpus.ckm_augment(
+        _read_records(p.records), p.ckm_ratio, seed
+    )
+    _write_out(p, "ckm.txt", "".join(t + "\n" for t in texts))
     summary = {
-        "requested_ratio": ratio,
+        "requested_ratio": p.ckm_ratio,
         "original_tokens": original,
         "compact_tokens": compact,
         "realized_ratio": realized,
@@ -309,79 +316,104 @@ def cmd_ckm(args) -> None:
     sys.stdout.write(_json_text(summary))
 
 
-def cmd_estimate(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("json",))
-    if not args.observations:
-        raise ValueError("--observations is required")
-    target = float(
-        _param(config, args.target, "accuracy_target", default=analysis.DEFAULT_ACCURACY_TARGET)
-    )
-    max_failures = int(
-        _param(config, args.max_failures, "max_failures", default=analysis.DEFAULT_MAX_FAILURES)
-    )
-    obs = analysis.read_observations_csv(args.observations)
-    threshold = analysis.estimate_threshold_popularity(obs, target, max_failures)
-    out = _resolve_out(args, "threshold.json")
-    _atomic_write(
-        out,
-        _json_text(
-            {
-                "threshold_popularity": threshold,
-                "accuracy_target": target,
-                "max_failures": max_failures,
-                "n": len(obs),
-            }
-        ),
-    )
-
-
-def _read_points(path: str) -> list[tuple[float, float]]:
-    import csv as _csv
-
-    points = []
-    with open(path, newline="") as handle:
-        reader = _csv.DictReader(handle)
-        if reader.fieldnames is None or not {"x", "y"} <= set(reader.fieldnames):
-            raise ValueError("points CSV needs an 'x,y' header")
-        for row in reader:
-            points.append((float(row["x"]), float(row["y"])))
-    return points
-
-
-def cmd_fit(args) -> None:
-    config = _load_config(args)
-    _require_format(args, ("json",))
-    if not args.points:
-        raise ValueError("--points is required")
-    model = _param(config, args.model, "model", required=True)
-    fitters = {
-        "exp": analysis.fit_exponential,
-        "power": analysis.fit_power_law,
-        "loglog": analysis.fit_loglog,
+def cmd_estimate(p) -> None:
+    obs = analysis.read_observations_csv(p.observations)
+    threshold = analysis.estimate_threshold_popularity(obs, p.accuracy_target, p.max_failures)
+    doc = {
+        "threshold_popularity": threshold,
+        "accuracy_target": p.accuracy_target,
+        "max_failures": p.max_failures,
+        "n": len(obs),
     }
-    if model not in fitters:
-        raise ValueError(f"unknown model '{model}' (choose from exp, power, loglog)")
-    fit = fitters[model](_read_points(args.points))
-    out = _resolve_out(args, "fit.json")
-    _atomic_write(out, _json_text(fit.to_dict()))
+    _write_out(p, "threshold.json", _json_text(doc))
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
+_FITTERS = {
+    "exp": analysis.fit_exponential,
+    "power": analysis.fit_power_law,
+    "loglog": analysis.fit_loglog,
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, help="64-bit master seed")
-    sub.add_argument("--out", help="output path (default: $MIXCAP_OUT_DIR or cwd)")
-    sub.add_argument("--format", choices=["csv", "json", "jsonl"])
-    sub.add_argument(
-        "--json-errors",
-        action="store_true",
-        help="emit a machine-readable error object on stderr",
-    )
+def cmd_fit(p) -> None:
+    fit = _FITTERS[p.model](analysis.read_points_csv(p.points))
+    _write_out(p, "fit.json", _json_text(fit.to_dict()))
+
+
+# The parameter table, and the parser built from it.
+
+_MIXTURE = Param("mixture", lambda value, key: mixture_from_dict(value), required=True)
+_RATIO = Param("ratio", _number, "--ratio", help="override the mixture's mixing ratio",
+               flag_only=True)
+_RECORDS = Param("records", _string, "--records", required=True, help="input JSONL corpus",
+                 flag_only=True)
+
+COMMANDS = {
+    "allocate": Command(cmd_allocate, "optimal capacity split for a mixture", ("json",), (
+        _MIXTURE,
+        Param("capacity", _number, "--capacity", required=True),
+        _RATIO,
+    )),
+    "thresholds": Command(cmd_thresholds, "phase-transition threshold report", ("json",), (
+        _MIXTURE,
+        Param("capacity", _number, "--capacity"),
+        _RATIO,
+        Param("bits_per_param", _number, "--bits-per-param", default=2.0),
+        Param("units", _string, "--units", default="bits", choices=("bits", "params")),
+    )),
+    "sweep": Command(cmd_sweep, "accuracy/loss sweep along one axis", ("csv",), (
+        _MIXTURE,
+        Param("axis", _string, "--axis", required=True, choices=("model_size", "mixing_ratio")),
+        Param("grid", _numbers, required=True),
+        Param("capacity", _number, "--capacity", help="fixed capacity for mixing_ratio sweeps"),
+        Param("accuracy_target", _number, "--target", default=0.8, help="accuracy target"),
+        _RATIO,
+    )),
+    # Config only; an absent key keeps the SubsetExperiment default.
+    "subsets": Command(cmd_subsets, "power-law subset experiment", ("csv",), (
+        Param("group_count", _integer),
+        Param("group_size", _integer),
+        Param("powerlaw_exponent", _number),
+        Param("mixing_ratio", _number),
+        Param("capacity_grid", _numbers),
+        Param("accuracy_target", _number),
+        Param("entropy_per_fact", _number),
+        Param("web", web_curve_from_dict),
+    )),
+    "synbio": Command(cmd_synbio, "generate synthetic biographies", ("jsonl", "json"), (
+        Param("count", _integer, "--count", required=True),
+        Param("render_out", _string, "--render-out", help="also write rendered exposures",
+              flag_only=True),
+    )),
+    "mixplan": Command(cmd_mixplan, "token accounting for a data mixture", ("json",), (
+        Param("total_tokens", _number, "--total-tokens", required=True),
+        Param("mixing_ratio", _number, "--ratio", required=True),
+        Param("knowledge_tokens", _number, "--knowledge-tokens", required=True),
+        Param("web_pool_tokens", _number, "--web-pool-tokens"),
+        Param("fact_count", _integer, "--fact-count", default=1),
+        Param("tokens_per_fact", _number, "--tokens-per-fact"),
+        _RECORDS._replace(required=False, help="JSONL corpus to measure tokens per fact from"),
+    )),
+    "subsample": Command(cmd_subsample, "random subsample of a corpus", ("jsonl",), (
+        _RECORDS,
+        Param("keep_ratio", _number, "--keep-ratio", required=True),
+    )),
+    "ckm": Command(cmd_ckm, "compact knowledge mixing texts", ("jsonl",), (
+        _RECORDS,
+        Param("ckm_ratio", _number, "--ckm-ratio", required=True),
+    )),
+    "estimate": Command(cmd_estimate, "threshold popularity from observations", ("json",), (
+        Param("observations", _string, "--observations", required=True,
+              help="CSV with header popularity,correct", flag_only=True),
+        Param("accuracy_target", _number, "--target", default=analysis.DEFAULT_ACCURACY_TARGET),
+        Param("max_failures", _integer, "--max-failures", default=analysis.DEFAULT_MAX_FAILURES),
+    )),
+    "fit": Command(cmd_fit, "fit a scaling-law curve to points", ("json",), (
+        Param("points", _string, "--points", required=True, help="CSV with header x,y",
+              flag_only=True),
+        Param("model", _string, "--model", required=True, choices=tuple(_FITTERS)),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,97 +423,36 @@ def build_parser() -> argparse.ArgumentParser:
         "synthetic corpora for data mixing studies",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("allocate", help="optimal capacity split for a mixture")
-    p.add_argument("--capacity", type=float)
-    p.add_argument("--ratio", type=float, help="override the mixture's mixing ratio")
-    _add_common(p)
-    p.set_defaults(handler=cmd_allocate)
-
-    p = commands.add_parser("thresholds", help="phase-transition threshold report")
-    p.add_argument("--capacity", type=float)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--bits-per-param", dest="bits_per_param", type=float)
-    p.add_argument("--units", choices=["bits", "params"])
-    _add_common(p)
-    p.set_defaults(handler=cmd_thresholds)
-
-    p = commands.add_parser("sweep", help="accuracy/loss sweep along one axis")
-    p.add_argument("--axis", choices=["model_size", "mixing_ratio"])
-    p.add_argument("--capacity", type=float, help="fixed capacity for mixing_ratio sweeps")
-    p.add_argument("--target", type=float, help="accuracy target")
-    p.add_argument("--ratio", type=float)
-    _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = commands.add_parser("subsets", help="power-law subset experiment")
-    _add_common(p)
-    p.set_defaults(handler=cmd_subsets)
-
-    p = commands.add_parser("synbio", help="generate synthetic biographies")
-    p.add_argument("--count", type=int)
-    p.add_argument("--render-out", dest="render_out", help="also write rendered exposures")
-    _add_common(p)
-    p.set_defaults(handler=cmd_synbio)
-
-    p = commands.add_parser("mixplan", help="token accounting for a data mixture")
-    p.add_argument("--total-tokens", dest="total_tokens", type=float)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--knowledge-tokens", dest="knowledge_tokens", type=float)
-    p.add_argument("--web-pool-tokens", dest="web_pool_tokens", type=float)
-    p.add_argument("--fact-count", dest="fact_count", type=int)
-    p.add_argument("--tokens-per-fact", dest="tokens_per_fact", type=float)
-    p.add_argument("--records", help="JSONL corpus to measure tokens per fact from")
-    _add_common(p)
-    p.set_defaults(handler=cmd_mixplan)
-
-    p = commands.add_parser("subsample", help="random subsample of a corpus")
-    p.add_argument("--records", help="input JSONL corpus")
-    p.add_argument("--keep-ratio", dest="keep_ratio", type=float)
-    _add_common(p)
-    p.set_defaults(handler=cmd_subsample)
-
-    p = commands.add_parser("ckm", help="compact knowledge mixing texts")
-    p.add_argument("--records", help="input JSONL corpus")
-    p.add_argument("--ckm-ratio", dest="ckm_ratio", type=float)
-    _add_common(p)
-    p.set_defaults(handler=cmd_ckm)
-
-    p = commands.add_parser("estimate", help="threshold popularity from observations")
-    p.add_argument("--observations", help="CSV with header popularity,correct")
-    p.add_argument("--target", type=float)
-    p.add_argument("--max-failures", dest="max_failures", type=int)
-    _add_common(p)
-    p.set_defaults(handler=cmd_estimate)
-
-    p = commands.add_parser("fit", help="fit a scaling-law curve to points")
-    p.add_argument("--points", help="CSV with header x,y")
-    p.add_argument("--model", help="exp | power | loglog")
-    _add_common(p)
-    p.set_defaults(handler=cmd_fit)
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        for row in (*command.params, SEED):
+            if row.flag:
+                sub.add_argument(
+                    row.flag,
+                    dest=row.key,
+                    type=_FLAG_TYPES.get(row.kind, str),
+                    metavar="{" + ",".join(row.choices) + "}" if row.choices else None,
+                    help=row.help,
+                )
+        sub.add_argument("--config", help="JSON config file; flags override its values")
+        sub.add_argument("--out", help="output path (default: $MIXCAP_OUT_DIR or cwd)")
+        sub.add_argument("--format", choices=["csv", "json", "jsonl"])
+        sub.add_argument("--json-errors", action="store_true",
+                         help="emit a machine-readable error object on stderr")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        COMMANDS[args.command].handler(_params(args, _load_config(args)))
         return 0
     except (ValueError, FileNotFoundError, KeyError) as exc:
-        message = str(exc)
-        if args.json_errors:
-            sys.stderr.write(json.dumps({"error": message}) + "\n")
-        else:
-            sys.stderr.write(f"error: {message}\n")
-        return 2
+        code, message, text = 2, str(exc), f"error: {exc}"
     except Exception as exc:  # internal failure
-        if args.json_errors:
-            sys.stderr.write(json.dumps({"error": f"internal: {exc}"}) + "\n")
-        else:
-            sys.stderr.write(f"internal error: {exc}\n")
-        return 1
+        code, message, text = 1, f"internal: {exc}", f"internal error: {exc}"
+    sys.stderr.write((json.dumps({"error": message}) if args.json_errors else text) + "\n")
+    return code
 
 
 if __name__ == "__main__":

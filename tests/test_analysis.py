@@ -190,6 +190,13 @@ class TestFitLogLog:
         with pytest.raises(ValueError, match="positive"):
             fit_loglog([(1.0, 1.0), (2.0, -1.0), (3.0, 2.0)])
 
+    @pytest.mark.parametrize("fitter", [fit_loglog, fit_exponential, fit_power_law])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, fitter, bad):
+        for point in ((0.5, bad), (bad, 2.0)):
+            with pytest.raises(ValueError, match="finite points; point 1"):
+                fitter([(0.25, 4.0), point, (0.75, 1.0)])
+
     def test_prediction_interval_contains_point(self):
         rng = np.random.default_rng(83)
         xs = np.geomspace(1.0, 100.0, 15)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from mixcap.analysis import estimate_threshold_popularity, AccuracyObservation
-from mixcap.cli import _json_text, main
+from mixcap.cli import COMMANDS, SEED, _json_text, main
 from mixcap.corpus import RECORD_ENTROPY_BITS
 
 
@@ -518,3 +518,176 @@ class TestPlumbing:
         assert doc["m_upper"] - doc["m_lower"] == pytest.approx(
             k * RECORD_ENTROPY_BITS, rel=1e-9
         )
+
+
+# A valid invocation of every command: (flags, config). Config holds every
+# parameter that can come from it, so the table test below can replace one.
+_BASE_INVOCATIONS = {
+    "allocate": ([], {"mixture": MIX_DOC["mixture"], "capacity": 4000.0}),
+    "thresholds": ([], {"mixture": MIX_DOC["mixture"]}),
+    "sweep": ([], {"mixture": MIX_DOC["mixture"], "axis": "model_size", "grid": [100.0, 2000.0]}),
+    "subsets": ([], {"group_count": 2, "group_size": 2, "capacity_grid": [1e9]}),
+    "synbio": ([], {"count": 3, "seed": 1}),
+    "mixplan": (
+        [],
+        {"total_tokens": 1e9, "mixing_ratio": 0.1, "knowledge_tokens": 1e6, "fact_count": 10},
+    ),
+    "subsample": (["--records", "{records}"], {"keep_ratio": 0.5, "seed": 1}),
+    "ckm": (["--records", "{records}"], {"ckm_ratio": 0.2, "seed": 1}),
+    "estimate": (["--observations", "{obs}"], {"max_failures": 2}),
+    "fit": (["--points", "{points}"], {"model": "loglog"}),
+}
+
+_CONFIG_KEYS = [
+    (name, row.key)
+    for name, command in COMMANDS.items()
+    for row in (*command.params, SEED)
+    if not row.flag_only
+]
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    records = tmp_path / "records.jsonl"
+    assert run(["synbio", "--count", 6, "--seed", 5, "--out", records]) == 0
+    obs = tmp_path / "obs.csv"
+    obs.write_text("popularity,correct\n" + "".join(f"{i},{int(i > 3)}\n" for i in range(1, 9)))
+    points = tmp_path / "points.csv"
+    points.write_text("x,y\n1,2\n2,8\n4,32\n")
+
+    def invoke(name, config_text, out):
+        flags, _ = _BASE_INVOCATIONS[name]
+        config = tmp_path / "config.json"
+        config.write_text(config_text)
+        argv = [f.format(records=records, obs=obs, points=points) for f in flags]
+        return run([name, *argv, "--config", config, "--out", out])
+
+    return invoke
+
+
+class TestParameterTable:
+    def test_every_command_has_a_base_invocation(self):
+        assert set(_BASE_INVOCATIONS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(_BASE_INVOCATIONS))
+    def test_base_invocations_succeed(self, tmp_path, cli_inputs, name):
+        out = tmp_path / "out"
+        assert cli_inputs(name, json.dumps(_BASE_INVOCATIONS[name][1]), out) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("name, key", _CONFIG_KEYS)
+    def test_wrong_typed_config_value_exits_2_naming_key(
+        self, tmp_path, capsys, cli_inputs, name, key
+    ):
+        config = _BASE_INVOCATIONS[name][1]
+        array_kind = key in ("grid", "capacity_grid")
+        bad_values = ["1", True, math.nan, ["1"] if array_kind else [1.0]]
+        if array_kind:
+            bad_values.append([1.0, math.nan])
+        for value in bad_values:
+            out = tmp_path / "out"
+            text = json.dumps({**config, key: value})  # NaN is written as the JSON extension
+            assert cli_inputs(name, text, out) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert key in err, (key, value, err)
+            assert "internal" not in err
+            assert list(tmp_path.glob("out*")) == []
+
+    def test_integral_float_is_an_integer(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"count": 1e3, "seed": 7e0}')
+        out = tmp_path / "bios.jsonl"
+        assert run(["synbio", "--config", config, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 1000
+        assert run(["synbio", "--count", "1e1", "--seed", 7, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 10
+        assert run(["synbio", "--count", "2.5", "--seed", 7, "--out", tmp_path / "x"]) == 2
+        assert "count must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_range_names_seed(self, tmp_path, capsys, seed):
+        out = tmp_path / "bios.jsonl"
+        assert run(["synbio", "--count", 3, "--seed", seed, "--out", out]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "bios.jsonl"
+        assert run(["synbio", "--count", 3, "--seed", 2**64 - 1, "--out", out]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["mixplan", "--total-tokens", "nan", "--ratio", 0.1, "--knowledge-tokens", 1e6],
+             "total_tokens"),
+            (["mixplan", "--total-tokens", 1e9, "--ratio", "inf", "--knowledge-tokens", 1e6],
+             "mixing_ratio"),
+            (["synbio", "--count", 3, "--seed", 1, "--format", "csv"], "format"),
+        ],
+    )
+    def test_flag_values_exit_2_naming_key(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_choices_checked_for_flag_and_config(self, tmp_path, capsys, config_path):
+        out = tmp_path / "t.json"
+        assert run(["thresholds", "--config", config_path, "--units", "foo", "--out", out]) == 2
+        assert "units must be one of bits, params" in capsys.readouterr().err
+        doc = {**MIX_DOC, "grid": [1.0, 2.0], "axis": "sideways"}
+        path = _write_config(tmp_path, doc)
+        assert run(["sweep", "--config", path, "--out", out]) == 2
+        assert "axis must be one of model_size, mixing_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_required_names_key_and_sources(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {"mixture": MIX_DOC["mixture"]})
+        assert run(["allocate", "--config", path, "--out", tmp_path / "a.json"]) == 2
+        assert "'capacity' (config key or --capacity)" in capsys.readouterr().err
+        assert run(["subsample", "--keep-ratio", 0.5, "--seed", 1]) == 2
+        assert "'records' (--records)" in capsys.readouterr().err
+
+    def test_null_config_value_means_absent(self, tmp_path):
+        absent = _write_config(tmp_path, {"mixture": MIX_DOC["mixture"]})
+        assert run(["thresholds", "--config", absent, "--out", tmp_path / "a.json"]) == 0
+        null = _write_config(tmp_path, {"mixture": MIX_DOC["mixture"], "capacity": None})
+        assert run(["thresholds", "--config", null, "--out", tmp_path / "n.json"]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "n.json").read_bytes()
+
+    def test_zero_capacity_on_power_law_web_names_capacity(self, tmp_path, capsys, config_path):
+        out = tmp_path / "a.json"
+        assert run(["allocate", "--config", config_path, "--capacity", 0, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "capacity 0.0 leaves the web loss infinite" in err
+        assert "diverges" in err
+        assert not out.exists()
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+    def test_points_cell_names_line_and_column(self, tmp_path, capsys, cell):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"x,y\n1,1\n2,{cell}\n3,9\n")
+        out = tmp_path / "f.json"
+        assert run(["fit", "--points", pts, "--model", "loglog", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "line 3, column 'y'" in err
+        assert "internal" not in err
+        assert not out.exists()
+
+    def test_missing_cell_names_line_and_column(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n1,1\n2\n3,9\n")
+        assert run(["fit", "--points", pts, "--model", "exp", "--out", tmp_path / "f"]) == 2
+        assert "line 3, column 'y'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, column", [("abc,1", "popularity"), ("nan,0", "popularity"),
+                                             ("3,yes", "correct")])
+    def test_observation_cell_names_line_and_column(self, tmp_path, capsys, row, column):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"popularity,correct\n1,0\n{row}\n")
+        out = tmp_path / "t.json"
+        assert run(["estimate", "--observations", obs, "--out", out]) == 2
+        assert f"line 3, column '{column}'" in capsys.readouterr().err
+        assert not out.exists()
