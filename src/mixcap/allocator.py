@@ -50,9 +50,12 @@ __all__ = [
 class Allocation:
     """An optimal capacity split and the losses it achieves.
 
-    knowledge_capacity (m1) and web_capacity (m2) are in bits and sum to the
-    total capacity; learned holds the per-fact learned fraction in original
-    fact order.
+    knowledge_capacity (m1) and web_capacity (m2) are in bits. m2 is the
+    correctly rounded M - m1 for the total capacity M, so the exact sum
+    m1 + m2 is within half an ulp of M, and m1 is non-decreasing in M. The
+    float sum m1 + m2 can round to a neighbour of M at a rounding tie; no
+    m1 that keeps the monotonicity avoids every such tie. learned holds the
+    per-fact learned fraction in original fact order.
     """
 
     knowledge_capacity: float

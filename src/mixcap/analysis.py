@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "AccuracyObservation",
@@ -169,6 +168,17 @@ def _check_points(points, model: str) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _t_quantile_975(dof: int) -> float:
+    """The 0.975 quantile of Student's t with dof degrees of freedom.
+
+    scipy is imported here, not at module level, so that importing mixcap
+    (and every command that never computes a t-interval) does not load it.
+    """
+    from scipy import stats
+
+    return float(stats.t.ppf(0.975, dof))
+
+
 def _fit_line(
     model: str, u: np.ndarray, v: np.ndarray, names: dict[str, str], slope_sign: float = 1.0
 ) -> FitResult:
@@ -204,7 +214,7 @@ def _fit_line(
     ss_tot = float(np.dot(v - v_mean, v - v_mean))
     dof = n - 2
     resid_var = ss_res / dof if dof > 0 else 0.0
-    tq = float(stats.t.ppf(0.975, dof)) if dof > 0 else 0.0
+    tq = _t_quantile_975(dof) if dof > 0 else 0.0
     est = {"intercept": intercept, "slope": slope_sign * slope}
     se = {
         "intercept": math.sqrt(resid_var * (1.0 / n + u_mean**2 / suu)),
@@ -281,7 +291,7 @@ def loglog_predict(fit: FitResult, x: float) -> tuple[float, tuple[float, float]
     var = fit._resid_var * (
         1.0 + 1.0 / fit.n + (lx - fit._u_mean) ** 2 / fit._suu
     )
-    tq = float(stats.t.ppf(0.975, fit.n - 2))
+    tq = _t_quantile_975(fit.n - 2)
     half = tq * math.sqrt(var)
     return math.exp(mean), (math.exp(mean - half), math.exp(mean + half))
 
@@ -311,7 +321,7 @@ def invert_size(fit: FitResult, threshold_popularity: float) -> tuple[float, tup
     gm = -lx / m
     gb = -1.0 / m
     var = gm * gm * var_m + gb * gb * var_b + 2.0 * gm * gb * cov_mb
-    tq = float(stats.t.ppf(0.975, fit.n - 2))
+    tq = _t_quantile_975(fit.n - 2)
     half = tq * math.sqrt(max(var, 0.0))
     return math.exp(lx), (math.exp(lx - half), math.exp(lx + half))
 

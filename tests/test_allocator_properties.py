@@ -1,4 +1,4 @@
-"""Property tests of optimal_allocation over entropies from 1e-3 to 1e15 bits.
+"""Property tests of optimal_allocation and mixture JSON, entropies 1e-3 to 1e15 bits.
 
 Each example runs under a hypothesis deadline and a SIGALRM guard, so a
 solver that never returns fails the test instead of stalling the suite.
@@ -21,6 +21,8 @@ from mixcap.universe import (
     PowerLawCurve,
     TabulatedCurve,
     m0_minus,
+    mixture_from_json,
+    mixture_to_json,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -161,3 +163,28 @@ class TestAllocationProperties:
             m1_low = optimal_allocation(replace(mixture, mixing_ratio=low), total)
             m1_high = optimal_allocation(replace(mixture, mixing_ratio=high), total)
         assert m1_high.knowledge_capacity >= m1_low.knowledge_capacity
+
+    @PROPERTY_SETTINGS
+    @given(cases(), st.data())
+    def test_m1_monotone_in_frequency(self, case, data):
+        mixture, total = case
+        knowledge = mixture.knowledge
+        i = data.draw(st.integers(0, knowledge.fact_count - 1))
+        slack = 1.0 - math.fsum(knowledge.p.tolist())
+        p = knowledge.p.copy()
+        p[i] = min(p[i] * data.draw(log_uniform(0, 3)), p[i] + slack)
+        raised = replace(
+            mixture,
+            knowledge=KnowledgeUniverse.from_arrays(p, knowledge.h, knowledge.irreducible_loss),
+        )
+        with no_hang():
+            m1_low = optimal_allocation(mixture, total).knowledge_capacity
+            m1_high = optimal_allocation(raised, total).knowledge_capacity
+        assert m1_high >= m1_low
+
+
+class TestMixtureJson:
+    @PROPERTY_SETTINGS
+    @given(mixtures())
+    def test_round_trip(self, mixture):
+        assert mixture_from_json(mixture_to_json(mixture)) == mixture

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mixcap.analysis import (
     AccuracyObservation,
+    _t_quantile_975,
     estimate_threshold_popularity,
     fit_exponential,
     fit_loglog,
@@ -258,3 +260,9 @@ class TestRSquared:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             r_squared([1.0], [1.0, 2.0])
+
+
+class TestTQuantile:
+    def test_equals_scipy_quantile_exactly(self):
+        for dof in [*range(1, 501), 10**3, 10**6, 10**9]:
+            assert _t_quantile_975(dof) == float(stats.t.ppf(0.975, dof)), dof

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -547,19 +549,24 @@ _CONFIG_KEYS = [
 
 
 @pytest.fixture
-def cli_inputs(tmp_path):
+def input_files(tmp_path):
+    """The records, observations and points files the base invocations read."""
     records = tmp_path / "records.jsonl"
     assert run(["synbio", "--count", 6, "--seed", 5, "--out", records]) == 0
     obs = tmp_path / "obs.csv"
     obs.write_text("popularity,correct\n" + "".join(f"{i},{int(i > 3)}\n" for i in range(1, 9)))
     points = tmp_path / "points.csv"
     points.write_text("x,y\n1,2\n2,8\n4,32\n")
+    return {"records": records, "obs": obs, "points": points}
 
+
+@pytest.fixture
+def cli_inputs(tmp_path, input_files):
     def invoke(name, config_text, out):
         flags, _ = _BASE_INVOCATIONS[name]
         config = tmp_path / "config.json"
         config.write_text(config_text)
-        argv = [f.format(records=records, obs=obs, points=points) for f in flags]
+        argv = [f.format(**input_files) for f in flags]
         return run([name, *argv, "--config", config, "--out", out])
 
     return invoke
@@ -691,3 +698,52 @@ class TestCsvCells:
         assert run(["estimate", "--observations", obs, "--out", out]) == 2
         assert f"line 3, column '{column}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Runs in a fresh interpreter: imports mixcap, runs each (name, argv) of
+# argv[1] through mixcap.cli.main, and writes to argv[2] the scipy modules
+# loaded after the import and after each command.
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import mixcap
+import mixcap.cli
+
+loaded = {"import mixcap": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    loaded[name] = [mixcap.cli.main(argv), scipy_modules()]
+with open(sys.argv[2], "w") as handle:
+    json.dump(loaded, handle)
+"""
+
+
+class TestImportCost:
+    def test_scipy_is_loaded_by_fit_alone(self, tmp_path, input_files):
+        invocations = []
+        for name in sorted(_BASE_INVOCATIONS, key=lambda name: name == "fit"):
+            flags, config = _BASE_INVOCATIONS[name]
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            argv = [f.format(**input_files) for f in flags]
+            out = tmp_path / f"{name}.out"
+            invocations.append(
+                (name, [name, *argv, "--config", str(config_path), "--out", str(out)])
+            )
+        report = tmp_path / "scipy.json"
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(invocations), str(report)],
+            env=env,
+            cwd=tmp_path,
+            check=True,
+            capture_output=True,
+        )
+        loaded = json.loads(report.read_text())
+        assert loaded.pop("import mixcap") == []
+        code, fit_modules = loaded.pop("fit")
+        assert code == 0 and "scipy.stats" in fit_modules
+        assert loaded == {name: [0, []] for name in _BASE_INVOCATIONS if name != "fit"}
