@@ -17,6 +17,7 @@ simulate any training procedure.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -46,7 +47,7 @@ __all__ = [
     "apply_ckm",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
     """An optimal capacity split and the losses it achieves.
 
@@ -55,7 +56,10 @@ class Allocation:
     m1 + m2 is within half an ulp of M, and m1 is non-decreasing in M. The
     float sum m1 + m2 can round to a neighbour of M at a rounding tie; no
     m1 that keeps the monotonicity avoids every such tie. learned holds the
-    per-fact learned fraction in original fact order.
+    per-fact learned fraction in original fact order, as a read-only float64
+    array; an array passed in is viewed, not copied. Equality compares the
+    scalar fields and the learned values, and pickling keeps learned
+    read-only.
     """
 
     knowledge_capacity: float
@@ -63,7 +67,35 @@ class Allocation:
     knowledge_loss: float
     web_loss: float
     mixture_loss: float
-    learned: tuple[float, ...]
+    learned: np.ndarray
+
+    def __post_init__(self):
+        # A view, so the caller's own array keeps its flags.
+        learned = np.asarray(self.learned, dtype=float).view()
+        learned.flags.writeable = False
+        object.__setattr__(self, "learned", learned)
+
+    def _scalars(self) -> tuple[float, ...]:
+        return (
+            self.knowledge_capacity,
+            self.web_capacity,
+            self.knowledge_loss,
+            self.web_loss,
+            self.mixture_loss,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Allocation):
+            return NotImplemented
+        return self._scalars() == other._scalars() and np.array_equal(
+            self.learned, other.learned
+        )
+
+    def __hash__(self):
+        return hash((*self._scalars(), self.learned.size))
+
+    def __reduce__(self):
+        return Allocation, (*self._scalars(), self.learned)
 
     def to_dict(self) -> dict:
         return {
@@ -72,7 +104,7 @@ class Allocation:
             "loss1": self.knowledge_loss,
             "loss2": self.web_loss,
             "loss": self.mixture_loss,
-            "learned": list(self.learned),
+            "learned": self.learned.tolist(),
         }
 
 
@@ -126,15 +158,6 @@ class ThresholdReport:
         }
 
 
-def _marginal_ratio(mixture: MixtureUniverse, p):
-    """Threshold t = r*p/(1-r) that the web marginal is compared against.
-
-    p may be a float or an array of frequencies.
-    """
-    r = mixture.mixing_ratio
-    return r * p / (1.0 - r)
-
-
 def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Allocation:
     """Split total_capacity between the knowledge and web domains optimally.
 
@@ -149,6 +172,10 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     the m0_minus end of any flat-marginal band breaks ties toward the
     knowledge domain. Uniform frequencies give the closed form
     m1 = clip(M - m0_minus(r*p/(1-r)), 0, min(M, H_tot)).
+
+    The m0_minus values are cached per mixture (with np.power for a
+    power-law web, as threshold_model_size computes them), so a solve is a
+    bisection over the sorted facts plus one pass that writes learned.
     """
     if not (math.isfinite(total_capacity) and total_capacity >= 0.0):
         raise ValueError(
@@ -156,13 +183,18 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
         )
     web, r = mixture.web, mixture.mixing_ratio
     frontier = mixture.knowledge._frontier
-    bound = total_capacity - m0_minus(web, _marginal_ratio(mixture, frontier.p_sorted))
-    j = int(np.count_nonzero(bound >= frontier.cum_h))
-    if j == len(bound):
+    m0, cum_h = mixture._frontier_m0, frontier.cum_h
+    # j = the number of facts whose bound M - m0_k reaches cum_h[k]. The
+    # bound does not increase along the order and cum_h does not decrease,
+    # so those facts are a prefix and bisection finds its end.
+    j = bisect.bisect_left(
+        range(frontier.count), True, key=lambda k: not (total_capacity - m0[k] >= cum_h[k])
+    )
+    if j == frontier.count:
         # h_tot is summed apart from cum_h, so it can pass M by an ulp.
         m1 = min(frontier.h_tot, total_capacity)
     else:
-        m1 = max(float(bound[j]), float(frontier.cum_h[j - 1]) if j else 0.0)
+        m1 = max(float(total_capacity - m0[j]), float(cum_h[j - 1]) if j else 0.0)
 
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)
@@ -173,7 +205,7 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
         knowledge_loss=loss1,
         web_loss=loss2,
         mixture_loss=r * loss1 + (1.0 - r) * loss2,
-        learned=tuple(frontier.fractions_at(m1).tolist()),
+        learned=frontier.fractions_at(m1),
     )
 
 
@@ -205,7 +237,7 @@ def threshold_model_size(mixture: MixtureUniverse) -> ThresholdReport:
     threshold along with the scaling exponent alpha + 1.
     """
     p = _require_uniform(mixture.knowledge)
-    t = _marginal_ratio(mixture, p)
+    t = mixture._marginal_ratio(p)
     h_tot = mixture.knowledge.h_tot
     lower = m0_minus(mixture.web, t)
     upper = m0_plus(mixture.web, t) + h_tot

@@ -286,14 +286,17 @@ def loglog_predict(fit: FitResult, x: float) -> tuple[float, tuple[float, float]
         raise ValueError(f"x must be > 0, got {x}")
     lx = math.log(x)
     mean = fit._intercept + fit._slope * lx
+    what = f"the prediction at x = {x!r}"
     if fit._suu == 0.0:
-        return math.exp(mean), (math.exp(mean), math.exp(mean))
+        (est,) = _exp_in_range(fit, what, mean)
+        return est, (est, est)
     var = fit._resid_var * (
         1.0 + 1.0 / fit.n + (lx - fit._u_mean) ** 2 / fit._suu
     )
     tq = _t_quantile_975(fit.n - 2)
     half = tq * math.sqrt(var)
-    return math.exp(mean), (math.exp(mean - half), math.exp(mean + half))
+    est, lo, hi = _exp_in_range(fit, what, mean, mean - half, mean + half)
+    return est, (lo, hi)
 
 
 def invert_size(fit: FitResult, threshold_popularity: float) -> tuple[float, tuple[float, float]]:
@@ -312,8 +315,10 @@ def invert_size(fit: FitResult, threshold_popularity: float) -> tuple[float, tup
     if m == 0.0:
         raise ValueError("cannot invert a fit with zero slope")
     lx = (math.log(threshold_popularity) - b) / m
+    what = f"the inverted size at y = {threshold_popularity!r}"
     if fit._suu == 0.0 or fit._resid_var == 0.0:
-        return math.exp(lx), (math.exp(lx), math.exp(lx))
+        (est,) = _exp_in_range(fit, what, lx)
+        return est, (est, est)
     var_m = fit._resid_var / fit._suu
     var_b = fit._resid_var * (1.0 / fit.n + fit._u_mean**2 / fit._suu)
     cov_mb = -fit._resid_var * fit._u_mean / fit._suu
@@ -323,7 +328,20 @@ def invert_size(fit: FitResult, threshold_popularity: float) -> tuple[float, tup
     var = gm * gm * var_m + gb * gb * var_b + 2.0 * gm * gb * cov_mb
     tq = _t_quantile_975(fit.n - 2)
     half = tq * math.sqrt(max(var, 0.0))
-    return math.exp(lx), (math.exp(lx - half), math.exp(lx + half))
+    est, lo, hi = _exp_in_range(fit, what, lx, lx - half, lx + half)
+    return est, (lo, hi)
+
+
+def _exp_in_range(fit: FitResult, what: str, *logs: float) -> list[float]:
+    """math.exp of each log; a ValueError naming the fit if one overflows."""
+    try:
+        return [math.exp(v) for v in logs]
+    except OverflowError:
+        raise ValueError(
+            f"{what} or its 95% interval leaves the float range under the "
+            f"loglog fit with slope {fit._slope!r} and intercept {fit._intercept!r} "
+            f"(exp({max(logs)!r}) overflows)"
+        ) from None
 
 
 def r_squared(observed: Sequence[float], fitted: Sequence[float]) -> float:

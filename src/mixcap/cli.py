@@ -6,8 +6,9 @@ COMMANDS, and _params merges and checks every row in one pass, so config
 values and flags follow the same rules. All randomness flows from --seed,
 which generating commands require outright (no wall-clock fallback), so
 rerunning any command with the same config and seed produces byte-identical
-artifacts. Files are written atomically (temp file + rename) to keep long
-sweeps restartable.
+artifacts at the same BLAS thread count: a sweep's accuracy column comes
+from a BLAS dot product, whose last bits can depend on that count. Files are
+written atomically (temp file + rename) to keep long sweeps restartable.
 
 Exit codes: 0 success, 2 usage or validation failure, 1 internal error.
 With --json-errors a machine-readable {"error": ...} object goes to stderr.

@@ -113,11 +113,10 @@ def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
     formulation so fully learned universes score exactly 1.0.
     """
     h = knowledge.h
-    frac = np.asarray(allocation.learned, dtype=float)
     denom = float(np.dot(h, np.ones_like(h))) if len(h) else 0.0
     if denom == 0.0:
         return 1.0
-    return float(np.dot(h, frac) / denom)
+    return float(np.dot(h, allocation.learned) / denom)
 
 
 def count_accuracy(allocation: Allocation) -> float:
@@ -126,9 +125,9 @@ def count_accuracy(allocation: Allocation) -> float:
     Secondary metric kept alongside the entropy-weighted accuracy for
     comparison with studies that count memorized items.
     """
-    if not allocation.learned:
+    if not allocation.learned.size:
         return 1.0
-    return float(np.mean(np.asarray(allocation.learned, dtype=float)))
+    return float(np.mean(allocation.learned))
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
@@ -245,7 +244,7 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     results = []
     for capacity in exp.capacity_grid:
         alloc = optimal_allocation(mixture, capacity)
-        frac = np.asarray(alloc.learned).reshape(exp.group_count, exp.group_size)
+        frac = alloc.learned.reshape(exp.group_count, exp.group_size)
         group_acc = frac.mean(axis=1)  # uniform entropy within a group
         f_thres = None
         for g in range(exp.group_count):

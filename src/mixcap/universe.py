@@ -11,7 +11,9 @@ Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads or worker processes. A
 knowledge universe keeps its facts in read-only columns and caches its
 sorted frontier on first use; the cache is a pure function of those
-columns, so sharing a universe shares the sort.
+columns, so sharing a universe shares the sort. A mixture likewise caches
+the web capacity m0_minus at which each fact of that frontier is worth
+learning.
 """
 
 from __future__ import annotations
@@ -284,6 +286,30 @@ class MixtureUniverse:
                 f"mixing_ratio must be in (0, 1), got {self.mixing_ratio}"
             )
 
+    def __reduce__(self):
+        # Rebuilt through __init__, so the cached m0 column is not pickled.
+        return MixtureUniverse, (self.knowledge, self.web, self.mixing_ratio)
+
+    def _marginal_ratio(self, p):
+        """Threshold t = r*p/(1-r) that the web marginal is compared against.
+
+        p may be a float or an array of frequencies.
+        """
+        r = self.mixing_ratio
+        return r * p / (1.0 - r)
+
+    @cached_property
+    def _frontier_m0(self) -> np.ndarray:
+        """m0_minus(web, r*p/(1-r)) of every fact in frontier order, read-only.
+
+        Computed once per mixture, so a model-size sweep evaluates it once.
+        A power-law web goes through np.power here and in
+        threshold_model_size alike, so both round the same t the same way.
+        """
+        m0 = m0_minus(self.web, self._marginal_ratio(self.knowledge._frontier.p_sorted))
+        m0.flags.writeable = False
+        return m0
+
 
 def eval_web_loss(curve: WebLossCurve, capacity: float) -> float:
     """Best achievable web loss at the given capacity (bits)."""
@@ -406,6 +432,8 @@ class _FrontierCurve:
         self.cum_h = np.cumsum(self.h_sorted)
         self.cum_ph = np.cumsum(self.p_sorted * self.h_sorted)
         self.total_ph = float(self.cum_ph[-1]) if self.count else 0.0
+        # Zero-entropy facts, by original index: any positive budget learns them.
+        self.zero_entropy = np.flatnonzero(h == 0.0)
 
     def loss_at(self, capacity: float) -> float:
         if self.count == 0 or capacity >= self.h_tot:
@@ -420,23 +448,22 @@ class _FrontierCurve:
         return self.c1 + (self.total_ph - learned)
 
     def fractions_at(self, capacity: float) -> np.ndarray:
+        """Learned fraction of every fact in original order.
+
+        Only the learned prefix, the boundary fact and the zero-entropy
+        facts are written through the sort order; the rest stay 0.
+        """
         n = self.count
-        frac_sorted = np.zeros(n)
-        if n == 0:
-            return frac_sorted
         if capacity >= self.h_tot:
-            frac_sorted[:] = 1.0
-        elif capacity > 0.0:
+            return np.ones(n)
+        fractions = np.zeros(n)
+        if capacity > 0.0:
             k = int(np.searchsorted(self.cum_h, capacity, side="right"))
-            frac_sorted[:k] = 1.0
-            if k < n:
+            fractions[self.order[:k]] = 1.0
+            if k < n and self.h_sorted[k] > 0.0:
                 prev = float(self.cum_h[k - 1]) if k > 0 else 0.0
-                if self.h_sorted[k] > 0.0:
-                    frac_sorted[k] = (capacity - prev) / self.h_sorted[k]
-            # Zero-entropy facts cost nothing, so any positive budget learns them.
-            frac_sorted[self.h_sorted == 0.0] = 1.0
-        fractions = np.empty(n)
-        fractions[self.order] = frac_sorted
+                fractions[self.order[k]] = (capacity - prev) / self.h_sorted[k]
+            fractions[self.zero_entropy] = 1.0
         return fractions
 
 

@@ -1,6 +1,8 @@
 """Optimal allocation, phase-transition thresholds, and mitigation strategies."""
 
+import json
 import math
+import pickle
 import signal
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from helpers import allocation_grid_oracle, make_mixture
 from mixcap.allocator import (
+    Allocation,
     apply_ckm,
     apply_subsampling,
     domain_losses,
@@ -67,7 +70,7 @@ class TestOptimalAllocation:
         )
         alloc = optimal_allocation(mix, 10.0)
         assert alloc.knowledge_capacity == pytest.approx(1.0, abs=1e-9)
-        assert alloc.learned == (1.0,)
+        assert alloc.learned.tolist() == [1.0]
         # Knowledge marginal r*p beats the web marginal at the leftover budget.
         assert 0.9 * 0.1 > 0.1 * web_marginal(mix.web, 9.0, "left")
         grid_best = allocation_grid_oracle(mix, 10.0)
@@ -161,7 +164,7 @@ class TestOptimalAllocation:
         )
         alloc = optimal_allocation(mix, 120.0)
         assert alloc.knowledge_capacity == 50.0
-        assert alloc.learned == (1.0, 0.0)
+        assert alloc.learned.tolist() == [1.0, 0.0]
 
     def test_heterogeneous_exact_at_large_magnitudes(self):
         # m1 of 1.6e7 and 1e12 bits, where one ulp of m1 exceeds a 1e-9
@@ -197,6 +200,58 @@ class TestOptimalAllocation:
         alloc = optimal_allocation(_uniform_mixture(), 100.0)
         doc = alloc.to_dict()
         assert set(doc) == {"m1", "m2", "loss1", "loss2", "loss", "learned"}
+
+
+class TestAllocationValue:
+    def _alloc(self):
+        return optimal_allocation(_uniform_mixture(k=10), 4025.0)
+
+    def test_learned_is_a_read_only_float64_array(self):
+        alloc = self._alloc()
+        assert isinstance(alloc.learned, np.ndarray)
+        assert alloc.learned.dtype == np.float64 and alloc.learned.shape == (10,)
+        with pytest.raises(ValueError, match="read-only"):
+            alloc.learned[0] = 0.5
+        with pytest.raises(AttributeError):
+            alloc.learned = np.zeros(10)
+
+    def test_array_passed_in_is_viewed_and_keeps_its_flags(self):
+        learned = np.array([1.0, 0.25, 0.0])
+        alloc = Allocation(1.25, 2.0, 3.0, 4.0, 3.5, learned)
+        assert np.shares_memory(alloc.learned, learned)
+        assert learned.flags.writeable and not alloc.learned.flags.writeable
+
+    def test_pickle_round_trip_stays_read_only(self):
+        alloc = self._alloc()
+        back = pickle.loads(pickle.dumps(alloc))
+        assert back == alloc and hash(back) == hash(alloc)
+        assert not back.learned.flags.writeable
+
+    def test_equality_and_hash(self):
+        alloc = self._alloc()
+        scalars = (
+            alloc.knowledge_capacity,
+            alloc.web_capacity,
+            alloc.knowledge_loss,
+            alloc.web_loss,
+            alloc.mixture_loss,
+        )
+        same = Allocation(*scalars, tuple(alloc.learned.tolist()))
+        assert same == alloc and hash(same) == hash(alloc)
+        changed = alloc.learned.copy()
+        changed[-1] = 0.5
+        assert Allocation(*scalars, changed) != alloc
+        assert Allocation(*scalars, alloc.learned[:-1]) != alloc
+        for i in range(len(scalars)):
+            moved = list(scalars)
+            moved[i] = math.nextafter(moved[i], math.inf)
+            assert Allocation(*moved, alloc.learned) != alloc
+        assert alloc != alloc.to_dict()
+
+    def test_to_dict_holds_python_floats(self):
+        doc = self._alloc().to_dict()
+        assert all(type(x) is float for x in doc["learned"])
+        assert json.loads(json.dumps(doc)) == doc
 
 
 class TestDomainLosses:

@@ -2,6 +2,10 @@
 
 Each example runs under a hypothesis deadline and a SIGALRM guard, so a
 solver that never returns fails the test instead of stalling the suite.
+The oracle tests keep the linear-scan form of the solve (count every fact
+whose bound reaches its cumulative entropy, then write every learned
+fraction through the sort order) and require the bisection to match it bit
+for bit.
 """
 
 import contextlib
@@ -12,6 +16,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mixcap.allocator import optimal_allocation
@@ -20,6 +25,7 @@ from mixcap.universe import (
     MixtureUniverse,
     PowerLawCurve,
     TabulatedCurve,
+    eval_web_loss,
     m0_minus,
     mixture_from_json,
     mixture_to_json,
@@ -122,6 +128,97 @@ def capacities(draw, mixture):
 def cases(draw):
     mixture = draw(mixtures())
     return mixture, draw(capacities(mixture))
+
+
+def linear_scan_allocation(mixture, total):
+    """(m1, m2, loss1, loss2, loss, learned, predicate) by the linear-scan solve.
+
+    predicate[k] is the float test M - m0_k >= cum_h[k] of sorted fact k.
+    """
+    web, r = mixture.web, mixture.mixing_ratio
+    frontier = mixture.knowledge._frontier
+    bound = total - m0_minus(web, r * frontier.p_sorted / (1.0 - r))
+    predicate = bound >= frontier.cum_h
+    j = int(np.count_nonzero(predicate))
+    if j == len(bound):
+        m1 = min(frontier.h_tot, total)
+    else:
+        m1 = max(float(bound[j]), float(frontier.cum_h[j - 1]) if j else 0.0)
+    m2 = total - m1
+    loss1, loss2 = frontier.loss_at(m1), eval_web_loss(web, m2)
+    learned = full_fractions(frontier, m1)
+    return m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2, learned, predicate
+
+
+def full_fractions(frontier, capacity):
+    """Learned fractions built over the whole sorted order, then scattered."""
+    n = frontier.count
+    frac_sorted = np.zeros(n)
+    if n == 0:
+        return frac_sorted
+    if capacity >= frontier.h_tot:
+        frac_sorted[:] = 1.0
+    elif capacity > 0.0:
+        k = int(np.searchsorted(frontier.cum_h, capacity, side="right"))
+        frac_sorted[:k] = 1.0
+        if k < n:
+            prev = float(frontier.cum_h[k - 1]) if k > 0 else 0.0
+            if frontier.h_sorted[k] > 0.0:
+                frac_sorted[k] = (capacity - prev) / frontier.h_sorted[k]
+        frac_sorted[frontier.h_sorted == 0.0] = 1.0
+    fractions = np.empty(n)
+    fractions[frontier.order] = frac_sorted
+    return fractions
+
+
+def assert_matches_linear_scan(mixture, total):
+    alloc = optimal_allocation(mixture, total)
+    *scalars, learned, predicate = linear_scan_allocation(mixture, total)
+    got = (
+        alloc.knowledge_capacity,
+        alloc.web_capacity,
+        alloc.knowledge_loss,
+        alloc.web_loss,
+        alloc.mixture_loss,
+    )
+    # float.hex tells -0.0 from 0.0; tobytes compares every bit of learned.
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in scalars]
+    assert alloc.learned.dtype == learned.dtype
+    assert alloc.learned.tobytes() == learned.tobytes()
+    # Bisection is sound only where the predicate holds on a prefix.
+    assert not np.any(predicate[1:] & ~predicate[:-1])
+
+
+class TestLinearScanOracle:
+    @PROPERTY_SETTINGS
+    @given(cases())
+    def test_bisection_matches_linear_scan(self, case):
+        mixture, total = case
+        with no_hang():
+            assert_matches_linear_scan(mixture, total)
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_pareto_universe_of_2e4_facts(self, tabulated):
+        rng = np.random.default_rng(20_000)
+        raw = rng.pareto(1.5, 20_000) + 1.0
+        p, h = raw / raw.sum(), rng.uniform(20.0, 60.0, raw.size)
+        # Zero-entropy facts cost nothing, so any positive budget learns them.
+        h[rng.choice(h.size, 200, replace=False)] = 0.0
+        if tabulated:
+            web = TabulatedCurve(points=((0.0, 9.0), (1e4, 5.0), (1e5, 3.0), (1e6, 2.5)))
+        else:
+            web = PowerLawCurve(floor=1.0, amplitude=1e5, exponent=0.3)
+        mixture = MixtureUniverse(KnowledgeUniverse.from_arrays(p, h, 0.5), web, 0.05)
+        frontier = mixture.knowledge._frontier
+        onsets = mixture._frontier_m0 + np.concatenate(([0.0], frontier.cum_h[:-1]))
+        picks = rng.choice(frontier.count, 40, replace=False)
+        totals = [0.0, frontier.h_tot, 10.0 * frontier.h_tot]
+        totals += np.geomspace(1.0, 4.0 * (onsets.max() + frontier.h_tot), 60).tolist()
+        for k in picks:
+            for edge in (onsets[k], onsets[k] + frontier.h_sorted[k]):
+                totals += [float(edge), float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, math.inf))]
+        for total in totals:
+            assert_matches_linear_scan(mixture, total)
 
 
 class TestAllocationProperties:

@@ -241,6 +241,33 @@ class TestInvertSize:
         assert lo < est < hi
 
 
+class TestFloatRange:
+    # A near-flat fit: inverting it at y = 3 needs e**4017.
+    FLAT = [(1.0, 2.0), (2.0, 2.1), (4.0, 1.9), (8.0, 2.05)]
+
+    def test_invert_size_names_the_fit(self):
+        fit = fit_loglog(self.FLAT)
+        with pytest.raises(ValueError) as err:
+            invert_size(fit, 3.0)
+        message = str(err.value)
+        assert "inverted size at y = 3.0" in message
+        assert "leaves the float range" in message
+        assert f"slope {fit.params['slope']!r}" in message
+        assert f"intercept {fit.params['intercept']!r}" in message
+
+    def test_loglog_predict_names_the_fit(self):
+        fit = fit_loglog([(1.0, 1.0), (2.0, 10.0), (4.0, 100.0), (8.0, 1000.0)])
+        with pytest.raises(ValueError, match=r"prediction at x = 1e\+300 .*float range"):
+            loglog_predict(fit, 1e300)
+
+    def test_values_in_range_are_unchanged(self):
+        fit = fit_loglog(self.FLAT)
+        est, (lo, hi) = loglog_predict(fit, 1e300)
+        assert 0.0 < lo < est < hi < math.inf
+        est, (lo, hi) = invert_size(fit, 2.0)
+        assert 0.0 < lo <= est <= hi < math.inf
+
+
 class TestRSquared:
     def test_perfect(self):
         assert r_squared([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0

@@ -183,6 +183,50 @@ class TestColumnarUniverse:
         knowledge_frontier(mix.knowledge, 1.0)
         assert len(built) == 1
 
+    def test_frontier_m0_computed_once_per_mixture(self, monkeypatch):
+        over_frontier = []
+        m0_minus_of = universe.m0_minus
+
+        def counting_m0_minus(curve, t):
+            if np.ndim(t):
+                over_frontier.append(1)
+            return m0_minus_of(curve, t)
+
+        monkeypatch.setattr(universe, "m0_minus", counting_m0_minus)
+        p, h = self._columns(k=500)
+        mix = MixtureUniverse(
+            knowledge=KnowledgeUniverse.from_arrays(p, h, 0.5),
+            web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
+            mixing_ratio=0.1,
+        )
+        sizes = tuple(np.geomspace(1.0, 5.0 * float(h.sum()), 200).tolist())
+        sweep(SweepConfig(mixture=mix, sweep_axis="model_size", grid=sizes))
+        assert len(over_frontier) == 1
+        ratios = tuple(np.geomspace(1e-3, 0.9, 50).tolist())
+        sweep(
+            SweepConfig(
+                mixture=mix, sweep_axis="mixing_ratio", grid=ratios, total_capacity=sizes[100]
+            )
+        )
+        assert len(over_frontier) == 1 + len(ratios)
+
+    def test_frontier_m0_is_read_only_and_not_pickled(self):
+        p, h = self._columns()
+        mix = MixtureUniverse(
+            knowledge=KnowledgeUniverse.from_arrays(p, h, 0.5),
+            web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
+            mixing_ratio=0.1,
+        )
+        m0 = mix._frontier_m0
+        frontier = mix.knowledge._frontier
+        assert np.array_equal(m0, m0_minus(mix.web, 0.1 * frontier.p_sorted / 0.9))
+        with pytest.raises(ValueError, match="read-only"):
+            m0[0] = 1.0
+        back = pickle.loads(pickle.dumps(mix))
+        assert back == mix and hash(back) == hash(mix)
+        assert "_frontier_m0" not in vars(back)
+        assert np.array_equal(back._frontier_m0, m0)
+
 
 class TestEvalWebLoss:
     def test_power_law_point(self):
