@@ -266,18 +266,24 @@ def threshold_mixing_ratio(
     M - H_tot, everything is. When M <= H_tot full learning may require
     r -> 1, so the upper bound is reported as 1.
     """
+    p = _require_uniform(knowledge)
+    return _ratio_band(web, total_capacity, p, knowledge.h_tot)[:2]
+
+
+def _ratio_band(
+    web: WebLossCurve, total_capacity: float, p: float, h_tot: float
+) -> tuple[float, float, float]:
+    """(r_lower, r_upper, g) at capacity M, with g the left web marginal at M."""
     if not (math.isfinite(total_capacity) and total_capacity > 0.0):
         raise ValueError(f"total_capacity must be finite and > 0, got {total_capacity}")
-    p = _require_uniform(knowledge)
     g = web_marginal(web, total_capacity, "left")
     r_lower = g / (p + g)
-    h_tot = knowledge.h_tot
     if total_capacity - h_tot <= 0.0:
         r_upper = 1.0
     else:
         g_up = web_marginal(web, total_capacity - h_tot, "right")
         r_upper = 1.0 if math.isinf(g_up) else g_up / (p + g_up)
-    return min(max(r_lower, 0.0), 1.0), min(max(r_upper, 0.0), 1.0)
+    return min(max(r_lower, 0.0), 1.0), min(max(r_upper, 0.0), 1.0), g
 
 
 def threshold_frequency(
@@ -290,19 +296,14 @@ def threshold_frequency(
     asymptotic value is the small-r limit f ~ -F2'(M), which for a power law
     is A * alpha * M**(-alpha-1).
     """
-    if not (math.isfinite(total_capacity) and total_capacity > 0.0):
-        raise ValueError(f"total_capacity must be finite and > 0, got {total_capacity}")
     if not 0.0 < within_domain_p <= 1.0:
         raise ValueError(
             f"within_domain_p must be in (0, 1], got {within_domain_p}"
         )
-    if h_tot < 0.0:
-        raise ValueError(f"h_tot must be >= 0, got {h_tot}")
-    # A surrogate single-fact universe carrying the given p and H_tot.
-    knowledge = KnowledgeUniverse.from_arrays([within_domain_p], [h_tot])
-    r_lower, r_upper = threshold_mixing_ratio(knowledge, web, total_capacity)
-    asymptotic = web_marginal(web, total_capacity, "left")
-    return r_lower * within_domain_p, r_upper * within_domain_p, asymptotic
+    if not (math.isfinite(h_tot) and h_tot >= 0.0):
+        raise ValueError(f"h_tot must be finite and >= 0, got {h_tot}")
+    r_lower, r_upper, g = _ratio_band(web, total_capacity, within_domain_p, h_tot)
+    return r_lower * within_domain_p, r_upper * within_domain_p, g
 
 
 def full_threshold_report(
@@ -318,20 +319,17 @@ def full_threshold_report(
     base = threshold_model_size(mixture)
     if total_capacity is None:
         return base
-    knowledge, web = mixture.knowledge, mixture.web
+    knowledge = mixture.knowledge
     p = _require_uniform(knowledge)
-    r_lower, r_upper = threshold_mixing_ratio(knowledge, web, total_capacity)
-    f_lower, f_upper, f_asym = threshold_frequency(
-        web, total_capacity, p, knowledge.h_tot
-    )
+    r_lower, r_upper, g = _ratio_band(mixture.web, total_capacity, p, knowledge.h_tot)
     return replace(
         base,
         mixing_ratio_lower=r_lower,
         mixing_ratio_upper=r_upper,
-        single_fact_frequency_lower=f_lower,
-        single_fact_frequency_upper=f_upper,
-        single_fact_frequency_asymptotic=f_asym,
-        mixing_ratio_asymptotic=f_asym / p,
+        single_fact_frequency_lower=r_lower * p,
+        single_fact_frequency_upper=r_upper * p,
+        single_fact_frequency_asymptotic=g,
+        mixing_ratio_asymptotic=g / p,
     )
 
 

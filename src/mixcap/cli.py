@@ -26,7 +26,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import analysis, corpus, simulator
+from . import analysis, corpus, simulator, universe
 from .allocator import full_threshold_report, optimal_allocation
 from .universe import MixtureUniverse, mixture_from_dict, web_curve_from_dict
 from .simulator import SubsetExperiment, SweepConfig
@@ -74,12 +74,7 @@ def _json_text(payload) -> str:
 
 
 def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+    number = float(universe._number(value, key))
     if not math.isfinite(number):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return number
@@ -140,22 +135,13 @@ class Param(NamedTuple):
 class Command(NamedTuple):
     handler: Callable
     help: str
-    formats: tuple[str, ...]  # the first is the default
     params: tuple[Param, ...]
-
-
-SEED = Param("seed", _seed, "--seed", help="64-bit master seed")
 
 
 def _params(args, config: dict) -> argparse.Namespace:
     """The command's parameters, each merged flag over config over default, and checked."""
-    command = COMMANDS[args.command]
-    fmt = args.format or command.formats[0]
-    if fmt not in command.formats:
-        allowed = ", ".join(command.formats)
-        raise ValueError(f"format '{fmt}' is not supported by this command (allowed: {allowed})")
-    values = {"out": args.out, "format": fmt}
-    for row in (*command.params, SEED):
+    values = {"out": args.out}
+    for row in COMMANDS[args.command].params:
         value = getattr(args, row.key) if row.flag else None
         if value is None and not row.flag_only:
             value = config.get(row.key)
@@ -171,14 +157,6 @@ def _params(args, config: dict) -> argparse.Namespace:
             raise ValueError(f"missing required parameter '{row.key}' ({' or '.join(where)})")
         values[row.key] = value
     return argparse.Namespace(**values)
-
-
-def _require_seed(p) -> int:
-    if p.seed is None:
-        raise ValueError(
-            "--seed is required for generating commands; wall-clock seeding is not supported"
-        )
-    return p.seed
 
 
 def _mixture_of(p) -> MixtureUniverse:
@@ -221,7 +199,6 @@ def cmd_sweep(p) -> None:
         mixture=mixture,
         sweep_axis=p.axis,
         grid=p.grid,
-        accuracy_target=p.accuracy_target,
         total_capacity=p.capacity,
     )
     out = _write_out(p, "sweep.csv", simulator.sweep_csv(simulator.sweep(sweep_config)))
@@ -250,8 +227,7 @@ def cmd_subsets(p) -> None:
 
 
 def cmd_synbio(p) -> None:
-    seed = _require_seed(p)
-    records = corpus.generate_synbio(p.count, seed)
+    records = corpus.generate_synbio(p.count, p.seed)
     docs = [corpus.record_to_dict(r) for r in records]
     if p.format == "jsonl":
         text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
@@ -259,26 +235,35 @@ def cmd_synbio(p) -> None:
         text = _json_text(docs)
     _write_out(p, f"synbio.{p.format}", text)
     if p.render_out:
-        lines = [corpus.render_exposure(r, corpus.render_seed(seed, i))
+        lines = [corpus.render_exposure(r, corpus.render_seed(p.seed, i))
                  for i, r in enumerate(records)]
         _atomic_write(Path(p.render_out), "\n".join(lines) + "\n")
 
 
 def _read_records(path: str) -> list:
+    """The records of a JSONL corpus; a bad line raises a ValueError naming it."""
+    records = []
     with open(path) as handle:
-        return [corpus.record_from_dict(json.loads(line)) for line in handle if line.strip()]
+        for number, line in enumerate(handle, 1):
+            if line.strip():
+                try:
+                    records.append(corpus.record_from_dict(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {number}: {exc}") from None
+    return records
 
 
 def cmd_mixplan(p) -> None:
     tokens_per_fact = p.tokens_per_fact
     if tokens_per_fact is None and p.records:
         # Measure the mean rendered exposure length as the per-fact token cost.
-        seed = _require_seed(p)
+        if p.seed is None:
+            raise ValueError("--seed is required to render the --records corpus")
         records = _read_records(p.records)
         if not records:
             raise ValueError("records file is empty; cannot measure tokens_per_fact")
         tokens_per_fact = sum(
-            corpus.whitespace_tokens(corpus.render_exposure(r, corpus.render_seed(seed, i)))
+            corpus.whitespace_tokens(corpus.render_exposure(r, corpus.render_seed(p.seed, i)))
             for i, r in enumerate(records)
         ) / len(records)
     plan = corpus.plan_mixture(
@@ -293,8 +278,7 @@ def cmd_mixplan(p) -> None:
 
 
 def cmd_subsample(p) -> None:
-    seed = _require_seed(p)
-    kept = corpus.subsample_corpus(_read_records(p.records), p.keep_ratio, seed)
+    kept = corpus.subsample_corpus(_read_records(p.records), p.keep_ratio, p.seed)
     text = "".join(
         json.dumps(corpus.record_to_dict(r), sort_keys=True) + "\n" for r in kept
     )
@@ -302,9 +286,8 @@ def cmd_subsample(p) -> None:
 
 
 def cmd_ckm(p) -> None:
-    seed = _require_seed(p)
     texts, original, compact, realized = corpus.ckm_augment(
-        _read_records(p.records), p.ckm_ratio, seed
+        _read_records(p.records), p.ckm_ratio, p.seed
     )
     _write_out(p, "ckm.txt", "".join(t + "\n" for t in texts))
     summary = {
@@ -348,30 +331,30 @@ _RATIO = Param("ratio", _number, "--ratio", help="override the mixture's mixing 
                flag_only=True)
 _RECORDS = Param("records", _string, "--records", required=True, help="input JSONL corpus",
                  flag_only=True)
+_SEED = Param("seed", _seed, "--seed", required=True, help="64-bit master seed")
 
 COMMANDS = {
-    "allocate": Command(cmd_allocate, "optimal capacity split for a mixture", ("json",), (
+    "allocate": Command(cmd_allocate, "optimal capacity split for a mixture", (
         _MIXTURE,
         Param("capacity", _number, "--capacity", required=True),
         _RATIO,
     )),
-    "thresholds": Command(cmd_thresholds, "phase-transition threshold report", ("json",), (
+    "thresholds": Command(cmd_thresholds, "phase-transition threshold report", (
         _MIXTURE,
         Param("capacity", _number, "--capacity"),
         _RATIO,
         Param("bits_per_param", _number, "--bits-per-param", default=2.0),
         Param("units", _string, "--units", default="bits", choices=("bits", "params")),
     )),
-    "sweep": Command(cmd_sweep, "accuracy/loss sweep along one axis", ("csv",), (
+    "sweep": Command(cmd_sweep, "accuracy/loss sweep along one axis", (
         _MIXTURE,
         Param("axis", _string, "--axis", required=True, choices=("model_size", "mixing_ratio")),
         Param("grid", _numbers, required=True),
         Param("capacity", _number, "--capacity", help="fixed capacity for mixing_ratio sweeps"),
-        Param("accuracy_target", _number, "--target", default=0.8, help="accuracy target"),
         _RATIO,
     )),
     # Config only; an absent key keeps the SubsetExperiment default.
-    "subsets": Command(cmd_subsets, "power-law subset experiment", ("csv",), (
+    "subsets": Command(cmd_subsets, "power-law subset experiment", (
         Param("group_count", _integer),
         Param("group_size", _integer),
         Param("powerlaw_exponent", _number),
@@ -381,12 +364,15 @@ COMMANDS = {
         Param("entropy_per_fact", _number),
         Param("web", web_curve_from_dict),
     )),
-    "synbio": Command(cmd_synbio, "generate synthetic biographies", ("jsonl", "json"), (
+    "synbio": Command(cmd_synbio, "generate synthetic biographies", (
         Param("count", _integer, "--count", required=True),
+        _SEED,
+        Param("format", _string, "--format", default="jsonl", choices=("jsonl", "json"),
+              flag_only=True),
         Param("render_out", _string, "--render-out", help="also write rendered exposures",
               flag_only=True),
     )),
-    "mixplan": Command(cmd_mixplan, "token accounting for a data mixture", ("json",), (
+    "mixplan": Command(cmd_mixplan, "token accounting for a data mixture", (
         Param("total_tokens", _number, "--total-tokens", required=True),
         Param("mixing_ratio", _number, "--ratio", required=True),
         Param("knowledge_tokens", _number, "--knowledge-tokens", required=True),
@@ -394,22 +380,25 @@ COMMANDS = {
         Param("fact_count", _integer, "--fact-count", default=1),
         Param("tokens_per_fact", _number, "--tokens-per-fact"),
         _RECORDS._replace(required=False, help="JSONL corpus to measure tokens per fact from"),
+        _SEED._replace(required=False),
     )),
-    "subsample": Command(cmd_subsample, "random subsample of a corpus", ("jsonl",), (
+    "subsample": Command(cmd_subsample, "random subsample of a corpus", (
         _RECORDS,
         Param("keep_ratio", _number, "--keep-ratio", required=True),
+        _SEED,
     )),
-    "ckm": Command(cmd_ckm, "compact knowledge mixing texts", ("jsonl",), (
+    "ckm": Command(cmd_ckm, "compact knowledge mixing texts", (
         _RECORDS,
         Param("ckm_ratio", _number, "--ckm-ratio", required=True),
+        _SEED,
     )),
-    "estimate": Command(cmd_estimate, "threshold popularity from observations", ("json",), (
+    "estimate": Command(cmd_estimate, "threshold popularity from observations", (
         Param("observations", _string, "--observations", required=True,
               help="CSV with header popularity,correct", flag_only=True),
         Param("accuracy_target", _number, "--target", default=analysis.DEFAULT_ACCURACY_TARGET),
         Param("max_failures", _integer, "--max-failures", default=analysis.DEFAULT_MAX_FAILURES),
     )),
-    "fit": Command(cmd_fit, "fit a scaling-law curve to points", ("json",), (
+    "fit": Command(cmd_fit, "fit a scaling-law curve to points", (
         Param("points", _string, "--points", required=True, help="CSV with header x,y",
               flag_only=True),
         Param("model", _string, "--model", required=True, choices=tuple(_FITTERS)),
@@ -426,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         sub = commands.add_parser(name, help=command.help)
-        for row in (*command.params, SEED):
+        for row in command.params:
             if row.flag:
                 sub.add_argument(
                     row.flag,
@@ -437,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                 )
         sub.add_argument("--config", help="JSON config file; flags override its values")
         sub.add_argument("--out", help="output path (default: $MIXCAP_OUT_DIR or cwd)")
-        sub.add_argument("--format", choices=["csv", "json", "jsonl"])
         sub.add_argument("--json-errors", action="store_true",
                          help="emit a machine-readable error object on stderr")
     return parser

@@ -10,8 +10,8 @@ attribute and a fresh sentence order per exposure.
 Generation is deterministic given a 64-bit master seed: record i derives its
 own random stream from (seed, i), so shards can be produced concurrently and
 concatenated in index order for bit-identical output. Token accounting uses
-whitespace-delimited counts as a proxy tokenizer (a counter hook lets
-callers substitute a real one); only token ratios matter downstream.
+whitespace-delimited counts as a proxy tokenizer; only token ratios matter
+downstream.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -438,7 +438,6 @@ def ckm_augment(
     records: Sequence[BiographyRecord],
     ckm_ratio: float,
     seed: int,
-    token_counter: Callable[[str], int] = whitespace_tokens,
 ) -> tuple[list[str], int, int, float]:
     """Emit compact fact tuples worth ckm_ratio times the original token count.
 
@@ -455,7 +454,7 @@ def ckm_augment(
     original_tokens = 0
     for i, record in enumerate(records):
         text = render_exposure(record, render_seed(seed, i, _CKM_RENDER_TAG))
-        original_tokens += token_counter(text)
+        original_tokens += whitespace_tokens(text)
     target = ckm_ratio * original_tokens
     texts: list[str] = []
     compact_tokens = 0
@@ -469,7 +468,7 @@ def ckm_augment(
             fields = (work, birth) if flip_rng.integers(0, 2) else (birth, work)
             text = f"Bio: N {record.full_name} {fields[0]} {fields[1]}"
             texts.append(text)
-            compact_tokens += token_counter(text)
+            compact_tokens += whitespace_tokens(text)
             i += 1
     realized = compact_tokens / original_tokens if original_tokens else 0.0
     return texts, original_tokens, compact_tokens, realized
@@ -484,6 +483,11 @@ def record_to_dict(record: BiographyRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> BiographyRecord:
+    """A record from its document; a malformed document raises a ValueError."""
+    if not (isinstance(doc, dict) and doc.keys() >= {"name", "attrs", "pronoun"}
+            and isinstance(doc["attrs"], dict)):
+        raise ValueError(f'a record must be a JSON object with "name", "attrs" (an object) '
+                         f'and "pronoun", got {doc!r}')
     return BiographyRecord(
         full_name=doc["name"],
         attribute_values=dict(doc["attrs"]),

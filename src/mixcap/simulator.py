@@ -68,13 +68,13 @@ class SweepConfig:
 
     ``grid`` must be strictly increasing. A mixing-ratio sweep holds
     ``total_capacity`` fixed while r varies, so that field is required for
-    that axis; a model-size sweep takes its capacities from the grid.
+    that axis; a model-size sweep takes its capacities from the grid. A
+    sweep reports the accuracy at every grid point and applies no target.
     """
 
     mixture: MixtureUniverse
     sweep_axis: str
     grid: tuple[float, ...]
-    accuracy_target: float = 0.8
     total_capacity: float | None = None
 
     def __post_init__(self):
@@ -87,10 +87,6 @@ class SweepConfig:
             raise ValueError("grid must be non-empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if not 0.0 < self.accuracy_target < 1.0:
-            raise ValueError(
-                f"accuracy_target must be in (0, 1), got {self.accuracy_target}"
-            )
         if self.sweep_axis == "mixing_ratio" and self.total_capacity is None:
             raise ValueError("mixing_ratio sweeps need total_capacity")
 

@@ -293,10 +293,15 @@ class MixtureUniverse:
     def _marginal_ratio(self, p):
         """Threshold t = r*p/(1-r) that the web marginal is compared against.
 
-        p may be a float or an array of frequencies.
+        p may be a float or an array of frequencies. A frequency so small
+        that t underflows to 0 is refused: no web capacity is worth it.
         """
         r = self.mixing_ratio
-        return r * p / (1.0 - r)
+        t = r * p / (1.0 - r)
+        if np.any(t == 0.0):
+            raise ValueError(f"exposure_frequency {float(np.min(p))} is too small for "
+                             f"mixing_ratio {r}: r*p/(1-r) underflows to 0")
+        return t
 
     @cached_property
     def _frontier_m0(self) -> np.ndarray:
@@ -541,9 +546,13 @@ def mixture_to_dict(mixture: MixtureUniverse) -> dict:
 
 
 def _number(value, path: str):
-    """value itself if it is a JSON number; numeric strings are not coerced."""
+    """value itself if it is a JSON number in the float range; NaN and inf pass."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{path} must be finite, got {value!r}") from None
     return value
 
 
@@ -561,10 +570,14 @@ def _fact_column(facts: list, key: str) -> np.ndarray:
         i = next(i for i, f in enumerate(facts) if not isinstance(f, dict))
         raise ValueError(f"mixture.knowledge.facts[{i}] must be a JSON object") from None
     # One pass over the element types; the per-element check only runs to
-    # name the offending fact.
-    if not set(map(type, column)) <= {int, float}:
-        for i, value in enumerate(column):
-            _number(value, f"mixture.knowledge.facts[{i}].{key}")
+    # name the offending fact, of a wrong type or beyond the float range.
+    try:
+        if set(map(type, column)) <= {int, float}:
+            return np.array(column, dtype=float)
+    except OverflowError:
+        pass
+    for i, value in enumerate(column):
+        _number(value, f"mixture.knowledge.facts[{i}].{key}")
     return np.array(column, dtype=float)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mixcap.analysis import estimate_threshold_popularity, AccuracyObservation
-from mixcap.cli import COMMANDS, SEED, _json_text, main
+from mixcap.cli import COMMANDS, _json_text, main
 from mixcap.corpus import RECORD_ENTROPY_BITS
 
 
@@ -190,6 +190,17 @@ class TestConfigValidation:
         assert "irreducible_loss" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_frequency_names_frequency_and_ratio(self, tmp_path, capsys):
+        # r*p/(1-r) underflows to 0 for this p at r = 0.01.
+        mixture = {**MIX_DOC["mixture"], "r": 0.01, "knowledge": {
+            "facts": [{"p": 0.5, "h": 10.0}, {"p": 5e-324, "h": 10.0}]}}
+        path = _write_config(tmp_path, {"mixture": mixture, "capacity": 1000.0})
+        out = tmp_path / "a.json"
+        assert run(["allocate", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "exposure_frequency 5e-324 is too small for mixing_ratio 0.01" in err
+        assert not out.exists()
+
     def test_json_output_refuses_non_finite_numbers(self):
         with pytest.raises(ValueError):
             _json_text({"loss": math.nan})
@@ -345,6 +356,17 @@ class TestMixplan:
         assert code == 2
         assert "(1-r)S" in capsys.readouterr().err
 
+    def test_records_need_seed(self, tmp_path, capsys):
+        records = tmp_path / "recs.jsonl"
+        assert run(["synbio", "--count", 3, "--seed", 5, "--out", records]) == 0
+        out = tmp_path / "plan.json"
+        argv = ["mixplan", "--total-tokens", 1e9, "--ratio", 0.1, "--knowledge-tokens", 1e6,
+                "--records", records, "--out", out]
+        assert run(argv) == 2
+        assert "--seed is required" in capsys.readouterr().err
+        assert not out.exists()
+        assert run([*argv, "--seed", 5]) == 0
+
 
 class TestSubsampleAndCkm:
     def test_subsample(self, tmp_path):
@@ -381,6 +403,43 @@ class TestSubsampleAndCkm:
         summary = json.loads(capsys.readouterr().out)
         assert summary["realized_ratio"] >= 0.3
         assert out.read_text().startswith("Bio: N ")
+
+
+_NOT_A_RECORD = 'a record must be a JSON object with "name", "attrs" (an object) and "pronoun", got '
+
+
+class TestRecordsFile:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", _NOT_A_RECORD + "[1, 2]"),
+            ('{"name": "A B", "attrs": [1], "pronoun": "her"}',
+             _NOT_A_RECORD + "{'name': 'A B', 'attrs': [1], 'pronoun': 'her'}"),
+            ('{"name": "A B", "attrs": {}}', _NOT_A_RECORD + "{'name': 'A B', 'attrs': {}}"),
+            ('{"name": "A B", "attrs": {}, "pronoun": "her"}', "record is missing attributes"),
+            ("{", "Expecting property name"),
+        ],
+        ids=["array", "attrs-array", "no-pronoun", "no-attributes", "bad-json"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subsample", "--keep-ratio", 0.5, "--seed", 1],
+            ["ckm", "--ckm-ratio", 0.2, "--seed", 1],
+            ["mixplan", "--total-tokens", 1e9, "--ratio", 0.1, "--knowledge-tokens", 1e6,
+             "--seed", 1],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_line_exits_2_naming_file_and_line(self, tmp_path, capsys, argv, line, message):
+        records = tmp_path / "recs.jsonl"
+        assert run(["synbio", "--count", 1, "--seed", 5, "--out", records]) == 0
+        records.write_text(records.read_text() + "\n" + line + "\n")
+        out = tmp_path / "out"
+        assert run([*argv, "--records", records, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {records} line 3: {message}" in err
+        assert not out.exists()
 
 
 class TestEstimateAndFit:
@@ -443,21 +502,6 @@ class TestPlumbing:
         )
         assert result.returncode == 0
         assert (tmp_path / "out.json").exists()
-
-    def test_unsupported_format_exits_2(self, tmp_path, config_path, capsys):
-        code = run(
-            [
-                "allocate",
-                "--config",
-                config_path,
-                "--format",
-                "csv",
-                "--out",
-                tmp_path / "x.csv",
-            ]
-        )
-        assert code == 2
-        assert "format" in capsys.readouterr().err
 
     def test_synbio_mixplan_thresholds_round_trip(self, tmp_path):
         # Generate a corpus, measure its per-fact token cost, and feed the
@@ -543,7 +587,7 @@ _BASE_INVOCATIONS = {
 _CONFIG_KEYS = [
     (name, row.key)
     for name, command in COMMANDS.items()
-    for row in (*command.params, SEED)
+    for row in command.params
     if not row.flag_only
 ]
 
@@ -562,19 +606,41 @@ def input_files(tmp_path):
 
 @pytest.fixture
 def cli_inputs(tmp_path, input_files):
-    def invoke(name, config_text, out):
+    def invoke(name, config_text, out, *extra):
         flags, _ = _BASE_INVOCATIONS[name]
         config = tmp_path / "config.json"
         config.write_text(config_text)
         argv = [f.format(**input_files) for f in flags]
-        return run([name, *argv, "--config", config, "--out", out])
+        return run([name, *argv, *extra, "--config", config, "--out", out])
 
     return invoke
+
+
+# Flags that these commands do not read, each with a value that would be
+# valid if they did, so that only the flag itself can be refused.
+_UNDECLARED_FLAGS = [
+    *[(name, "--seed", "1")
+      for name in ("allocate", "thresholds", "sweep", "subsets", "estimate", "fit")],
+    *[(name, "--format", fmt)
+      for name, fmt in (("allocate", "json"), ("thresholds", "json"), ("sweep", "csv"),
+                        ("subsets", "csv"), ("mixplan", "json"), ("subsample", "jsonl"),
+                        ("ckm", "jsonl"), ("estimate", "json"), ("fit", "json"))],
+    ("sweep", "--target", "0.8"),
+]
 
 
 class TestParameterTable:
     def test_every_command_has_a_base_invocation(self):
         assert set(_BASE_INVOCATIONS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("name, flag, value", _UNDECLARED_FLAGS)
+    def test_undeclared_flag_exits_2(self, tmp_path, capsys, cli_inputs, name, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_inputs(name, json.dumps(_BASE_INVOCATIONS[name][1]), out, flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(_BASE_INVOCATIONS))
     def test_base_invocations_succeed(self, tmp_path, cli_inputs, name):

@@ -550,6 +550,16 @@ class TestSerialization:
             ({"knowledge": {"facts": [{"p": True, "h": 1.0}]}},
              r"mixture.knowledge.facts\[0\].p must be a number"),
             ({"knowledge": {"facts": [], "c1": "1"}}, "mixture.knowledge.c1 must be a number"),
+            # Integers beyond the float range.
+            ({"knowledge": {"facts": [{"p": 0.1, "h": 1.0}, {"p": 10**400, "h": 1.0}]}},
+             r"mixture.knowledge.facts\[1\].p must be finite, got 10{400}"),
+            ({"knowledge": {"facts": [{"p": 0.1, "h": -10**400}]}},
+             r"mixture.knowledge.facts\[0\].h must be finite"),
+            ({"knowledge": {"facts": [], "c1": 10**400}}, "mixture.knowledge.c1 must be finite"),
+            ({"knowledge": {"facts": []}, "web": {"power_law": {"c": 10**400, "a": 1, "alpha": 0.5}},
+              "r": 0.5}, "mixture.web.power_law.c must be finite"),
+            ({"knowledge": {"facts": []}, "web": {"tabulated": [[0, 1], [10**400, 0]]}, "r": 0.5},
+             r"mixture.web.tabulated\[1\]\[0\] must be finite"),
             ({"knowledge": {"facts": []}, "web": {"tabulated": [[0, 1], [1, 0]]}, "r": "0.5"},
              "mixture.r must be a number"),
             ({"knowledge": {"facts": []}, "web": [], "r": 0.5}, "mixture.web must be a JSON object"),
