@@ -9,7 +9,6 @@ thresholds and scaling-law fits from accuracy observations.
 """
 
 from .universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
@@ -30,10 +29,6 @@ from .allocator import (
     Allocation,
     ThresholdReport,
     optimal_allocation,
-    domain_losses,
-    threshold_model_size,
-    threshold_mixing_ratio,
-    threshold_frequency,
     full_threshold_report,
     apply_subsampling,
     apply_ckm,

@@ -27,7 +27,6 @@ from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
-    WebLossCurve,
     eval_web_loss,
     m0_minus,
     m0_plus,
@@ -38,10 +37,6 @@ __all__ = [
     "Allocation",
     "ThresholdReport",
     "optimal_allocation",
-    "domain_losses",
-    "threshold_model_size",
-    "threshold_mixing_ratio",
-    "threshold_frequency",
     "full_threshold_report",
     "apply_subsampling",
     "apply_ckm",
@@ -174,7 +169,7 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     m1 = clip(M - m0_minus(r*p/(1-r)), 0, min(M, H_tot)).
 
     The m0_minus values are cached per mixture (with np.power for a
-    power-law web, as threshold_model_size computes them), so a solve is a
+    power-law web, as full_threshold_report computes them), so a solve is a
     bisection over the sorted facts plus one pass that writes learned.
     """
     if not (math.isfinite(total_capacity) and total_capacity >= 0.0):
@@ -209,127 +204,66 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     )
 
 
-def domain_losses(
-    mixture: MixtureUniverse, total_capacity: float
-) -> tuple[float, float]:
-    """(knowledge_loss, web_loss) under the optimal allocation."""
-    alloc = optimal_allocation(mixture, total_capacity)
-    return alloc.knowledge_loss, alloc.web_loss
+def full_threshold_report(
+    mixture: MixtureUniverse, total_capacity: float | None = None
+) -> ThresholdReport:
+    """All phase-transition thresholds of a uniform-frequency mixture.
 
+    Model size: at or below m0_minus(r*p/(1-r)) the optimal learner stores
+    no facts; at or above m0_plus(r*p/(1-r)) + H_tot it stores all of them.
+    For a power-law web curve the two m0 values coincide and the report
+    carries (A*alpha*(1-r)/(r*p)) ** (1/(alpha+1)) as the nominal single
+    threshold along with the scaling exponent alpha + 1.
 
-def _require_uniform(knowledge: KnowledgeUniverse) -> float:
-    p = knowledge.uniform_frequency()
+    Mixing ratio, at capacity M (the fields stay None without one): below
+    r_lower = g / (p + g), with g the left web marginal at M, nothing is
+    learned; above r_upper, computed from the right marginal at M - H_tot,
+    everything is. When M <= H_tot full learning may require r -> 1, so
+    r_upper is reported as 1. The asymptotic mixing ratio is g/p, the
+    small-r form under which halving the fact count halves the ratio.
+
+    Single-fact frequency, at capacity M: a fact whose overall corpus
+    frequency r*p exceeds the band is learned. The bounds are r*p at the
+    mixing-ratio bounds; the asymptotic value is the small-r limit
+    f ~ -F2'(M) = g, which for a power law is A * alpha * M**(-alpha-1).
+    """
+    web, h_tot = mixture.web, mixture.knowledge.h_tot
+    p = mixture.knowledge.uniform_frequency()
     if p is None:
         raise ValueError(
             "threshold formulas need a uniform exposure_frequency; "
             "got heterogeneous facts"
         )
-    return p
-
-
-def threshold_model_size(mixture: MixtureUniverse) -> ThresholdReport:
-    """Model-size band outside which the knowledge domain is all-or-nothing.
-
-    At or below the lower bound m0_minus(r*p/(1-r)) the optimal learner
-    stores no facts; at or above m0_plus(r*p/(1-r)) + H_tot it stores all of
-    them. For a power-law web curve the two m0 values coincide and the report
-    carries (A*alpha*(1-r)/(r*p)) ** (1/(alpha+1)) as the nominal single
-    threshold along with the scaling exponent alpha + 1.
-    """
-    p = _require_uniform(mixture.knowledge)
     t = mixture._marginal_ratio(p)
-    h_tot = mixture.knowledge.h_tot
-    lower = m0_minus(mixture.web, t)
-    upper = m0_plus(mixture.web, t) + h_tot
-    exponent = None
-    asymptotic = None
-    if isinstance(mixture.web, PowerLawCurve):
-        exponent = mixture.web.exponent + 1.0
-        asymptotic = (
-            mixture.web.amplitude * mixture.web.exponent / t
-        ) ** (1.0 / exponent)
+    exponent = asymptotic = None
+    if isinstance(web, PowerLawCurve):
+        exponent = web.exponent + 1.0
+        asymptotic = (web.amplitude * web.exponent / t) ** (1.0 / exponent)
+    bands = {}
+    if total_capacity is not None:
+        if not (math.isfinite(total_capacity) and total_capacity > 0.0):
+            raise ValueError(f"total_capacity must be finite and > 0, got {total_capacity}")
+        g = web_marginal(web, total_capacity, "left")
+        r_lower = min(max(g / (p + g), 0.0), 1.0)
+        r_upper = 1.0
+        if total_capacity - h_tot > 0.0:
+            g_up = web_marginal(web, total_capacity - h_tot, "right")
+            if not math.isinf(g_up):
+                r_upper = min(max(g_up / (p + g_up), 0.0), 1.0)
+        bands = dict(
+            mixing_ratio_lower=r_lower,
+            mixing_ratio_upper=r_upper,
+            single_fact_frequency_lower=r_lower * p,
+            single_fact_frequency_upper=r_upper * p,
+            single_fact_frequency_asymptotic=g,
+            mixing_ratio_asymptotic=g / p,
+        )
     return ThresholdReport(
-        model_size_lower=lower,
-        model_size_upper=upper,
+        model_size_lower=m0_minus(web, t),
+        model_size_upper=m0_plus(web, t) + h_tot,
         model_size_asymptotic=asymptotic,
         exponent=exponent,
-    )
-
-
-def threshold_mixing_ratio(
-    knowledge: KnowledgeUniverse, web: WebLossCurve, total_capacity: float
-) -> tuple[float, float]:
-    """Mixing-ratio band (r_lower, r_upper) at a fixed capacity.
-
-    Below r_lower = g / (p + g), with g the left web marginal at M, nothing
-    is learned; above r_upper, computed from the right marginal at
-    M - H_tot, everything is. When M <= H_tot full learning may require
-    r -> 1, so the upper bound is reported as 1.
-    """
-    p = _require_uniform(knowledge)
-    return _ratio_band(web, total_capacity, p, knowledge.h_tot)[:2]
-
-
-def _ratio_band(
-    web: WebLossCurve, total_capacity: float, p: float, h_tot: float
-) -> tuple[float, float, float]:
-    """(r_lower, r_upper, g) at capacity M, with g the left web marginal at M."""
-    if not (math.isfinite(total_capacity) and total_capacity > 0.0):
-        raise ValueError(f"total_capacity must be finite and > 0, got {total_capacity}")
-    g = web_marginal(web, total_capacity, "left")
-    r_lower = g / (p + g)
-    if total_capacity - h_tot <= 0.0:
-        r_upper = 1.0
-    else:
-        g_up = web_marginal(web, total_capacity - h_tot, "right")
-        r_upper = 1.0 if math.isinf(g_up) else g_up / (p + g_up)
-    return min(max(r_lower, 0.0), 1.0), min(max(r_upper, 0.0), 1.0), g
-
-
-def threshold_frequency(
-    web: WebLossCurve, total_capacity: float, within_domain_p: float, h_tot: float
-) -> tuple[float, float, float]:
-    """Per-fact corpus frequency band (f_lower, f_upper, asymptotic) at capacity M.
-
-    A fact whose overall corpus frequency r*p exceeds the band is learned.
-    The exact bounds evaluate r*p at the mixing-ratio thresholds; the
-    asymptotic value is the small-r limit f ~ -F2'(M), which for a power law
-    is A * alpha * M**(-alpha-1).
-    """
-    if not 0.0 < within_domain_p <= 1.0:
-        raise ValueError(
-            f"within_domain_p must be in (0, 1], got {within_domain_p}"
-        )
-    if not (math.isfinite(h_tot) and h_tot >= 0.0):
-        raise ValueError(f"h_tot must be finite and >= 0, got {h_tot}")
-    r_lower, r_upper, g = _ratio_band(web, total_capacity, within_domain_p, h_tot)
-    return r_lower * within_domain_p, r_upper * within_domain_p, g
-
-
-def full_threshold_report(
-    mixture: MixtureUniverse, total_capacity: float | None = None
-) -> ThresholdReport:
-    """All thresholds for one configuration in a single report.
-
-    The model-size band depends only on the mixture; the mixing-ratio and
-    frequency bands additionally need a capacity and stay None without one.
-    The asymptotic mixing ratio is g/p with g the left web marginal at M,
-    the small-r form under which halving the fact count halves the ratio.
-    """
-    base = threshold_model_size(mixture)
-    if total_capacity is None:
-        return base
-    knowledge = mixture.knowledge
-    p = _require_uniform(knowledge)
-    r_lower, r_upper, g = _ratio_band(mixture.web, total_capacity, p, knowledge.h_tot)
-    return replace(
-        base,
-        mixing_ratio_lower=r_lower,
-        mixing_ratio_upper=r_upper,
-        single_fact_frequency_lower=r_lower * p,
-        single_fact_frequency_upper=r_upper * p,
-        single_fact_frequency_asymptotic=g,
-        mixing_ratio_asymptotic=g / p,
+        **bands,
     )
 
 
@@ -347,7 +281,7 @@ def apply_subsampling(mixture: MixtureUniverse, keep_ratio: float) -> MixtureUni
         return mixture
     knowledge = mixture.knowledge
     kept = math.ceil(keep_ratio * knowledge.fact_count)
-    scaled = KnowledgeUniverse.from_arrays(
+    scaled = KnowledgeUniverse(
         knowledge.p[:kept] / keep_ratio, knowledge.h[:kept], knowledge.irreducible_loss
     )
     return replace(mixture, knowledge=scaled)
@@ -381,7 +315,7 @@ def apply_ckm(
         1.0 + ckm_ratio * original_tokens_per_fact / compact_tokens_per_fact
     ) / (1.0 + ckm_ratio)
     knowledge = mixture.knowledge
-    scaled = KnowledgeUniverse.from_arrays(
+    scaled = KnowledgeUniverse(
         knowledge.p * multiplier, knowledge.h, knowledge.irreducible_loss
     )
     return replace(mixture, knowledge=scaled)

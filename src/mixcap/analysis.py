@@ -45,30 +45,6 @@ __all__ = [
 DEFAULT_ACCURACY_TARGET = 0.6
 DEFAULT_MAX_FAILURES = 5
 
-# Reference fits of required-training-steps T against mixing ratio r,
-# recorded for comparison with newly fitted data (not reproduced here).
-TRAINING_STEPS_EXPONENTIAL_REFERENCE = {
-    "logA": -0.25512,
-    "B": 1.5137,
-    "r2": 0.9980,
-}
-TRAINING_STEPS_POWER_LAW_REFERENCE = {
-    "C": 0.098158,
-    "D": 3.83878,
-    "r2": 0.9853,
-}
-
-# Reference model-size predictions (billions of parameters, with 95%
-# intervals) from one external application of invert_size to popularity
-# thresholds of four proprietary models; the underlying observations are
-# not available, so these are documentation only.
-SIZE_PREDICTION_REFERENCE = (
-    {"estimate": 61.0, "ci95": (12.0, 314.0)},
-    {"estimate": 514.0, "ci95": (80.0, 3315.0)},
-    {"estimate": 226.0, "ci95": (39.0, 1313.0)},
-    {"estimate": 24.0, "ci95": (5.0, 118.0)},
-)
-
 
 @dataclass(frozen=True)
 class AccuracyObservation:

@@ -11,7 +11,8 @@ from a BLAS dot product, whose last bits can depend on that count. Files are
 written atomically (temp file + rename) to keep long sweeps restartable.
 
 Exit codes: 0 success, 2 usage or validation failure, 1 internal error.
-With --json-errors a machine-readable {"error": ...} object goes to stderr.
+With --json-errors a machine-readable {"error": ...} object goes to stderr,
+for argparse usage errors as well.
 """
 
 from __future__ import annotations
@@ -406,8 +407,19 @@ COMMANDS = {
 }
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised so that main can report it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its usage errors instead of exiting."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixcap",
         description="Capacity allocation, phase-transition thresholds, and "
         "synthetic corpora for data mixing studies",
@@ -432,7 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        parser, message = exc.args
+        if "--json-errors" not in argv:
+            argparse.ArgumentParser.error(parser, message)  # usage on stderr, exit 2
+        sys.stderr.write(json.dumps({"error": message}) + "\n")
+        return 2
     try:
         COMMANDS[args.command].handler(_params(args, _load_config(args)))
         return 0

@@ -222,35 +222,31 @@ def _permuted_index(i: int, seed: int) -> int:
             return x
 
 
-def _record_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
 # Spawn-key tags of the streams derived from a master seed besides the
-# per-record attribute streams; see _tagged_stream.
+# per-record attribute streams; see _seed_sequence.
 _CKM_RENDER_TAG = 10
 _CKM_FLIP_TAG = 11
 _RENDER_TAG = 12
 
 
-def _tagged_stream(seed: int, tag: int, index: int) -> np.random.SeedSequence:
-    """Seed sequence with the two-part spawn key (tag, index) under ``seed``.
+def _seed_sequence(seed: int, *spawn_key: int) -> np.random.SeedSequence:
+    """Seed sequence of the stream with ``spawn_key`` under master ``seed``.
 
-    Tags: _CKM_RENDER_TAG renders record ``index`` to count ckm_augment's
-    original tokens; _CKM_FLIP_TAG (index 0) drives ckm_augment's field
-    flips; _RENDER_TAG renders record ``index`` for the CLI (synbio
-    --render-out and mixplan's measured tokens_per_fact). Record i's
-    attributes use the one-part key (i,). SeedSequence hashes every
-    spawn-key word into its pool in turn, so a two-part key is a different
-    hash input from any one-part key and its stream cannot repeat a
-    per-record stream.
+    Record i's attributes use the one-part key (i,). Every other stream has
+    a two-part key (tag, index): _CKM_RENDER_TAG renders record ``index`` to
+    count ckm_augment's original tokens; _CKM_FLIP_TAG (index 0) drives
+    ckm_augment's field flips; _RENDER_TAG renders record ``index`` for the
+    CLI (synbio --render-out and mixplan's measured tokens_per_fact).
+    SeedSequence hashes every spawn-key word into its pool in turn, so a
+    two-part key is a different hash input from any one-part key and its
+    stream cannot repeat a per-record stream.
     """
-    return np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
+    return np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
 
 
 def render_seed(seed: int, index: int, tag: int = _RENDER_TAG) -> int:
     """32-bit render_exposure seed for record ``index`` of a corpus with master ``seed``."""
-    return int(_tagged_stream(seed, tag, index).generate_state(1)[0])
+    return int(_seed_sequence(seed, tag, index).generate_state(1)[0])
 
 
 def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
@@ -287,7 +283,7 @@ def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
         first = _FIRST[name_idx % n_first]
         middle = _MIDDLE[(name_idx // n_first) % n_middle]
         last = _LAST[name_idx // (n_first * n_middle)]
-        draws = _record_rng(seed, i).integers(lows, highs)
+        draws = np.random.default_rng(_seed_sequence(seed, i)).integers(lows, highs)
         day, month, year_step, city, uni, major, employer, pron = (
             int(v) for v in draws
         )
@@ -459,7 +455,7 @@ def ckm_augment(
     texts: list[str] = []
     compact_tokens = 0
     if records and target > 0.0:
-        flip_rng = np.random.default_rng(_tagged_stream(seed, _CKM_FLIP_TAG, 0))
+        flip_rng = np.random.default_rng(_seed_sequence(seed, _CKM_FLIP_TAG, 0))
         i = 0
         while compact_tokens < target:
             record = records[i % len(records)]

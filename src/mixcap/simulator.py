@@ -223,7 +223,7 @@ class SubsetCapacityResult:
 
 def build_subset_universe(exp: SubsetExperiment) -> KnowledgeUniverse:
     p = np.repeat(np.divide(exp.weights, exp.group_size), exp.group_size)
-    return KnowledgeUniverse.from_arrays(p, np.full(p.size, exp.entropy_per_fact))
+    return KnowledgeUniverse(p, np.full(p.size, exp.entropy_per_fact))
 
 
 def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:

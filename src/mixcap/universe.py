@@ -1,11 +1,11 @@
 """Data universes and their best-achievable loss curves.
 
-A knowledge universe is a finite collection of random facts, each with an
-exposure frequency and a target-token entropy. A web-domain loss curve gives
-the best achievable loss F(M) as a function of capacity M (in bits), either
-as a power law C + A * M**(-alpha) or as a tabulated convex piecewise-linear
-curve. All entropies and losses are in bits; callers converting from nats do
-so before construction.
+A knowledge universe is a finite collection of random facts, given as two
+columns: each fact's exposure frequency and its target-token entropy. A
+web-domain loss curve gives the best achievable loss F(M) as a function of
+capacity M (in bits), either as a power law C + A * M**(-alpha) or as a
+tabulated convex piecewise-linear curve. All entropies and losses are in
+bits; callers converting from nats do so before construction.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads or worker processes. A
@@ -22,12 +22,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Union
+from typing import Literal, Union
 
 import numpy as np
 
 __all__ = [
-    "FactSpec",
     "KnowledgeUniverse",
     "PowerLawCurve",
     "TabulatedCurve",
@@ -53,59 +52,19 @@ EQUAL_FREQUENCY_RTOL = 1e-12
 Side = Literal["left", "right"]
 
 
-@dataclass(frozen=True)
-class FactSpec:
-    """One random fact: how often its contexts occur and how much there is to learn.
-
-    exposure_frequency is the probability that any context of this fact
-    appears in the knowledge domain's distribution; target_entropy is the
-    entropy (bits) of the fact's target token.
-    """
-
-    exposure_frequency: float
-    target_entropy: float
-
-    def __post_init__(self):
-        if not 0.0 < self.exposure_frequency <= 1.0:
-            raise ValueError(
-                f"exposure_frequency must be in (0, 1], got {self.exposure_frequency}"
-            )
-        if not (math.isfinite(self.target_entropy) and self.target_entropy >= 0.0):
-            raise ValueError(
-                f"target_entropy must be finite and >= 0, got {self.target_entropy}"
-            )
-
-
 class KnowledgeUniverse:
     """A knowledge-dense domain of disjoint facts plus its irreducible loss.
 
-    Facts are stored as two read-only float64 columns: ``p`` (exposure
-    frequencies) and ``h`` (target entropies, bits). irreducible_loss is the
-    loss that remains with unbounded capacity (the floor of the domain's
-    loss curve). Build from FactSpec rows with ``KnowledgeUniverse(facts=...)``
-    or from columns with ``KnowledgeUniverse.from_arrays``; both apply the
-    same rules. The sorted frontier is built on first use and shared by
-    every later solve on this universe.
+    Facts are stored as two read-only float64 columns, copied from the
+    arguments: ``p`` (exposure frequencies, each in (0, 1], summing to at
+    most 1) and ``h`` (target entropies, bits, each finite and >= 0, with a
+    finite total). irreducible_loss is the loss that remains with unbounded
+    capacity (the floor of the domain's loss curve). The sorted frontier is
+    built on first use and shared by every later solve on this universe.
     """
 
-    def __init__(self, facts: Iterable[FactSpec], irreducible_loss: float = 0.0):
-        facts = tuple(facts)
-        self._set_columns(
-            np.array([f.exposure_frequency for f in facts], dtype=float),
-            np.array([f.target_entropy for f in facts], dtype=float),
-            irreducible_loss,
-        )
-
-    @classmethod
-    def from_arrays(cls, p, h, irreducible_loss: float = 0.0) -> KnowledgeUniverse:
-        """A universe over copies of the frequency and entropy columns."""
-        knowledge = cls.__new__(cls)
-        knowledge._set_columns(
-            np.array(p, dtype=float), np.array(h, dtype=float), irreducible_loss
-        )
-        return knowledge
-
-    def _set_columns(self, p: np.ndarray, h: np.ndarray, irreducible_loss: float):
+    def __init__(self, p, h, irreducible_loss: float = 0.0):
+        p, h = np.array(p, dtype=float), np.array(h, dtype=float)
         if p.ndim != 1 or p.shape != h.shape:
             raise ValueError(
                 f"p and h must be 1-D and of equal length, got shapes {p.shape} and {h.shape}"
@@ -130,13 +89,17 @@ class KnowledgeUniverse:
                 f"fact exposure_frequency values must sum to <= 1 "
                 f"(contexts are disjoint), got {total_p}"
             )
+        try:
+            # Total target entropy (bits): the cost of learning every fact.
+            h_tot = math.fsum(h.tolist())
+        except OverflowError:
+            raise ValueError("target_entropy values must sum to a finite total") from None
         p.flags.writeable = False
         h.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "irreducible_loss", irreducible_loss)
-        # Total target entropy (bits): the cost of learning every fact.
-        object.__setattr__(self, "h_tot", math.fsum(h.tolist()))
+        object.__setattr__(self, "h_tot", h_tot)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"KnowledgeUniverse is immutable; cannot set {name!r}")
@@ -163,25 +126,11 @@ class KnowledgeUniverse:
         )
 
     def __reduce__(self):
-        return KnowledgeUniverse.from_arrays, (self.p, self.h, self.irreducible_loss)
-
-    @property
-    def facts(self) -> tuple[FactSpec, ...]:
-        """The facts as FactSpec rows, built on each access."""
-        return tuple(
-            FactSpec(exposure_frequency=p, target_entropy=h)
-            for p, h in zip(self.p.tolist(), self.h.tolist())
-        )
+        return KnowledgeUniverse, (self.p, self.h, self.irreducible_loss)
 
     @property
     def fact_count(self) -> int:
         return self.p.size
-
-    def frequencies(self) -> np.ndarray:
-        return self.p
-
-    def entropies(self) -> np.ndarray:
-        return self.h
 
     def uniform_frequency(self) -> float | None:
         """The shared exposure frequency, or None if facts differ.
@@ -309,7 +258,7 @@ class MixtureUniverse:
 
         Computed once per mixture, so a model-size sweep evaluates it once.
         A power-law web goes through np.power here and in
-        threshold_model_size alike, so both round the same t the same way.
+        full_threshold_report alike, so both round the same t the same way.
         """
         m0 = m0_minus(self.web, self._marginal_ratio(self.knowledge._frontier.p_sorted))
         m0.flags.writeable = False
@@ -587,7 +536,7 @@ def mixture_from_dict(doc: dict) -> MixtureUniverse:
         facts = kdoc["facts"]
         if not isinstance(facts, (list, tuple)):
             raise ValueError("mixture.knowledge.facts must be a JSON array")
-        knowledge = KnowledgeUniverse.from_arrays(
+        knowledge = KnowledgeUniverse(
             _fact_column(facts, "p"),
             _fact_column(facts, "h"),
             _number(kdoc.get("c1", 0.0), "mixture.knowledge.c1"),

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from mixcap.universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
@@ -29,8 +28,7 @@ def make_uniform_knowledge(rng, max_facts=50) -> KnowledgeUniverse:
     p = float(rng.uniform(0.001, 1.0)) / k
     entropies = rng.uniform(0.1, 20.0, size=k)
     return KnowledgeUniverse(
-        facts=tuple(FactSpec(p, float(h)) for h in entropies),
-        irreducible_loss=float(rng.uniform(0.0, 3.0)),
+        np.full(k, p), entropies, irreducible_loss=float(rng.uniform(0.0, 3.0))
     )
 
 
@@ -40,10 +38,7 @@ def make_hetero_knowledge(rng, max_facts=8) -> KnowledgeUniverse:
     budget = float(rng.uniform(0.2, 1.0))
     p = raw / raw.sum() * budget
     entropies = rng.uniform(0.1, 10.0, size=k)
-    return KnowledgeUniverse(
-        facts=tuple(FactSpec(float(pi), float(h)) for pi, h in zip(p, entropies)),
-        irreducible_loss=float(rng.uniform(0.0, 3.0)),
-    )
+    return KnowledgeUniverse(p, entropies, irreducible_loss=float(rng.uniform(0.0, 3.0)))
 
 
 def make_power_law(rng) -> PowerLawCurve:
@@ -89,8 +84,7 @@ def frontier_vertex_oracle(knowledge: KnowledgeUniverse, capacity: float) -> flo
     continuous optimum is always of this form, so the enumeration is exact.
     """
     k = knowledge.fact_count
-    p = knowledge.frequencies()
-    h = knowledge.entropies()
+    p, h = knowledge.p, knowledge.h
     base = knowledge.irreducible_loss + float(np.dot(p, h))
     best = base  # learn nothing
     for subset in itertools.product((0, 1), repeat=k):
@@ -112,8 +106,7 @@ def frontier_vertex_oracle(knowledge: KnowledgeUniverse, capacity: float) -> flo
 def frontier_grid_oracle(knowledge: KnowledgeUniverse, capacity: float, step: float) -> float:
     """Grid minimization over per-fact fractions for two-fact universes."""
     assert knowledge.fact_count == 2
-    p = knowledge.frequencies()
-    h = knowledge.entropies()
+    p, h = knowledge.p, knowledge.h
     grid = np.arange(0.0, 1.0 + step / 2, step)
     f1, f2 = np.meshgrid(grid, grid, indexing="ij")
     spend = f1 * h[0] + f2 * h[1]

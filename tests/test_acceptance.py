@@ -17,7 +17,6 @@ from mixcap.allocator import (
     apply_subsampling,
     full_threshold_report,
     optimal_allocation,
-    threshold_model_size,
 )
 from mixcap.analysis import (
     AccuracyObservation,
@@ -36,7 +35,6 @@ from mixcap.corpus import (
 )
 from mixcap.simulator import SubsetExperiment, run_subset_experiment, threshold_law
 from mixcap.universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
@@ -55,16 +53,14 @@ def _uniform_universe(rng):
     p = float(rng.uniform(0.001, 1.0)) / k
     h_each = float(rng.uniform(0.1, 20.0))
     c = float(rng.uniform(0.0, 3.0))
-    return KnowledgeUniverse(
-        facts=tuple(FactSpec(p, h_each) for _ in range(k)), irreducible_loss=c
-    )
+    return KnowledgeUniverse(np.full(k, p), np.full(k, h_each), irreducible_loss=c)
 
 
 def test_criterion_1_warmup_law():
     rng = np.random.default_rng(101)
     for _ in range(1000):
         ku = _uniform_universe(rng)
-        p = ku.facts[0].exposure_frequency
+        p = float(ku.p[0])
         c = ku.irreducible_loss
         h_tot = ku.h_tot
         m = float(rng.uniform(0.0, 2.0 * h_tot))
@@ -101,7 +97,7 @@ def test_criterion_3_phase_transition_exactness():
         mix = MixtureUniverse(
             knowledge=ku, web=web, mixing_ratio=float(rng.uniform(0.02, 0.98))
         )
-        report = threshold_model_size(mix)
+        report = full_threshold_report(mix)
         h_tot = ku.h_tot
         for frac in (0.25, 0.7, 1.0):
             m = report.model_size_lower * frac
@@ -113,7 +109,7 @@ def test_criterion_3_phase_transition_exactness():
             alloc = optimal_allocation(mix, m)
             assert abs(alloc.knowledge_capacity - h_tot) <= 1e-9
         # Closed form (A*alpha/t)^(1/(alpha+1)) against bisection on -F' = t.
-        p = ku.facts[0].exposure_frequency
+        p = float(ku.p[0])
         t = mix.mixing_ratio * p / (1.0 - mix.mixing_ratio)
         lo, hi = 1e-12, 1e15
         for _ in range(200):
@@ -143,11 +139,11 @@ def test_criterion_4_exponent_law():
     assert fit.params["slope"] == pytest.approx(target, rel=0.02)
     # Exponent helper: alpha = 0.283 predicts 1.283.
     mix = MixtureUniverse(
-        knowledge=KnowledgeUniverse(facts=(FactSpec(0.01, 1.0),)),
+        knowledge=KnowledgeUniverse([0.01], [1.0]),
         web=PowerLawCurve(floor=1.0, amplitude=10.0, exponent=0.283),
         mixing_ratio=0.1,
     )
-    assert threshold_model_size(mix).exponent == pytest.approx(1.283, abs=1e-12)
+    assert full_threshold_report(mix).exponent == pytest.approx(1.283, abs=1e-12)
     _ok(
         4,
         f"subset experiment slope {fit.params['slope']:.4f} within 2% of {target}; "
@@ -230,7 +226,7 @@ def test_criterion_8_strategy_math():
         p = float(rng.uniform(0.1, 1.0)) * budget / k
         mix = MixtureUniverse(
             knowledge=KnowledgeUniverse(
-                facts=tuple(FactSpec(p, float(rng.uniform(0.5, 5.0))) for _ in range(k))
+                np.full(k, p), [float(rng.uniform(0.5, 5.0)) for _ in range(k)]
             ),
             web=PowerLawCurve(
                 floor=1.0,
@@ -246,7 +242,7 @@ def test_criterion_8_strategy_math():
 
         out = apply_ckm(mix, tau, t_o, t_c)
         expected = (1.0 + tau * t_o / t_c) / (1.0 + tau)
-        got = out.knowledge.facts[0].exposure_frequency / p
+        got = float(out.knowledge.p[0]) / p
         assert got == pytest.approx(expected, rel=1e-12)
         if t_c < t_o:
             assert got > 1.0

@@ -13,15 +13,10 @@ from mixcap.allocator import (
     Allocation,
     apply_ckm,
     apply_subsampling,
-    domain_losses,
     full_threshold_report,
     optimal_allocation,
-    threshold_frequency,
-    threshold_mixing_ratio,
-    threshold_model_size,
 )
 from mixcap.universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
@@ -33,9 +28,7 @@ from mixcap.universe import (
 
 def _uniform_mixture(p=1e-3, k=1000, h=5.0, c1=1.0, r=0.25, amplitude=100.0, alpha=0.5):
     return MixtureUniverse(
-        knowledge=KnowledgeUniverse(
-            facts=tuple(FactSpec(p, h) for _ in range(k)), irreducible_loss=c1
-        ),
+        knowledge=KnowledgeUniverse(np.full(k, p), np.full(k, h), irreducible_loss=c1),
         web=PowerLawCurve(floor=1.0, amplitude=amplitude, exponent=alpha),
         mixing_ratio=r,
     )
@@ -56,15 +49,13 @@ class TestOptimalAllocation:
         mix = _uniform_mixture()
         alloc = optimal_allocation(mix, 0.0)
         assert alloc.knowledge_capacity == 0.0
-        expected = 1.0 + float(
-            np.dot(mix.knowledge.frequencies(), mix.knowledge.entropies())
-        )
+        expected = 1.0 + float(np.dot(mix.knowledge.p, mix.knowledge.h))
         assert alloc.knowledge_loss == pytest.approx(expected, rel=1e-12)
         assert math.isinf(alloc.web_loss)  # power law at zero capacity
 
     def test_single_fact_marginal_comparison(self):
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse(facts=(FactSpec(0.1, 1.0),)),
+            knowledge=KnowledgeUniverse([0.1], [1.0]),
             web=PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5),
             mixing_ratio=0.9,
         )
@@ -147,7 +138,7 @@ class TestOptimalAllocation:
         web = TabulatedCurve(points=((0.0, 10.0), (10.0, 5.0), (30.0, 1.0)))
         # slope of second segment = -0.2; with r = 0.5, p = 0.2: t = 0.2.
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse(facts=tuple(FactSpec(0.2, 2.0) for _ in range(3))),
+            knowledge=KnowledgeUniverse(np.full(3, 0.2), np.full(3, 2.0)),
             web=web,
             mixing_ratio=0.5,
         )
@@ -158,7 +149,7 @@ class TestOptimalAllocation:
         # equals the second segment's marginal, so every m1 in [20, 50] is
         # optimal and the whole fact is learned.
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse(facts=(FactSpec(0.3, 50.0), FactSpec(0.2, 50.0))),
+            knowledge=KnowledgeUniverse([0.3, 0.2], [50.0, 50.0]),
             web=TabulatedCurve(points=((0.0, 100.0), (100.0, 70.0), (200.0, 65.0))),
             mixing_ratio=0.5,
         )
@@ -185,7 +176,7 @@ class TestOptimalAllocation:
         try:
             for h, m, m1, learned in cases:
                 mix = MixtureUniverse(
-                    knowledge=KnowledgeUniverse(facts=(FactSpec(0.6, h), FactSpec(0.3, h))),
+                    knowledge=KnowledgeUniverse([0.6, 0.3], [h, h]),
                     web=web,
                     mixing_ratio=0.01,
                 )
@@ -257,28 +248,26 @@ class TestAllocationValue:
 class TestDomainLosses:
     def test_phase_extremes(self):
         mix = _uniform_mixture()
-        report = threshold_model_size(mix)
-        f1_zero = 1.0 + float(
-            np.dot(mix.knowledge.frequencies(), mix.knowledge.entropies())
-        )
+        report = full_threshold_report(mix)
+        f1_zero = 1.0 + float(np.dot(mix.knowledge.p, mix.knowledge.h))
         for m in (report.model_size_lower * 0.2, report.model_size_lower):
-            loss1, _ = domain_losses(mix, m)
+            loss1 = optimal_allocation(mix, m).knowledge_loss
             assert loss1 == pytest.approx(f1_zero, rel=1e-12)
         for m in (report.model_size_upper, report.model_size_upper * 3):
-            loss1, _ = domain_losses(mix, m)
+            loss1 = optimal_allocation(mix, m).knowledge_loss
             assert loss1 == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_value(self):
         mix = _uniform_mixture()
-        loss1, _ = domain_losses(mix, 4000.0)
-        m1 = optimal_allocation(mix, 4000.0).knowledge_capacity
+        alloc = optimal_allocation(mix, 4000.0)
+        loss1, m1 = alloc.knowledge_loss, alloc.knowledge_capacity
         assert loss1 == pytest.approx(1.0 + 1e-3 * (5000.0 - m1), rel=1e-12)
 
 
 class TestThresholdModelSize:
     def test_power_law_band(self):
         mix = _uniform_mixture()
-        report = threshold_model_size(mix)
+        report = full_threshold_report(mix)
         t = 0.25 * 1e-3 / 0.75
         m0 = (50.0 / t) ** (2.0 / 3.0)
         assert report.model_size_lower == pytest.approx(m0, rel=1e-12)
@@ -287,22 +276,22 @@ class TestThresholdModelSize:
 
     def test_exponent_is_alpha_plus_one(self):
         mix = _uniform_mixture(alpha=0.283)
-        assert threshold_model_size(mix).exponent == pytest.approx(1.283, abs=1e-12)
+        assert full_threshold_report(mix).exponent == pytest.approx(1.283, abs=1e-12)
 
     def test_huge_marginal_ratio_collapses_to_h_tot(self):
         mix = _uniform_mixture(p=1e-3, k=1000, h=5.0, r=1 - 1e-12)
-        report = threshold_model_size(mix)
+        report = full_threshold_report(mix)
         assert report.model_size_lower < 1e-2
         assert report.model_size_upper == pytest.approx(5000.0, abs=1e-2)
 
     def test_heterogeneous_rejected(self):
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse(facts=(FactSpec(0.5, 1.0), FactSpec(0.1, 1.0))),
+            knowledge=KnowledgeUniverse([0.5, 0.1], [1.0, 1.0]),
             web=PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5),
             mixing_ratio=0.5,
         )
         with pytest.raises(ValueError, match="uniform"):
-            threshold_model_size(mix)
+            full_threshold_report(mix)
 
     def test_band_exact_for_tabulated_curves(self):
         # The all-or-nothing cases are not power-law-specific: below the
@@ -316,7 +305,7 @@ class TestThresholdModelSize:
                 web=make_tabulated(rng),
                 mixing_ratio=float(rng.uniform(0.05, 0.95)),
             )
-            report = threshold_model_size(mix)
+            report = full_threshold_report(mix)
             h_tot = mix.knowledge.h_tot
             for m in (report.model_size_lower * 0.5, report.model_size_lower):
                 if m <= 0:
@@ -338,7 +327,7 @@ class TestThresholdModelSize:
                 web=make_power_law(rng),
                 mixing_ratio=float(rng.uniform(0.05, 0.95)),
             )
-            lower = threshold_model_size(mix).model_size_lower
+            lower = full_threshold_report(mix).model_size_lower
             assert optimal_allocation(mix, lower).knowledge_capacity == 0.0
 
     def test_scale_invariance_of_transition(self):
@@ -358,29 +347,26 @@ class TestThresholdModelSize:
 
 class TestThresholdMixingRatio:
     def test_balanced_point(self):
-        knowledge = KnowledgeUniverse(facts=(FactSpec(0.5, 1.0),))
+        knowledge = KnowledgeUniverse([0.5], [1.0])
         web = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
-        r_lower, _ = threshold_mixing_ratio(knowledge, web, 1.0)
-        assert r_lower == pytest.approx(0.5, abs=1e-12)
+        report = full_threshold_report(MixtureUniverse(knowledge, web, 0.5), 1.0)
+        assert report.mixing_ratio_lower == pytest.approx(0.5, abs=1e-12)
 
     def test_worked_example(self):
-        knowledge = KnowledgeUniverse(
-            facts=tuple(FactSpec(1e-3, 1.0) for _ in range(100))
-        )
+        knowledge = KnowledgeUniverse(np.full(100, 1e-3), np.ones(100))
         web = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.5)
-        r_lower, r_upper = threshold_mixing_ratio(knowledge, web, 5000.0)
+        report = full_threshold_report(MixtureUniverse(knowledge, web, 0.5), 5000.0)
+        r_lower, r_upper = report.mixing_ratio_lower, report.mixing_ratio_upper
         g = 50.0 * 5000.0 ** (-1.5)
         assert r_lower == pytest.approx(g / (1e-3 + g), rel=1e-12)
         assert r_lower == pytest.approx(0.1239, abs=1e-4)
         assert r_upper >= r_lower
 
     def test_lower_bound_matches_allocator_sweep(self):
-        knowledge = KnowledgeUniverse(
-            facts=tuple(FactSpec(1e-3, 1.0) for _ in range(100))
-        )
+        knowledge = KnowledgeUniverse(np.full(100, 1e-3), np.ones(100))
         web = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.5)
         m = 5000.0
-        r_lower, _ = threshold_mixing_ratio(knowledge, web, m)
+        r_lower = full_threshold_report(MixtureUniverse(knowledge, web, 0.5), m).mixing_ratio_lower
         eps = 1e-6
         below = optimal_allocation(
             MixtureUniverse(knowledge=knowledge, web=web, mixing_ratio=r_lower - eps), m
@@ -399,26 +385,37 @@ class TestThresholdMixingRatio:
             ku = make_uniform_knowledge(rng)
             web = make_power_law(rng) if i % 2 == 0 else make_tabulated(rng)
             m = float(rng.uniform(ku.h_tot * 1.01, ku.h_tot * 20 + 10))
-            r_lower, r_upper = threshold_mixing_ratio(ku, web, m)
-            assert 0.0 <= r_lower <= r_upper <= 1.0
+            report = full_threshold_report(MixtureUniverse(ku, web, 0.5), m)
+            assert 0.0 <= report.mixing_ratio_lower <= report.mixing_ratio_upper <= 1.0
 
     def test_upper_is_one_when_capacity_below_h_tot(self):
-        knowledge = KnowledgeUniverse(facts=(FactSpec(0.5, 10.0),))
+        knowledge = KnowledgeUniverse([0.5], [10.0])
         web = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
-        _, r_upper = threshold_mixing_ratio(knowledge, web, 5.0)
-        assert r_upper == 1.0
+        report = full_threshold_report(MixtureUniverse(knowledge, web, 0.5), 5.0)
+        assert report.mixing_ratio_upper == 1.0
+
+
+def _frequency_band(web, m, p, h_tot) -> tuple[float, float, float]:
+    """(f_lower, f_upper, f_asymptotic) of one fact of frequency p and entropy h_tot."""
+    mix = MixtureUniverse(KnowledgeUniverse([p], [h_tot]), web, 0.5)
+    report = full_threshold_report(mix, m)
+    return (
+        report.single_fact_frequency_lower,
+        report.single_fact_frequency_upper,
+        report.single_fact_frequency_asymptotic,
+    )
 
 
 class TestThresholdFrequency:
     def test_asymptotic_at_unit_capacity(self):
         web = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
-        _, _, asym = threshold_frequency(web, 1.0, 0.5, 1.0)
+        _, _, asym = _frequency_band(web, 1.0, 0.5, 1.0)
         assert asym == pytest.approx(0.5, abs=1e-15)
 
     def test_loglog_slope_of_asymptotic(self):
         web = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.283)
         ms = np.geomspace(10.0, 1e6, 12)
-        asyms = [threshold_frequency(web, float(m), 0.01, 10.0)[2] for m in ms]
+        asyms = [_frequency_band(web, float(m), 0.01, 10.0)[2] for m in ms]
         slopes = np.diff(np.log(asyms)) / np.diff(np.log(ms))
         assert np.allclose(slopes, -1.283, atol=1e-12)
 
@@ -429,14 +426,14 @@ class TestThresholdFrequency:
         for p in (1e3 * g, 1e4 * g):
             if p > 1.0:
                 continue
-            f_lower, _, asym = threshold_frequency(web, m, float(p), 1.0)
+            f_lower, _, asym = _frequency_band(web, m, float(p), 1.0)
             assert f_lower == pytest.approx(asym, rel=1e-3)
 
 
 def _hetero_mixture(rng, k=60):
     p = rng.uniform(0.05, 1.0, size=k)
     return MixtureUniverse(
-        knowledge=KnowledgeUniverse.from_arrays(
+        knowledge=KnowledgeUniverse(
             p / p.sum() * 0.3, rng.uniform(0.1, 10.0, size=k), float(rng.uniform(0.0, 2.0))
         ),
         web=PowerLawCurve(floor=1.0, amplitude=50.0, exponent=0.4),
@@ -447,7 +444,7 @@ def _hetero_mixture(rng, k=60):
 class TestApplySubsampling:
     def _mixture(self, k=100, p=1e-4):
         return MixtureUniverse(
-            knowledge=KnowledgeUniverse(facts=tuple(FactSpec(p, 2.0) for _ in range(k))),
+            knowledge=KnowledgeUniverse(np.full(k, p), np.full(k, 2.0)),
             web=PowerLawCurve(floor=1.0, amplitude=50.0, exponent=0.4),
             mixing_ratio=0.1,
         )
@@ -459,19 +456,14 @@ class TestApplySubsampling:
     def test_quarter(self):
         mix = apply_subsampling(self._mixture(), 0.25)
         assert mix.knowledge.fact_count == 25
-        assert all(
-            f.exposure_frequency == pytest.approx(4e-4, rel=1e-12)
-            for f in mix.knowledge.facts
-        )
+        assert mix.knowledge.p.tolist() == pytest.approx([4e-4] * 25, rel=1e-12)
 
     def test_mass_conserved(self):
         # Uniform case with keep * K integral: total mass identical.
         mix = self._mixture()
         sub = apply_subsampling(mix, 0.25)
-        assert math.fsum(f.exposure_frequency for f in sub.knowledge.facts) == (
-            pytest.approx(
-                math.fsum(f.exposure_frequency for f in mix.knowledge.facts), rel=1e-12
-            )
+        assert math.fsum(sub.knowledge.p.tolist()) == (
+            pytest.approx(math.fsum(mix.knowledge.p.tolist()), rel=1e-12)
         )
 
     def test_halving_facts_halves_asymptotic_r_threshold(self):
@@ -491,19 +483,18 @@ class TestApplySubsampling:
         for _ in range(20):
             mix = _hetero_mixture(rng)
             keep = float(rng.uniform(0.3, 1.0))
-            facts = mix.knowledge.facts
-            kept = facts[: math.ceil(keep * len(facts))]
+            kept = math.ceil(keep * mix.knowledge.fact_count)
             sub = apply_subsampling(mix, keep)
-            assert sub.knowledge.facts == tuple(
-                FactSpec(f.exposure_frequency / keep, f.target_entropy) for f in kept
-            )
+            expected = [p / keep for p in mix.knowledge.p[:kept].tolist()]
+            assert np.array_equal(sub.knowledge.p, expected)
+            assert np.array_equal(sub.knowledge.h, mix.knowledge.h[:kept])
             assert sub.knowledge.irreducible_loss == mix.knowledge.irreducible_loss
 
 
 class TestApplyCkm:
     def _mixture(self):
         return MixtureUniverse(
-            knowledge=KnowledgeUniverse(facts=tuple(FactSpec(1e-4, 2.0) for _ in range(50))),
+            knowledge=KnowledgeUniverse(np.full(50, 1e-4), np.full(50, 2.0)),
             web=PowerLawCurve(floor=1.0, amplitude=50.0, exponent=0.4),
             mixing_ratio=0.1,
         )
@@ -516,10 +507,7 @@ class TestApplyCkm:
         mix = apply_ckm(self._mixture(), 0.3, 200.0, 20.0)
         expected = (1.0 + 0.3 * 10.0) / 1.3
         assert expected == pytest.approx(3.0769, abs=1e-4)
-        assert all(
-            f.exposure_frequency == pytest.approx(1e-4 * expected, rel=1e-12)
-            for f in mix.knowledge.facts
-        )
+        assert mix.knowledge.p.tolist() == pytest.approx([1e-4 * expected] * 50, rel=1e-12)
 
     def test_multiplier_exceeds_one_iff_compact_cheaper(self):
         rng = np.random.default_rng(61)
@@ -535,7 +523,7 @@ class TestApplyCkm:
 
     def test_all_compact_limit(self):
         mix = apply_ckm(self._mixture(), 1e9, 200.0, 20.0)
-        assert mix.knowledge.facts[0].exposure_frequency == pytest.approx(
+        assert float(mix.knowledge.p[0]) == pytest.approx(
             1e-4 * 10.0, rel=1e-6
         )
 
@@ -551,10 +539,10 @@ class TestApplyCkm:
             t_c = float(rng.uniform(t_o, 500.0))
             multiplier = (1.0 + tau * t_o / t_c) / (1.0 + tau)
             out = apply_ckm(mix, tau, t_o, t_c)
-            assert out.knowledge.facts == tuple(
-                FactSpec(f.exposure_frequency * multiplier, f.target_entropy)
-                for f in mix.knowledge.facts
+            assert np.array_equal(
+                out.knowledge.p, [p * multiplier for p in mix.knowledge.p.tolist()]
             )
+            assert np.array_equal(out.knowledge.h, mix.knowledge.h)
             assert out.knowledge.irreducible_loss == mix.knowledge.irreducible_loss
 
 
@@ -577,5 +565,5 @@ class TestThresholdReportSerialization:
         assert doc["r_lower"] is not None
 
     def test_capacityless_report_leaves_ratio_fields_empty(self):
-        doc = threshold_model_size(_uniform_mixture()).to_dict()
+        doc = full_threshold_report(_uniform_mixture()).to_dict()
         assert doc["r_lower"] is None and doc["f_lower"] is None

@@ -68,7 +68,7 @@ def knowledge(draw):
     if draw(st.booleans()):
         weights[:] = weights[0]
     h = np.array(draw(st.lists(entropies, min_size=k, max_size=k)))
-    return KnowledgeUniverse.from_arrays(weights / weights.sum() * mass * (1 - 1e-12), h, 0.5)
+    return KnowledgeUniverse(weights / weights.sum() * mass * (1 - 1e-12), h, 0.5)
 
 
 @st.composite
@@ -208,7 +208,7 @@ class TestLinearScanOracle:
             web = TabulatedCurve(points=((0.0, 9.0), (1e4, 5.0), (1e5, 3.0), (1e6, 2.5)))
         else:
             web = PowerLawCurve(floor=1.0, amplitude=1e5, exponent=0.3)
-        mixture = MixtureUniverse(KnowledgeUniverse.from_arrays(p, h, 0.5), web, 0.05)
+        mixture = MixtureUniverse(KnowledgeUniverse(p, h, 0.5), web, 0.05)
         frontier = mixture.knowledge._frontier
         onsets = mixture._frontier_m0 + np.concatenate(([0.0], frontier.cum_h[:-1]))
         picks = rng.choice(frontier.count, 40, replace=False)
@@ -272,7 +272,7 @@ class TestAllocationProperties:
         p[i] = min(p[i] * data.draw(log_uniform(0, 3)), p[i] + slack)
         raised = replace(
             mixture,
-            knowledge=KnowledgeUniverse.from_arrays(p, knowledge.h, knowledge.irreducible_loss),
+            knowledge=KnowledgeUniverse(p, knowledge.h, knowledge.irreducible_loss),
         )
         with no_hang():
             m1_low = optimal_allocation(mixture, total).knowledge_capacity

@@ -201,6 +201,17 @@ class TestConfigValidation:
         assert "exposure_frequency 5e-324 is too small for mixing_ratio 0.01" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["allocate", "thresholds"])
+    def test_entropy_total_beyond_float_range_exits_2(self, tmp_path, capsys, command):
+        mixture = {**MIX_DOC["mixture"], "knowledge": {
+            "facts": [{"p": 0.1, "h": 1e308}, {"p": 0.1, "h": 1e308}]}}
+        path = _write_config(tmp_path, {"mixture": mixture, "capacity": 100.0})
+        out = tmp_path / "a.json"
+        assert run([command, "--config", path, "--out", out, "--json-errors"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "target_entropy values must sum to a finite total"}
+        assert not out.exists()
+
     def test_json_output_refuses_non_finite_numbers(self):
         with pytest.raises(ValueError):
             _json_text({"loss": math.nan})
@@ -502,6 +513,36 @@ class TestPlumbing:
         )
         assert result.returncode == 0
         assert (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["allocate", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["allocate", "--capacity", "abc"], "argument --capacity: invalid float value: 'abc'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+        ids=["unknown-flag", "bad-float", "unknown-command"],
+    )
+    def test_usage_errors_follow_json_errors(self, tmp_path, capsys, config_path, argv, message):
+        argv = [*argv, "--config", config_path, "--out", tmp_path / "a.json"]
+        assert run([*argv, "--json-errors"]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert list(err) == ["error"] and err["error"].startswith(message)
+        assert captured.out == "" and captured.err.count("\n") == 1
+        # Without the flag argparse reports the error itself, as usage text.
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mixcap") and f"error: {message}" in err
+
+    def test_help_with_json_errors_still_prints_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["allocate", "--help", "--json-errors"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: mixcap allocate") and captured.err == ""
 
     def test_synbio_mixplan_thresholds_round_trip(self, tmp_path):
         # Generate a corpus, measure its per-fact token cost, and feed the

@@ -8,7 +8,7 @@ import pytest
 from helpers import allocation_grid_oracle
 from mixcap import simulator
 from mixcap.corpus import power_law_partition
-from mixcap.allocator import optimal_allocation, threshold_model_size, threshold_mixing_ratio
+from mixcap.allocator import full_threshold_report, optimal_allocation
 from mixcap.simulator import (
     SubsetExperiment,
     SweepConfig,
@@ -24,7 +24,6 @@ from mixcap.simulator import (
     threshold_law,
 )
 from mixcap.universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
@@ -33,9 +32,7 @@ from mixcap.universe import (
 
 def uniform_mixture(p=1e-3, k=1000, h=5.0, r=0.25, amplitude=100.0, alpha=0.5, c1=1.0):
     return MixtureUniverse(
-        knowledge=KnowledgeUniverse(
-            facts=tuple(FactSpec(p, h) for _ in range(k)), irreducible_loss=c1
-        ),
+        knowledge=KnowledgeUniverse(np.full(k, p), np.full(k, h), irreducible_loss=c1),
         web=PowerLawCurve(floor=1.0, amplitude=amplitude, exponent=alpha),
         mixing_ratio=r,
     )
@@ -44,7 +41,7 @@ def uniform_mixture(p=1e-3, k=1000, h=5.0, r=0.25, amplitude=100.0, alpha=0.5, c
 class TestAccuracy:
     def test_extremes(self):
         mix = uniform_mixture()
-        report = threshold_model_size(mix)
+        report = full_threshold_report(mix)
         low = optimal_allocation(mix, report.model_size_lower * 0.5)
         assert accuracy(low, mix.knowledge) == 0.0
         assert count_accuracy(low) == 0.0
@@ -54,7 +51,7 @@ class TestAccuracy:
 
     def test_quarter_point(self):
         mix = uniform_mixture()
-        report = threshold_model_size(mix)
+        report = full_threshold_report(mix)
         h_tot = mix.knowledge.h_tot
         m = report.model_size_lower + h_tot / 4.0
         alloc = optimal_allocation(mix, m)
@@ -62,7 +59,7 @@ class TestAccuracy:
         assert accuracy(alloc, mix.knowledge) == pytest.approx(0.25, rel=1e-9)
 
     def test_vacuous_universe(self):
-        ku = KnowledgeUniverse(facts=())
+        ku = KnowledgeUniverse([], [])
         mix = MixtureUniverse(
             knowledge=ku,
             web=PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5),
@@ -85,7 +82,7 @@ class TestAccuracy:
 class TestSweep:
     def test_model_size_transition_shape(self):
         mix = uniform_mixture()
-        report = threshold_model_size(mix)
+        report = full_threshold_report(mix)
         lo, hi = report.model_size_lower, report.model_size_upper
         grid = np.concatenate(
             [
@@ -110,7 +107,7 @@ class TestSweep:
         mix = uniform_mixture()
         grid = (0.01, 0.02, 0.05)
         m = 100.0  # far below m0 at the largest grid ratio
-        lower_at_max = threshold_model_size(
+        lower_at_max = full_threshold_report(
             MixtureUniverse(knowledge=mix.knowledge, web=mix.web, mixing_ratio=max(grid))
         ).model_size_lower
         assert m < lower_at_max
@@ -123,7 +120,8 @@ class TestSweep:
     def test_mixing_ratio_transition_matches_band(self):
         mix = uniform_mixture(p=1e-3, k=100, h=2.0)
         m = 2000.0
-        r_lower, r_upper = threshold_mixing_ratio(mix.knowledge, mix.web, m)
+        report = full_threshold_report(mix, m)
+        r_lower, r_upper = report.mixing_ratio_lower, report.mixing_ratio_upper
         grid = sorted(
             {r_lower * 0.3, r_lower * 0.9, min(r_upper * 1.1, 0.99), 0.995}
         )
@@ -201,7 +199,7 @@ class TestSubsetExperiment:
         knowledge = build_subset_universe(exp)
         z = 1.0 + 2.0**-1.5
         expected_p = [1.0 / z / 2.0] * 2 + [2.0**-1.5 / z / 2.0] * 2
-        assert [f.exposure_frequency for f in knowledge.facts] == pytest.approx(expected_p)
+        assert knowledge.p.tolist() == pytest.approx(expected_p)
         mixture = MixtureUniverse(
             knowledge=knowledge, web=exp.web_curve, mixing_ratio=0.5
         )
@@ -255,12 +253,11 @@ class TestSubsetExperiment:
 
     def test_universe_matches_per_fact_rows_exactly(self):
         exp = SubsetExperiment(group_count=7, group_size=5, powerlaw_exponent=1.2)
-        rows = tuple(
-            FactSpec(w / exp.group_size, exp.entropy_per_fact)
-            for w in power_law_partition(35, 7, 1.2)
-            for _ in range(exp.group_size)
-        )
-        assert build_subset_universe(exp).facts == rows
+        p = [w / exp.group_size for w in power_law_partition(35, 7, 1.2)
+             for _ in range(exp.group_size)]
+        knowledge = build_subset_universe(exp)
+        assert np.array_equal(knowledge.p, p)
+        assert np.array_equal(knowledge.h, [exp.entropy_per_fact] * 35)
 
     def test_partition_computed_once_per_experiment(self, monkeypatch):
         calls = []

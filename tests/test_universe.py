@@ -19,7 +19,6 @@ from helpers import (
 )
 from mixcap.simulator import SweepConfig, sweep
 from mixcap.universe import (
-    FactSpec,
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
@@ -38,17 +37,9 @@ from mixcap.universe import (
 
 
 class TestTypes:
-    def test_fact_validation(self):
-        with pytest.raises(ValueError, match="exposure_frequency"):
-            FactSpec(0.0, 1.0)
-        with pytest.raises(ValueError, match="exposure_frequency"):
-            FactSpec(1.5, 1.0)
-        with pytest.raises(ValueError, match="target_entropy"):
-            FactSpec(0.5, -1.0)
-
     def test_frequency_mass_bound(self):
         with pytest.raises(ValueError, match="sum"):
-            KnowledgeUniverse(facts=(FactSpec(0.7, 1.0), FactSpec(0.7, 1.0)))
+            KnowledgeUniverse([0.7, 0.7], [1.0, 1.0])
 
     def test_power_law_validation(self):
         with pytest.raises(ValueError, match="exponent"):
@@ -80,7 +71,7 @@ class TestTypes:
             TabulatedCurve(points=((0, 10), (10, -1)))
 
     def test_mixing_ratio_range(self):
-        ku = KnowledgeUniverse(facts=(FactSpec(0.1, 1.0),))
+        ku = KnowledgeUniverse([0.1], [1.0])
         web = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
         with pytest.raises(ValueError, match="mixing_ratio"):
             MixtureUniverse(knowledge=ku, web=web, mixing_ratio=1.0)
@@ -92,21 +83,19 @@ class TestColumnarUniverse:
         p = rng.uniform(0.05, 1.0, size=k)
         return p / p.sum() * 0.9, rng.uniform(0.1, 10.0, size=k)
 
-    def test_from_arrays_equals_fact_rows(self):
+    def test_equality_compares_columns(self):
         p, h = self._columns()
-        rows = tuple(FactSpec(float(a), float(b)) for a, b in zip(p, h))
-        ku = KnowledgeUniverse.from_arrays(p, h, 1.25)
-        assert ku == KnowledgeUniverse(facts=rows, irreducible_loss=1.25)
-        assert hash(ku) == hash(KnowledgeUniverse(facts=rows, irreducible_loss=1.25))
-        assert ku.facts == rows
+        ku = KnowledgeUniverse(p, h, 1.25)
+        same = KnowledgeUniverse(p.tolist(), h.tolist(), irreducible_loss=1.25)
+        assert ku == same and hash(ku) == hash(same)
+        assert np.array_equal(ku.p, p) and np.array_equal(ku.h, h)
         assert ku.h_tot == math.fsum(h.tolist())
-        assert ku != KnowledgeUniverse.from_arrays(p, h, 1.0)
-        assert ku != KnowledgeUniverse.from_arrays(p[::-1], h[::-1], 1.25)
+        assert ku != KnowledgeUniverse(p, h, 1.0)
+        assert ku != KnowledgeUniverse(p[::-1], h[::-1], 1.25)
 
     def test_columns_are_read_only_and_not_copied(self):
         p, h = self._columns()
-        ku = KnowledgeUniverse.from_arrays(p, h)
-        assert ku.frequencies() is ku.p and ku.entropies() is ku.h
+        ku = KnowledgeUniverse(p, h)
         assert ku.p.dtype == np.float64 and ku.h.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             ku.p[0] = 0.5
@@ -122,7 +111,7 @@ class TestColumnarUniverse:
 
     def test_pickle_round_trip_stays_read_only(self):
         p, h = self._columns()
-        ku = KnowledgeUniverse.from_arrays(p, h, 0.5)
+        ku = KnowledgeUniverse(p, h, 0.5)
         knowledge_frontier(ku, 1.0)
         back = pickle.loads(pickle.dumps(ku))
         assert back == ku
@@ -142,20 +131,26 @@ class TestColumnarUniverse:
             (0.5, 1.0, math.inf, "irreducible_loss must be finite and >= 0, got inf"),
         ],
     )
-    def test_invalid_values_give_the_same_message_on_both_constructors(
-        self, p, h, c1, message
-    ):
-        with pytest.raises(ValueError) as rows:
-            KnowledgeUniverse(facts=(FactSpec(0.1, 1.0), FactSpec(p, h)), irreducible_loss=c1)
+    def test_invalid_values_give_exact_messages(self, p, h, c1, message):
         with pytest.raises(ValueError) as columns:
-            KnowledgeUniverse.from_arrays([0.1, p], [1.0, h], c1)
-        assert str(rows.value) == str(columns.value) == message
+            KnowledgeUniverse([0.1, p], [1.0, h], c1)
+        assert str(columns.value) == message
+
+    @pytest.mark.parametrize("h", [[1e308, 1e308], [1.7e308, 1.7e308, 1.0]])
+    def test_entropy_total_beyond_float_range_names_target_entropy(self, h):
+        with pytest.raises(ValueError) as columns:
+            KnowledgeUniverse([0.1] * len(h), h)
+        assert str(columns.value) == "target_entropy values must sum to a finite total"
+        doc = {"knowledge": {"facts": [{"p": 0.1, "h": v} for v in h]},
+               "web": {"power_law": {"c": 1.0, "a": 2.0, "alpha": 0.3}}, "r": 0.1}
+        with pytest.raises(ValueError, match="target_entropy values must sum to a finite total"):
+            mixture_from_dict(doc)
 
     def test_mass_bound_and_shapes(self):
         with pytest.raises(ValueError, match="sum"):
-            KnowledgeUniverse.from_arrays([0.7, 0.7], [1.0, 1.0])
+            KnowledgeUniverse([0.7, 0.7], [1.0, 1.0])
         with pytest.raises(ValueError, match="equal length"):
-            KnowledgeUniverse.from_arrays([0.1, 0.2], [1.0])
+            KnowledgeUniverse([0.1, 0.2], [1.0])
 
     def test_frontier_sorted_once_across_sweeps(self, monkeypatch):
         built = []
@@ -168,7 +163,7 @@ class TestColumnarUniverse:
         monkeypatch.setattr(universe, "_FrontierCurve", CountingFrontier)
         p, h = self._columns(k=500)
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse.from_arrays(p, h, 0.5),
+            knowledge=KnowledgeUniverse(p, h, 0.5),
             web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
             mixing_ratio=0.1,
         )
@@ -195,7 +190,7 @@ class TestColumnarUniverse:
         monkeypatch.setattr(universe, "m0_minus", counting_m0_minus)
         p, h = self._columns(k=500)
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse.from_arrays(p, h, 0.5),
+            knowledge=KnowledgeUniverse(p, h, 0.5),
             web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
             mixing_ratio=0.1,
         )
@@ -213,7 +208,7 @@ class TestColumnarUniverse:
     def test_frontier_m0_is_read_only_and_not_pickled(self):
         p, h = self._columns()
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse.from_arrays(p, h, 0.5),
+            knowledge=KnowledgeUniverse(p, h, 0.5),
             web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
             mixing_ratio=0.1,
         )
@@ -408,10 +403,7 @@ class TestM0:
 class TestWarmupLoss:
     def _universe(self):
         # 50 facts x 1 bit at p = 0.01, floor 2.
-        return KnowledgeUniverse(
-            facts=tuple(FactSpec(0.01, 1.0) for _ in range(50)),
-            irreducible_loss=2.0,
-        )
+        return KnowledgeUniverse(np.full(50, 0.01), np.ones(50), irreducible_loss=2.0)
 
     def test_zero_capacity(self):
         assert warmup_loss(self._universe(), 0.0) == pytest.approx(2.5, abs=1e-12)
@@ -426,7 +418,7 @@ class TestWarmupLoss:
         rng = np.random.default_rng(17)
         for _ in range(50):
             ku = make_uniform_knowledge(rng)
-            p = ku.facts[0].exposure_frequency
+            p = float(ku.p[0])
             h_tot = ku.h_tot
             m1, m2 = np.sort(rng.uniform(0.0, h_tot, size=2))
             if m2 - m1 < 1e-9:
@@ -437,28 +429,26 @@ class TestWarmupLoss:
             assert drop == pytest.approx(p * h_tot, rel=1e-12)
 
     def test_heterogeneous_rejected_with_pointer(self):
-        ku = KnowledgeUniverse(facts=(FactSpec(0.5, 1.0), FactSpec(0.1, 1.0)))
+        ku = KnowledgeUniverse([0.5, 0.1], [1.0, 1.0])
         with pytest.raises(ValueError, match="knowledge_frontier"):
             warmup_loss(ku, 1.0)
 
     def test_near_equal_frequencies_tolerated(self):
         p = 0.123
-        ku = KnowledgeUniverse(
-            facts=(FactSpec(p, 1.0), FactSpec(p * (1 + 1e-13), 1.0))
-        )
+        ku = KnowledgeUniverse([p, p * (1 + 1e-13)], [1.0, 1.0])
         warmup_loss(ku, 0.5)  # must not raise
 
 
 class TestKnowledgeFrontier:
     def test_two_fact_example(self):
-        ku = KnowledgeUniverse(facts=(FactSpec(0.5, 2.0), FactSpec(0.1, 4.0)))
+        ku = KnowledgeUniverse([0.5, 0.1], [2.0, 4.0])
         loss, learned = knowledge_frontier(ku, 2.0)
         assert loss == pytest.approx(0.4, abs=1e-9)
         assert learned == [1.0, 0.0]
         assert loss == pytest.approx(frontier_grid_oracle(ku, 2.0, 1e-3), abs=1e-3)
 
     def test_two_fact_fractional(self):
-        ku = KnowledgeUniverse(facts=(FactSpec(0.5, 2.0), FactSpec(0.1, 4.0)))
+        ku = KnowledgeUniverse([0.5, 0.1], [2.0, 4.0])
         loss, learned = knowledge_frontier(ku, 4.0)
         assert loss == pytest.approx(0.2, abs=1e-9)
         assert learned == [1.0, 0.5]
@@ -469,9 +459,7 @@ class TestKnowledgeFrontier:
         for _ in range(20):
             ku = make_hetero_knowledge(rng)
             loss, learned = knowledge_frontier(ku, 0.0)
-            expected = ku.irreducible_loss + float(
-                np.dot(ku.frequencies(), ku.entropies())
-            )
+            expected = ku.irreducible_loss + float(np.dot(ku.p, ku.h))
             assert loss == pytest.approx(expected, rel=1e-12)
             assert all(f == 0.0 for f in learned)
 
@@ -492,7 +480,7 @@ class TestKnowledgeFrontier:
             assert loss == pytest.approx(warmup_loss(ku, m), abs=1e-12 * max(1.0, loss))
 
     def test_tie_break_by_index(self):
-        ku = KnowledgeUniverse(facts=(FactSpec(0.2, 2.0), FactSpec(0.2, 2.0)))
+        ku = KnowledgeUniverse([0.2, 0.2], [2.0, 2.0])
         _, learned = knowledge_frontier(ku, 2.0)
         assert learned == [1.0, 0.0]
 
@@ -507,10 +495,7 @@ class TestKnowledgeFrontier:
 class TestSerialization:
     def test_round_trip_power_law(self):
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse(
-                facts=(FactSpec(0.01, 2.0), FactSpec(0.02, 3.0)),
-                irreducible_loss=1.5,
-            ),
+            knowledge=KnowledgeUniverse([0.01, 0.02], [2.0, 3.0], irreducible_loss=1.5),
             web=PowerLawCurve(floor=1.0, amplitude=10.0, exponent=0.4),
             mixing_ratio=0.2,
         )
@@ -524,7 +509,7 @@ class TestSerialization:
 
     def test_round_trip_tabulated(self):
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse(facts=(FactSpec(0.1, 1.0),)),
+            knowledge=KnowledgeUniverse([0.1], [1.0]),
             web=TabulatedCurve(points=((0, 10), (10, 5), (30, 3))),
             mixing_ratio=0.5,
         )
