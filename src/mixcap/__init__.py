@@ -21,9 +21,7 @@ from .universe import (
     warmup_loss,
     knowledge_frontier,
     mixture_from_dict,
-    mixture_from_json,
     mixture_to_dict,
-    mixture_to_json,
 )
 from .allocator import (
     Allocation,
@@ -42,7 +40,6 @@ from .simulator import (
     count_accuracy,
     sweep,
     run_subset_experiment,
-    threshold_law,
 )
 from .corpus import (
     AttributeDomain,
@@ -66,7 +63,6 @@ from .analysis import (
     fit_loglog,
     loglog_predict,
     invert_size,
-    r_squared,
 )
 
 __version__ = "0.1.0"

@@ -228,6 +228,10 @@ def full_threshold_report(
     f ~ -F2'(M) = g, which for a power law is A * alpha * M**(-alpha-1).
     """
     web, h_tot = mixture.web, mixture.knowledge.h_tot
+    if not mixture.knowledge.fact_count:
+        raise ValueError(
+            "threshold formulas need at least one fact; the knowledge domain has no facts"
+        )
     p = mixture.knowledge.uniform_frequency()
     if p is None:
         raise ValueError(

@@ -34,7 +34,6 @@ __all__ = [
     "fit_loglog",
     "loglog_predict",
     "invert_size",
-    "r_squared",
     "read_observations_csv",
     "read_points_csv",
     "DEFAULT_ACCURACY_TARGET",
@@ -320,30 +319,9 @@ def _exp_in_range(fit: FitResult, what: str, *logs: float) -> list[float]:
         ) from None
 
 
-def r_squared(observed: Sequence[float], fitted: Sequence[float]) -> float:
-    """Coefficient of determination 1 - SS_res / SS_tot.
-
-    A perfect fit of constant data (both sums zero) returns 1; constant data
-    with a non-matching fit returns 0.
-    """
-    if len(observed) != len(fitted):
-        raise ValueError(
-            f"length mismatch: {len(observed)} observed vs {len(fitted)} fitted"
-        )
-    if len(observed) < 2:
-        raise ValueError("need at least 2 values")
-    obs = np.asarray(observed, dtype=float)
-    fit = np.asarray(fitted, dtype=float)
-    ss_res = float(np.sum((obs - fit) ** 2))
-    ss_tot = float(np.sum((obs - obs.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
-
-
-def _finite(text) -> float:
+def _finite(text, positive: bool = False) -> float:
     value = float(text)
-    if not math.isfinite(value):
+    if not math.isfinite(value) or (positive and value <= 0.0):
         raise ValueError(text)
     return value
 
@@ -373,7 +351,7 @@ def _read_csv(path, columns: dict):
 def read_observations_csv(path) -> list[AccuracyObservation]:
     """Read observations from a CSV with header ``popularity,correct``."""
     columns = {
-        "popularity": (_finite, "a finite number"),
+        "popularity": (lambda text: _finite(text, positive=True), "a finite number > 0"),
         "correct": (lambda text: {"0": False, "1": True}[(text or "").strip()], "0 or 1"),
     }
     return [AccuracyObservation(*cells) for cells in _read_csv(path, columns)]

@@ -47,7 +47,6 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _HALF_BITS = 14
 _HALF_MASK = (1 << _HALF_BITS) - 1
-_PERM_SPACE = 1 << (2 * _HALF_BITS)  # 2**28, smallest power of 4 above the name product
 
 _MONTHS = (
     "January", "February", "March", "April", "May", "June", "July",
@@ -325,16 +324,14 @@ def render_exposure(record: BiographyRecord, seed: int) -> str:
     return " ".join(sentences[a] for a in order)
 
 
-def power_law_partition(total: int, groups: int, exponent: float) -> list[float]:
+def power_law_partition(groups: int, exponent: float) -> list[float]:
     """Normalized power-law sampling weights for ``groups`` equal-size groups.
 
     Group g (1-based) gets weight proportional to g**(-exponent); weights sum
-    to 1 and are strictly decreasing. ``groups`` must divide ``total``.
+    to 1 and are strictly decreasing.
     """
     if groups < 1:
         raise ValueError(f"groups must be >= 1, got {groups}")
-    if total % groups != 0:
-        raise ValueError(f"groups ({groups}) must divide total ({total})")
     if exponent <= 0.0:
         raise ValueError(f"exponent must be > 0, got {exponent}")
     raw = np.arange(1, groups + 1, dtype=float) ** (-exponent)

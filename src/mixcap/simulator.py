@@ -6,9 +6,9 @@ exactly 0 below the lower phase boundary and exactly 1 above the upper one.
 The subset experiment builds a knowledge universe of equal-size groups whose
 sampling weights follow a power law, then reads off the threshold corpus
 frequency at each capacity as the frequency of the first group whose
-accuracy falls below the target. Plotting log threshold frequency against
-log capacity recovers a line whose slope is the web scaling exponent plus
-one.
+accuracy falls below the target. Fitting log threshold frequency against
+log capacity (``analysis.fit_loglog``) recovers a line of slope
+-(alpha + 1), alpha being the web scaling exponent.
 
 Everything is a pure function of its config: grid points are independent and
 may be evaluated in any order or in parallel, with output sorted by axis
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from . import analysis
 from .allocator import Allocation, optimal_allocation
 from .corpus import RECORD_ENTROPY_BITS, power_law_partition
 from .universe import (
@@ -44,7 +43,6 @@ __all__ = [
     "sweep",
     "build_subset_universe",
     "run_subset_experiment",
-    "threshold_law",
     "sweep_csv",
     "subset_long_csv",
     "subset_thresholds_csv",
@@ -151,16 +149,6 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
     return rows
 
 
-def _default_subset_curve() -> PowerLawCurve:
-    return PowerLawCurve(floor=1.0, amplitude=1e6, exponent=0.283)
-
-
-def _default_capacity_grid() -> tuple[float, ...]:
-    # Chosen so the failing group stays deep in the 100-group partition,
-    # where the frequency staircase is fine enough for slope recovery.
-    return tuple(np.geomspace(1e9, 1.2e10, 13).tolist())
-
-
 @dataclass(frozen=True)
 class SubsetExperiment:
     """Power-law-partitioned knowledge universe mixed into a web curve.
@@ -176,8 +164,10 @@ class SubsetExperiment:
     group_size: int = 100
     powerlaw_exponent: float = 1.5
     mixing_ratio: float = 0.01
-    web_curve: WebLossCurve = field(default_factory=_default_subset_curve)
-    capacity_grid: tuple[float, ...] = field(default_factory=_default_capacity_grid)
+    web_curve: WebLossCurve = PowerLawCurve(floor=1.0, amplitude=1e6, exponent=0.283)
+    # Chosen so the failing group stays deep in the 100-group partition,
+    # where the frequency staircase is fine enough for slope recovery.
+    capacity_grid: tuple[float, ...] = tuple(np.geomspace(1e9, 1.2e10, 13).tolist())
     accuracy_target: float = 0.8
     entropy_per_fact: float = RECORD_ENTROPY_BITS
 
@@ -209,9 +199,7 @@ class SubsetExperiment:
     @cached_property
     def weights(self) -> list[float]:
         """Per-group sampling weights, descending, computed once."""
-        return power_law_partition(
-            self.group_count * self.group_size, self.group_count, self.powerlaw_exponent
-        )
+        return power_law_partition(self.group_count, self.powerlaw_exponent)
 
 
 @dataclass(frozen=True)
@@ -257,59 +245,37 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     return results
 
 
-def threshold_law(points) -> analysis.FitResult:
-    """Fit log threshold frequency against log capacity.
-
-    Input is (capacity, f_thres) pairs, all positive; returns the log-log
-    fit whose slope should sit near -(alpha + 1) for a power-law web curve.
-    """
-    pts = list(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    return analysis.fit_loglog(pts)
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def sweep_csv(rows: list[SweepRow]) -> str:
+def _csv(header: list[str], rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["axis", "accuracy", "accuracy_count", "knowledge_loss", "web_loss", "mixture_loss"]
-    )
-    for r in rows:
-        writer.writerow(
-            [
-                _fmt(r.axis_value),
-                _fmt(r.accuracy),
-                _fmt(r.accuracy_count),
-                _fmt(r.knowledge_loss),
-                _fmt(r.web_loss),
-                _fmt(r.mixture_loss),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def sweep_csv(rows: list[SweepRow]) -> str:
+    return _csv(
+        ["axis", "accuracy", "accuracy_count", "knowledge_loss", "web_loss", "mixture_loss"],
+        ([_fmt(v) for v in (r.axis_value, r.accuracy, r.accuracy_count, r.knowledge_loss,
+                            r.web_loss, r.mixture_loss)] for r in rows),
+    )
 
 
 def subset_long_csv(results: list[SubsetCapacityResult], exp: SubsetExperiment) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["capacity", "group", "weight", "accuracy"])
-    for res in results:
-        for g, acc in enumerate(res.group_accuracies):
-            writer.writerow([_fmt(res.capacity), g + 1, _fmt(exp.weights[g]), _fmt(acc)])
-    return out.getvalue()
+    return _csv(
+        ["capacity", "group", "weight", "accuracy"],
+        ([_fmt(res.capacity), g + 1, _fmt(exp.weights[g]), _fmt(acc)]
+         for res in results for g, acc in enumerate(res.group_accuracies)),
+    )
 
 
 def subset_thresholds_csv(results: list[SubsetCapacityResult]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["capacity", "f_thres"])
-    for res in results:
-        f = THRESHOLD_SENTINEL if res.threshold_frequency is None else _fmt(
-            res.threshold_frequency
-        )
-        writer.writerow([_fmt(res.capacity), f])
-    return out.getvalue()
+    return _csv(
+        ["capacity", "f_thres"],
+        ([_fmt(res.capacity), THRESHOLD_SENTINEL if res.threshold_frequency is None
+          else _fmt(res.threshold_frequency)] for res in results),
+    )

@@ -18,7 +18,6 @@ learning.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,8 +39,6 @@ __all__ = [
     "knowledge_frontier",
     "mixture_to_dict",
     "mixture_from_dict",
-    "mixture_to_json",
-    "mixture_from_json",
     "web_curve_to_dict",
     "web_curve_from_dict",
 ]
@@ -83,7 +80,7 @@ class KnowledgeUniverse:
             raise ValueError(
                 f"irreducible_loss must be finite and >= 0, got {irreducible_loss}"
             )
-        total_p = math.fsum(p.tolist())
+        total_p = math.fsum(memoryview(p))
         if total_p > 1.0 + 1e-12:
             raise ValueError(
                 f"fact exposure_frequency values must sum to <= 1 "
@@ -91,7 +88,7 @@ class KnowledgeUniverse:
             )
         try:
             # Total target entropy (bits): the cost of learning every fact.
-            h_tot = math.fsum(h.tolist())
+            h_tot = math.fsum(memoryview(h))
         except OverflowError:
             raise ValueError("target_entropy values must sum to a finite total") from None
         p.flags.writeable = False
@@ -547,11 +544,3 @@ def mixture_from_dict(doc: dict) -> MixtureUniverse:
         )
     except KeyError as exc:
         raise ValueError(f"mixture document is missing field {exc}") from exc
-
-
-def mixture_to_json(mixture: MixtureUniverse) -> str:
-    return json.dumps(mixture_to_dict(mixture), indent=2, sort_keys=True)
-
-
-def mixture_from_json(text: str) -> MixtureUniverse:
-    return mixture_from_dict(json.loads(text))

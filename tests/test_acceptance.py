@@ -33,7 +33,7 @@ from mixcap.corpus import (
     plan_mixture,
     record_to_dict,
 )
-from mixcap.simulator import SubsetExperiment, run_subset_experiment, threshold_law
+from mixcap.simulator import SubsetExperiment, run_subset_experiment
 from mixcap.universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -134,7 +134,7 @@ def test_criterion_4_exponent_law():
         for r in results
         if r.threshold_frequency is not None
     ]
-    fit = threshold_law(pts)
+    fit = fit_loglog(pts)
     target = -(exp.web_curve.exponent + 1.0)
     assert fit.params["slope"] == pytest.approx(target, rel=0.02)
     # Exponent helper: alpha = 0.283 predicts 1.283.

@@ -293,6 +293,16 @@ class TestThresholdModelSize:
         with pytest.raises(ValueError, match="uniform"):
             full_threshold_report(mix)
 
+    def test_empty_domain_rejected_as_empty(self):
+        mix = MixtureUniverse(
+            knowledge=KnowledgeUniverse([], []),
+            web=PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5),
+            mixing_ratio=0.5,
+        )
+        for capacity in (None, 10.0):
+            with pytest.raises(ValueError, match="the knowledge domain has no facts"):
+                full_threshold_report(mix, capacity)
+
     def test_band_exact_for_tabulated_curves(self):
         # The all-or-nothing cases are not power-law-specific: below the
         # lower bound nothing is learned, above the upper bound everything.

@@ -9,6 +9,7 @@ for bit.
 """
 
 import contextlib
+import json
 import math
 import signal
 from dataclasses import replace
@@ -27,8 +28,8 @@ from mixcap.universe import (
     TabulatedCurve,
     eval_web_loss,
     m0_minus,
-    mixture_from_json,
-    mixture_to_json,
+    mixture_from_dict,
+    mixture_to_dict,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -284,4 +285,4 @@ class TestMixtureJson:
     @PROPERTY_SETTINGS
     @given(mixtures())
     def test_round_trip(self, mixture):
-        assert mixture_from_json(mixture_to_json(mixture)) == mixture
+        assert mixture_from_dict(json.loads(json.dumps(mixture_to_dict(mixture)))) == mixture

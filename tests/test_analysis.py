@@ -15,7 +15,6 @@ from mixcap.analysis import (
     fit_power_law,
     invert_size,
     loglog_predict,
-    r_squared,
 )
 
 
@@ -266,27 +265,6 @@ class TestFloatRange:
         assert 0.0 < lo < est < hi < math.inf
         est, (lo, hi) = invert_size(fit, 2.0)
         assert 0.0 < lo <= est <= hi < math.inf
-
-
-class TestRSquared:
-    def test_perfect(self):
-        assert r_squared([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
-
-    def test_mean_only(self):
-        obs_vals = [1.0, 2.0, 3.0]
-        mean = sum(obs_vals) / 3
-        assert r_squared(obs_vals, [mean] * 3) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_case(self):
-        assert r_squared([1.0, 2.0, 3.0], [1.0, 2.0, 2.0]) == pytest.approx(0.5)
-
-    def test_constant_guard(self):
-        assert r_squared([2.0, 2.0], [2.0, 2.0]) == 1.0
-        assert r_squared([2.0, 2.0], [2.0, 3.0]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            r_squared([1.0], [1.0, 2.0])
 
 
 class TestTQuantile:

@@ -131,6 +131,24 @@ class TestThresholds:
         assert run(["thresholds", "--config", path, "--out", tmp_path / "t.json"]) == 2
         assert "uniform" in capsys.readouterr().err
 
+    def test_empty_domain_exits_2_naming_it(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MIX_DOC))
+        doc["mixture"]["knowledge"]["facts"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "t.json"
+        assert run(["thresholds", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "the knowledge domain has no facts" in err
+        assert "heterogeneous" not in err
+        assert not out.exists()
+        doc["grid"] = [100.0, 200.0]
+        path.write_text(json.dumps(doc))
+        sweep_out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", path, "--axis", "model_size", "--out", sweep_out]) == 0
+        sidecar = json.loads((tmp_path / "s_thresholds.json").read_text())
+        assert "the knowledge domain has no facts" in sidecar["error"]
+
     def test_non_finite_capacity_exits_2_naming_parameter(
         self, tmp_path, config_path, capsys
     ):
@@ -797,6 +815,7 @@ class TestCsvCells:
         assert "line 3, column 'y'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, column", [("abc,1", "popularity"), ("nan,0", "popularity"),
+                                             ("0,1", "popularity"), ("-2,0", "popularity"),
                                              ("3,yes", "correct")])
     def test_observation_cell_names_line_and_column(self, tmp_path, capsys, row, column):
         obs = tmp_path / "obs.csv"

@@ -191,26 +191,22 @@ class TestRenderExposure:
 
 class TestPowerLawPartition:
     def test_single_group(self):
-        assert power_law_partition(10, 1, 1.5) == [1.0]
+        assert power_law_partition(1, 1.5) == [1.0]
 
     def test_two_groups_unit_exponent(self):
-        w = power_law_partition(10, 2, 1.0)
+        w = power_law_partition(2, 1.0)
         assert w[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert w[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_hundred_groups(self):
-        w = power_law_partition(10_000, 100, 1.5)
+        w = power_law_partition(100, 1.5)
         assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
         assert w[0] / w[99] == pytest.approx(100.0**1.5, rel=1e-9)
         assert all(a > b for a, b in zip(w, w[1:]))
 
-    def test_divisibility_required(self):
-        with pytest.raises(ValueError, match="divide"):
-            power_law_partition(10, 3, 1.5)
-
     def test_positive_exponent_required(self):
         with pytest.raises(ValueError, match="exponent"):
-            power_law_partition(10, 2, 0.0)
+            power_law_partition(2, 0.0)
 
 
 class TestPlanMixture:

@@ -9,6 +9,7 @@ from helpers import allocation_grid_oracle
 from mixcap import simulator
 from mixcap.corpus import power_law_partition
 from mixcap.allocator import full_threshold_report, optimal_allocation
+from mixcap.analysis import fit_loglog
 from mixcap.simulator import (
     SubsetExperiment,
     SweepConfig,
@@ -21,7 +22,6 @@ from mixcap.simulator import (
     subset_thresholds_csv,
     sweep,
     sweep_csv,
-    threshold_law,
 )
 from mixcap.universe import (
     KnowledgeUniverse,
@@ -224,7 +224,7 @@ class TestSubsetExperiment:
             for r in results
             if r.threshold_frequency is not None
         ]
-        fit = threshold_law(pts)
+        fit = fit_loglog(pts)
         target = -(exp.web_curve.exponent + 1.0)
         assert fit.params["slope"] == pytest.approx(target, rel=0.02)
 
@@ -253,7 +253,7 @@ class TestSubsetExperiment:
 
     def test_universe_matches_per_fact_rows_exactly(self):
         exp = SubsetExperiment(group_count=7, group_size=5, powerlaw_exponent=1.2)
-        p = [w / exp.group_size for w in power_law_partition(35, 7, 1.2)
+        p = [w / exp.group_size for w in power_law_partition(7, 1.2)
              for _ in range(exp.group_size)]
         knowledge = build_subset_universe(exp)
         assert np.array_equal(knowledge.p, p)
@@ -269,24 +269,24 @@ class TestSubsetExperiment:
         monkeypatch.setattr(simulator, "power_law_partition", counting_partition)
         exp = SubsetExperiment(group_count=4, group_size=3, capacity_grid=(1e9, 1e10))
         subset_long_csv(run_subset_experiment(exp), exp)
-        assert calls == [(12, 4, 1.5)]
+        assert calls == [(4, 1.5)]
 
 
 class TestThresholdLaw:
     def test_exact_power_law_round_trip(self):
         ms = np.geomspace(10.0, 1e5, 8)
         pts = [(float(m), 7.0 * float(m) ** (-1.283)) for m in ms]
-        fit = threshold_law(pts)
+        fit = fit_loglog(pts)
         assert fit.params["slope"] == pytest.approx(-1.283, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_frequency_slope_zero(self):
-        fit = threshold_law([(10.0, 0.5), (100.0, 0.5), (1000.0, 0.5)])
+        fit = fit_loglog([(10.0, 0.5), (100.0, 0.5), (1000.0, 0.5)])
         assert fit.params["slope"] == 0.0
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="3 points"):
-            threshold_law([(1.0, 1.0), (2.0, 0.5)])
+            fit_loglog([(1.0, 1.0), (2.0, 0.5)])
 
     def test_reference_pair_documented(self):
         assert THRESHOLD_LAW_REFERENCE == {
