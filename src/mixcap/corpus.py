@@ -9,7 +9,10 @@ attribute and a fresh sentence order per exposure.
 
 Generation is deterministic given a 64-bit master seed: record i derives its
 own random stream from (seed, i), so shards can be produced concurrently and
-concatenated in index order for bit-identical output. Token accounting uses
+concatenated in index order for bit-identical output. Names come from one
+seeded Feistel permutation of the record indices, computed in uint64 numpy
+for the whole batch; its images are part of the determinism contract, so
+the corpus bytes do not depend on how it is computed. Token accounting uses
 whitespace-delimited counts as a proxy tokenizer; only token ratios matter
 downstream.
 """
@@ -67,16 +70,11 @@ NAME_PRODUCT_SIZE = len(_FIRST) * len(_MIDDLE) * len(_LAST)
 
 
 def _birth_dates() -> tuple[str, ...]:
-    # 28 days x 12 months x 100 years spanning 1900-2099 (even years skipped
-    # would break the count; the century window uses every other year of the
-    # 200-year span).
-    years = range(1900, 2100, 2)
-    return tuple(
-        f"{month} {day:02d}, {year}"
-        for year in years
-        for month in _MONTHS
-        for day in range(1, 29)
-    )
+    # 28 days x 12 months x 100 years (every other year of 1900-2098), ordered
+    # by year, then month, then day. The 336 "Month DD, " prefixes and the 100
+    # years are formatted once each; every cold import pays for this tuple.
+    prefixes = [f"{month} {day:02d}, " for month in _MONTHS for day in range(1, 29)]
+    return tuple(prefix + year for year in map(str, range(1900, 2100, 2)) for prefix in prefixes)
 
 
 @dataclass(frozen=True)
@@ -202,23 +200,44 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _permuted_index(i: int, seed: int) -> int:
-    """Seeded bijection on [0, NAME_PRODUCT_SIZE) via a Feistel network.
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """_mix64 over a uint64 array, in place; uint64 products wrap mod 2**64."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _permuted_indices(count: int, seed: int) -> np.ndarray:
+    """Images of 0..count-1 under a seeded bijection on [0, NAME_PRODUCT_SIZE).
 
     A 4-round Feistel permutation on 28-bit integers, cycle-walking until the
     image lands inside the name product. This is how record i picks a unique
     name without any cross-record coordination, keeping generation
-    order-independent.
+    order-independent. The round keys depend only on the seed; the rounds
+    run in uint64 over the whole batch, and each cycle-walk step re-permutes
+    only the images still outside the product.
     """
-    x = i
-    while True:
-        left, right = x >> _HALF_BITS, x & _HALF_MASK
-        for rnd in range(4):
-            f = _mix64(right + _mix64(seed + 0x9E3779B97F4A7C15 * (rnd + 1)))
-            left, right = right, left ^ (f & _HALF_MASK)
-        x = (left << _HALF_BITS) | right
-        if x < NAME_PRODUCT_SIZE:
-            return x
+    keys = [np.uint64(_mix64(seed + 0x9E3779B97F4A7C15 * (rnd + 1))) for rnd in range(4)]
+    half_bits, half_mask = np.uint64(_HALF_BITS), np.uint64(_HALF_MASK)
+
+    def rounds(x: np.ndarray) -> np.ndarray:
+        left, right = x >> half_bits, x & half_mask
+        for key in keys:
+            f = _mix64_array(right + key)
+            left, right = right, left ^ (f & half_mask)
+        return (left << half_bits) | right
+
+    bound = np.uint64(NAME_PRODUCT_SIZE)
+    x = rounds(np.arange(count, dtype=np.uint64))
+    walk = np.flatnonzero(x >= bound)
+    while walk.size:
+        image = rounds(x[walk])
+        x[walk] = image
+        walk = walk[image >= bound]
+    return x
 
 
 # Spawn-key tags of the streams derived from a master seed besides the
@@ -277,15 +296,12 @@ def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
         ]
     )
     records = []
-    for i in range(count):
-        name_idx = _permuted_index(i, seed)
+    for i, name_idx in enumerate(_permuted_indices(count, seed).tolist()):
         first = _FIRST[name_idx % n_first]
         middle = _MIDDLE[(name_idx // n_first) % n_middle]
         last = _LAST[name_idx // (n_first * n_middle)]
         draws = np.random.default_rng(_seed_sequence(seed, i)).integers(lows, highs)
-        day, month, year_step, city, uni, major, employer, pron = (
-            int(v) for v in draws
-        )
+        day, month, year_step, city, uni, major, employer, pron = draws.tolist()
         year = 1900 + 2 * year_step
         records.append(
             BiographyRecord(
@@ -311,15 +327,15 @@ def render_exposure(record: BiographyRecord, seed: int) -> str:
     Values appear verbatim, so evaluation spans are recoverable from the text.
     """
     rng = np.random.default_rng(seed)
-    template_picks = rng.integers(0, 5, size=len(ATTRIBUTES))
-    order = rng.permutation(len(ATTRIBUTES))
+    template_picks = rng.integers(0, 5, size=len(ATTRIBUTES)).tolist()
+    order = rng.permutation(len(ATTRIBUTES)).tolist()
     sentences = [
-        ATTRIBUTES[a].templates[template_picks[a]].format(
+        attr.templates[pick].format(
             name=record.full_name,
-            value=record.attribute_values[ATTRIBUTES[a].name],
+            value=record.attribute_values[attr.name],
             pronoun=record.pronoun,
         )
-        for a in range(len(ATTRIBUTES))
+        for attr, pick in zip(ATTRIBUTES, template_picks)
     ]
     return " ".join(sentences[a] for a in order)
 

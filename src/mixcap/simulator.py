@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -158,6 +159,7 @@ class SubsetExperiment:
     group (weights are normalized to sum to 1 before splitting). Every fact
     carries entropy_per_fact bits, defaulting to the biography-record
     entropy so corpus-derived universes line up with this builder.
+    ``capacity_grid`` must be strictly increasing, with finite entries >= 0.
     """
 
     group_count: int = 100
@@ -187,6 +189,11 @@ class SubsetExperiment:
             )
         if not self.capacity_grid:
             raise ValueError("capacity_grid must be non-empty")
+        for c in self.capacity_grid:
+            if not (math.isfinite(c) and c >= 0.0):
+                raise ValueError(f"capacity_grid entries must be finite and >= 0, got {c}")
+        if any(b <= a for a, b in zip(self.capacity_grid, self.capacity_grid[1:])):
+            raise ValueError("capacity_grid must be strictly increasing")
         if not 0.0 < self.accuracy_target < 1.0:
             raise ValueError(
                 f"accuracy_target must be in (0, 1), got {self.accuracy_target}"

@@ -126,3 +126,31 @@ def allocation_grid_oracle(mixture: MixtureUniverse, capacity: float, n=1000) ->
         loss2 = eval_web_loss(mixture.web, capacity - float(m1))
         best = min(best, r * loss1 + (1 - r) * loss2)
     return best
+
+
+def _splitmix64(x: int) -> int:
+    mask = (1 << 64) - 1
+    x &= mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+def feistel_name_index(i: int, seed: int, bound: int, walk: bool = True) -> int:
+    """Record i's name index, one record at a time in Python integers.
+
+    The 4-round Feistel permutation on 28-bit integers that the batched
+    ``corpus._permuted_indices`` must reproduce: round keys are recomputed
+    per round, and the image is re-permuted until it lands below ``bound``.
+    With walk=False, the first image is returned even if it is >= bound.
+    """
+    half_bits, half_mask = 14, (1 << 14) - 1
+    x = i
+    while True:
+        left, right = x >> half_bits, x & half_mask
+        for rnd in range(4):
+            f = _splitmix64(right + _splitmix64(seed + 0x9E3779B97F4A7C15 * (rnd + 1)))
+            left, right = right, left ^ (f & half_mask)
+        x = (left << half_bits) | right
+        if x < bound or not walk:
+            return x

@@ -298,6 +298,24 @@ class TestSubsets:
         run(["subsets", "--config", config, "--out", out2])
         assert out.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([-5, 1e9], "capacity_grid entries must be finite and >= 0, got -5.0"),
+            ([1e10, 1e9], "capacity_grid must be strictly increasing"),
+            ([1e9, 1e9], "capacity_grid must be strictly increasing"),
+        ],
+    )
+    def test_bad_capacity_grid_exits_2_naming_it(self, tmp_path, capsys, grid, message):
+        config = tmp_path / "subsets.json"
+        config.write_text(json.dumps({"group_count": 2, "group_size": 2, "capacity_grid": grid}))
+        out = tmp_path / "subsets.csv"
+        assert run(["subsets", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "total_capacity" not in err
+        assert not out.exists()
+
 
 class TestSynbio:
     def test_deterministic_jsonl(self, tmp_path):

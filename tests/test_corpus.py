@@ -1,13 +1,16 @@
 """Biography generation, rendering, partitions, and mixing plans."""
 
+import hashlib
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import feistel_name_index
 from mixcap.corpus import (
     ATTRIBUTES,
     ATTRIBUTE_ORDER,
@@ -24,6 +27,9 @@ from mixcap.corpus import (
     subsample_corpus,
     whitespace_tokens,
 )
+from mixcap.corpus import _MONTHS, _permuted_indices
+
+EXPECTED_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "expected_digests.json"
 
 
 class TestDomains:
@@ -53,6 +59,16 @@ class TestDomains:
         assert RECORD_ENTROPY_BITS == pytest.approx(expected, abs=1e-9)
         assert RECORD_ENTROPY_BITS == pytest.approx(45.59, abs=0.01)
 
+    def test_birth_dates_in_year_month_day_order(self):
+        expected = tuple(
+            f"{month} {day:02d}, {year}"
+            for year in range(1900, 2100, 2)
+            for month in _MONTHS
+            for day in range(1, 29)
+        )
+        assert ATTRIBUTES[0].name == "birth_date"
+        assert ATTRIBUTES[0].values == expected
+
     def test_anchor_values_present(self):
         by_name = {a.name: a for a in ATTRIBUTES}
         assert "St. Louis, MO" in by_name["birth_city"].values
@@ -61,7 +77,37 @@ class TestDomains:
         assert "Truist Financial" in by_name["employer"].values
 
 
+class TestNamePermutation:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 20250524])
+    def test_matches_per_record_reference(self, seed):
+        n = 2000
+        # About 40% of first images fall outside the product, so this count
+        # exercises cycle-walking.
+        assert any(
+            feistel_name_index(i, seed, NAME_PRODUCT_SIZE, walk=False) >= NAME_PRODUCT_SIZE
+            for i in range(n)
+        )
+        batched = _permuted_indices(n, seed)
+        assert batched.dtype == np.uint64
+        assert batched.tolist() == [feistel_name_index(i, seed, NAME_PRODUCT_SIZE) for i in range(n)]
+
+    def test_distinct_and_inside_the_product(self):
+        names = _permuted_indices(50_000, 7)
+        assert len(np.unique(names)) == names.size
+        assert int(names.max()) < NAME_PRODUCT_SIZE
+
+    def test_empty(self):
+        assert _permuted_indices(0, 3).size == 0
+
+
 class TestGenerateSynbio:
+    def test_jsonl_matches_stored_digest(self):
+        stored = json.loads(EXPECTED_DIGESTS.read_text())
+        records = generate_synbio(stored["count"], stored["seed"])
+        data = "".join(json.dumps(record_to_dict(r), sort_keys=True) + "\n" for r in records)
+        digest = hashlib.sha256(data.encode()).hexdigest()
+        assert digest == stored["sha256"]["generate_synbio.jsonl"]
+
     def test_empty(self):
         assert generate_synbio(0, seed=1) == []
 

@@ -170,6 +170,19 @@ class TestSweep:
 
 
 class TestSubsetExperiment:
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            ((-5.0, 1e9), "finite and >= 0"),
+            ((1e9, math.inf), "finite and >= 0"),
+            ((math.nan,), "finite and >= 0"),
+            ((1e10, 1e9), "strictly increasing"),
+        ],
+    )
+    def test_capacity_grid_validation(self, grid, match):
+        with pytest.raises(ValueError, match=f"capacity_grid.*{match}"):
+            SubsetExperiment(capacity_grid=grid)
+
     def test_saturated_capacity_gives_sentinel(self):
         exp = SubsetExperiment(
             group_count=5,
