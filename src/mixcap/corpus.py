@@ -10,9 +10,9 @@ attribute and a fresh sentence order per exposure.
 Generation is deterministic given a 64-bit master seed: record i derives its
 own random stream from (seed, i), so shards can be produced concurrently and
 concatenated in index order for bit-identical output. Names come from one
-seeded Feistel permutation of the record indices, computed in uint64 numpy
-for the whole batch; its images are part of the determinism contract, so
-the corpus bytes do not depend on how it is computed. Token accounting uses
+batched uint64 Feistel permutation of the record indices, seeded by the
+master seed and cycle-walked into the name product; its images are part of
+the determinism contract. Token accounting uses
 whitespace-delimited counts as a proxy tokenizer; only token ratios matter
 downstream.
 """
@@ -192,16 +192,8 @@ class BiographyRecord:
             raise ValueError(f"record is missing attributes: {missing}")
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer; a fixed 64-bit mixing function."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """_mix64 over a uint64 array, in place; uint64 products wrap mod 2**64."""
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array, in place; products wrap mod 2**64."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -220,13 +212,14 @@ def _permuted_indices(count: int, seed: int) -> np.ndarray:
     run in uint64 over the whole batch, and each cycle-walk step re-permutes
     only the images still outside the product.
     """
-    keys = [np.uint64(_mix64(seed + 0x9E3779B97F4A7C15 * (rnd + 1))) for rnd in range(4)]
+    starts = [(seed + 0x9E3779B97F4A7C15 * (rnd + 1)) & _MASK64 for rnd in range(4)]
+    keys = _mix64(np.array(starts, dtype=np.uint64))
     half_bits, half_mask = np.uint64(_HALF_BITS), np.uint64(_HALF_MASK)
 
     def rounds(x: np.ndarray) -> np.ndarray:
         left, right = x >> half_bits, x & half_mask
         for key in keys:
-            f = _mix64_array(right + key)
+            f = _mix64(right + key)
             left, right = right, left ^ (f & half_mask)
         return (left << half_bits) | right
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from mixcap.corpus import NAME_PRODUCT_SIZE
 from mixcap.universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -136,21 +137,24 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def feistel_name_index(i: int, seed: int, bound: int, walk: bool = True) -> int:
+def feistel_image(x: int, seed: int) -> int:
+    """One pass of the seeded 4-round Feistel permutation on 28-bit integers."""
+    half_bits, half_mask = 14, (1 << 14) - 1
+    left, right = x >> half_bits, x & half_mask
+    for rnd in range(4):
+        f = _splitmix64(right + _splitmix64(seed + 0x9E3779B97F4A7C15 * (rnd + 1)))
+        left, right = right, left ^ (f & half_mask)
+    return (left << half_bits) | right
+
+
+def feistel_name_index(i: int, seed: int) -> int:
     """Record i's name index, one record at a time in Python integers.
 
-    The 4-round Feistel permutation on 28-bit integers that the batched
-    ``corpus._permuted_indices`` must reproduce: round keys are recomputed
-    per round, and the image is re-permuted until it lands below ``bound``.
-    With walk=False, the first image is returned even if it is >= bound.
+    The permutation that the batched ``corpus._permuted_indices`` must
+    reproduce: round keys are recomputed per round, and the image is
+    re-permuted until it lands inside the name product.
     """
-    half_bits, half_mask = 14, (1 << 14) - 1
-    x = i
-    while True:
-        left, right = x >> half_bits, x & half_mask
-        for rnd in range(4):
-            f = _splitmix64(right + _splitmix64(seed + 0x9E3779B97F4A7C15 * (rnd + 1)))
-            left, right = right, left ^ (f & half_mask)
-        x = (left << half_bits) | right
-        if x < bound or not walk:
-            return x
+    x = feistel_image(i, seed)
+    while x >= NAME_PRODUCT_SIZE:
+        x = feistel_image(x, seed)
+    return x

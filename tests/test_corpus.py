@@ -1,6 +1,5 @@
 """Biography generation, rendering, partitions, and mixing plans."""
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import feistel_name_index
+from helpers import feistel_image, feistel_name_index
 from mixcap.corpus import (
     ATTRIBUTES,
     ATTRIBUTE_ORDER,
@@ -29,7 +28,7 @@ from mixcap.corpus import (
 )
 from mixcap.corpus import _MONTHS, _permuted_indices
 
-EXPECTED_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "expected_digests.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestDomains:
@@ -83,13 +82,10 @@ class TestNamePermutation:
         n = 2000
         # About 40% of first images fall outside the product, so this count
         # exercises cycle-walking.
-        assert any(
-            feistel_name_index(i, seed, NAME_PRODUCT_SIZE, walk=False) >= NAME_PRODUCT_SIZE
-            for i in range(n)
-        )
+        assert any(feistel_image(i, seed) >= NAME_PRODUCT_SIZE for i in range(n))
         batched = _permuted_indices(n, seed)
         assert batched.dtype == np.uint64
-        assert batched.tolist() == [feistel_name_index(i, seed, NAME_PRODUCT_SIZE) for i in range(n)]
+        assert batched.tolist() == [feistel_name_index(i, seed) for i in range(n)]
 
     def test_distinct_and_inside_the_product(self):
         names = _permuted_indices(50_000, 7)
@@ -100,14 +96,21 @@ class TestNamePermutation:
         assert _permuted_indices(0, 3).size == 0
 
 
-class TestGenerateSynbio:
-    def test_jsonl_matches_stored_digest(self):
-        stored = json.loads(EXPECTED_DIGESTS.read_text())
-        records = generate_synbio(stored["count"], stored["seed"])
-        data = "".join(json.dumps(record_to_dict(r), sort_keys=True) + "\n" for r in records)
-        digest = hashlib.sha256(data.encode()).hexdigest()
-        assert digest == stored["sha256"]["generate_synbio.jsonl"]
+class TestStoredDigests:
+    def test_artifacts_match_the_benchmark_digests(self, monkeypatch):
+        # The digests stored with the benchmark pin the bytes of
+        # generate_synbio, render_exposure, subsample_corpus and ckm_augment,
+        # so a corpus byte change fails here and not only in bench/digests.py.
+        monkeypatch.syspath_prepend(str(BENCH))
+        import digests
 
+        import mixcap
+
+        stored = json.loads(digests.EXPECTED.read_text())["sha256"]
+        assert digests.artifacts(mixcap) == stored
+
+
+class TestGenerateSynbio:
     def test_empty(self):
         assert generate_synbio(0, seed=1) == []
 
