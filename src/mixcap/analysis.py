@@ -178,15 +178,16 @@ def _fit_line(
     u_mean = float(u.mean())
     v_mean = float(v.mean())
     du = u - u_mean
-    suu = float(np.dot(du, du))
+    dv = v - v_mean
+    suu = math.fsum(memoryview(du * du))
     if suu == 0.0:
         raise ValueError(f"{model} fit needs varying regressor values")
-    slope = float(np.dot(du, v - v_mean) / suu)
+    slope = math.fsum(memoryview(du * dv)) / suu
     intercept = v_mean - slope * u_mean
     fitted = intercept + slope * u
     resid = v - fitted
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(v - v_mean, v - v_mean))
+    ss_res = math.fsum(memoryview(resid * resid))
+    ss_tot = math.fsum(memoryview(dv * dv))
     dof = n - 2
     resid_var = ss_res / dof if dof > 0 else 0.0
     tq = _t_quantile_975(dof) if dof > 0 else 0.0

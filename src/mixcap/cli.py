@@ -6,9 +6,9 @@ COMMANDS, and _params merges and checks every row in one pass, so config
 values and flags follow the same rules. All randomness flows from --seed,
 which generating commands require outright (no wall-clock fallback), so
 rerunning any command with the same config and seed produces byte-identical
-artifacts at the same BLAS thread count: a sweep's accuracy column comes
-from a BLAS dot product, whose last bits can depend on that count. Files are
-written atomically (temp file + rename) to keep long sweeps restartable.
+artifacts at any BLAS thread count: no result goes through a BLAS call.
+Files are written atomically (temp file + rename) to keep long sweeps
+restartable.
 
 Exit codes: 0 success, 2 usage or validation failure, 1 internal error.
 With --json-errors a machine-readable {"error": ...} object goes to stderr,
@@ -168,13 +168,18 @@ def _mixture_of(p) -> MixtureUniverse:
 # Command handlers: each takes the checked parameters from _params.
 
 
-def cmd_allocate(p) -> None:
-    alloc = optimal_allocation(_mixture_of(p), p.capacity)
-    if math.isinf(alloc.web_loss):
+def _finite_web_loss(web_loss: float, what: str) -> None:
+    """Refuse a capacity (named by what) whose solve leaves the web loss infinite."""
+    if math.isinf(web_loss):
         raise ValueError(
-            f"capacity {p.capacity} leaves the web loss infinite: "
+            f"{what} leaves the web loss infinite: "
             "a power-law web loss diverges as its capacity goes to 0"
         )
+
+
+def cmd_allocate(p) -> None:
+    alloc = optimal_allocation(_mixture_of(p), p.capacity)
+    _finite_web_loss(alloc.web_loss, f"capacity {p.capacity}")
     _write_out(p, "allocation.json", _json_text(alloc.to_dict()))
 
 
@@ -202,7 +207,12 @@ def cmd_sweep(p) -> None:
         grid=p.grid,
         total_capacity=p.capacity,
     )
-    out = _write_out(p, "sweep.csv", simulator.sweep_csv(simulator.sweep(sweep_config)))
+    rows = simulator.sweep(sweep_config)
+    on_grid = p.axis == "model_size"
+    for row in rows:
+        what = f"grid entry {row.axis_value}" if on_grid else f"capacity {p.capacity}"
+        _finite_web_loss(row.web_loss, what)
+    out = _write_out(p, "sweep.csv", simulator.sweep_csv(rows))
     # Sidecar threshold report for the swept configuration.
     try:
         sidecar = full_threshold_report(mixture, p.capacity).to_dict()

@@ -65,10 +65,12 @@ THRESHOLD_SENTINEL = "NA"
 class SweepConfig:
     """One-axis sweep specification.
 
-    ``grid`` must be strictly increasing. A mixing-ratio sweep holds
-    ``total_capacity`` fixed while r varies, so that field is required for
-    that axis; a model-size sweep takes its capacities from the grid. A
-    sweep reports the accuracy at every grid point and applies no target.
+    ``grid`` must be strictly increasing, its entries finite capacities >= 0
+    on a model-size axis and ratios in (0, 1) on a mixing-ratio axis. A
+    mixing-ratio sweep holds ``total_capacity`` fixed while r varies, so
+    that field is required for that axis; a model-size sweep takes its
+    capacities from the grid. A sweep reports the accuracy at every grid
+    point and applies no target.
     """
 
     mixture: MixtureUniverse
@@ -84,6 +86,11 @@ class SweepConfig:
             )
         if not self.grid:
             raise ValueError("grid must be non-empty")
+        for g in self.grid:
+            if self.sweep_axis == "model_size" and not (math.isfinite(g) and g >= 0.0):
+                raise ValueError(f"grid entries must be finite and >= 0, got {g}")
+            if self.sweep_axis == "mixing_ratio" and not 0.0 < g < 1.0:
+                raise ValueError(f"grid entries must be in (0, 1), got {g}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
         if self.sweep_axis == "mixing_ratio" and self.total_capacity is None:
@@ -101,17 +108,16 @@ class SweepRow:
 
 
 def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
-    """Entropy-weighted learned fraction, the share of H_tot actually stored.
+    """Share of the knowledge domain's entropy H_tot that the allocation stores.
 
-    Equals m1 / H_tot for uniform facts; a universe with no entropy to learn
-    vacuously scores 1. Numerator and denominator share one dot-product
-    formulation so fully learned universes score exactly 1.0.
+    This is m1 / H_tot, one correctly rounded division of the solve's own
+    knowledge capacity; in exact arithmetic it is the entropy-weighted
+    learned fraction. At m1 >= H_tot, where every fact is learned, it is
+    exactly 1.0; that covers a universe with no entropy to learn, and an m1
+    that the solve returns a few ulps above H_tot.
     """
-    h = knowledge.h
-    denom = float(np.dot(h, np.ones_like(h))) if len(h) else 0.0
-    if denom == 0.0:
-        return 1.0
-    return float(np.dot(h, allocation.learned) / denom)
+    m1, h_tot = allocation.knowledge_capacity, knowledge.h_tot
+    return 1.0 if m1 >= h_tot else m1 / h_tot
 
 
 def count_accuracy(allocation: Allocation) -> float:

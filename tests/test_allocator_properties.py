@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mixcap.allocator import optimal_allocation
+from mixcap.simulator import accuracy
 from mixcap.universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -279,6 +280,39 @@ class TestAllocationProperties:
             m1_low = optimal_allocation(mixture, total).knowledge_capacity
             m1_high = optimal_allocation(raised, total).knowledge_capacity
         assert m1_high >= m1_low
+
+
+class TestAccuracyProperties:
+    @PROPERTY_SETTINGS
+    @given(cases())
+    def test_in_unit_interval_and_one_exactly_when_all_learned(self, case):
+        mixture, total = case
+        with no_hang():
+            alloc = optimal_allocation(mixture, total)
+        acc = accuracy(alloc, mixture.knowledge)
+        assert 0.0 <= acc <= 1.0
+        assert (acc == 1.0) == bool(np.all(alloc.learned == 1.0))
+
+    @PROPERTY_SETTINGS
+    @given(cases(), log_uniform(-16, 1))
+    def test_monotone_in_capacity(self, case, step):
+        mixture, low = case
+        high = low + max(low, mixture.knowledge.h_tot) * step
+        with no_hang():
+            acc_low = accuracy(optimal_allocation(mixture, low), mixture.knowledge)
+            acc_high = accuracy(optimal_allocation(mixture, high), mixture.knowledge)
+        assert acc_high >= acc_low
+
+    def test_m1_ulps_above_h_tot_scores_one(self):
+        # The interior branch of the solve returns m1 one ulp above H_tot
+        # here (1.0000000000000018 against 1.0000000000000016), so a bare
+        # m1 / H_tot would read 1.0000000000000002.
+        knowledge = KnowledgeUniverse([0.5] + [0.01] * 10, [1.0] + [1.5e-16] * 10)
+        mixture = MixtureUniverse(knowledge, PowerLawCurve(1.0, 1e-3, 0.5), 0.1)
+        alloc = optimal_allocation(mixture, 1.5872301461753313)
+        assert alloc.knowledge_capacity > knowledge.h_tot
+        assert alloc.learned.tolist() == [1.0] * 11
+        assert accuracy(alloc, knowledge) == 1.0
 
 
 class TestMixtureJson:

@@ -274,6 +274,26 @@ class TestSweep:
         )
         assert len(out.read_text().strip().split("\n")) == 2
 
+    @pytest.mark.parametrize(
+        "axis, grid, capacity, message",
+        [
+            ("model_size", [-5, 1e3], None, "grid entries must be finite and >= 0, got -5.0"),
+            ("model_size", [1e3, 1e3], None, "grid must be strictly increasing"),
+            ("mixing_ratio", [0.1, 2.0], 4000.0, "grid entries must be in (0, 1), got 2.0"),
+            ("mixing_ratio", [0.0, 0.5], 4000.0, "grid entries must be in (0, 1), got 0.0"),
+            ("model_size", [0, 1e3], None, "grid entry 0.0 leaves the web loss infinite"),
+            ("mixing_ratio", [0.1, 0.5], 0.0, "capacity 0.0 leaves the web loss infinite"),
+        ],
+    )
+    def test_bad_grid_exits_2_naming_it(self, tmp_path, capsys, axis, grid, capacity, message):
+        doc = {"mixture": MIX_DOC["mixture"], "axis": axis, "grid": grid, "capacity": capacity}
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", _write_config(tmp_path, doc), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "total_capacity" not in err and "mixing_ratio must" not in err
+        assert list(tmp_path.glob("sweep*")) == []
+
 
 class TestSubsets:
     def test_outputs_and_determinism(self, tmp_path):

@@ -157,6 +157,14 @@ class TestSweep:
             SweepConfig(mixture=mix, sweep_axis="model_size", grid=(2.0, 1.0))
         with pytest.raises(ValueError, match="total_capacity"):
             SweepConfig(mixture=mix, sweep_axis="mixing_ratio", grid=(0.1, 0.2))
+        for grid in ((-5.0, 1e3), (1e3, math.inf), (math.nan,)):
+            with pytest.raises(ValueError, match=r"grid entries must be finite and >= 0"):
+                SweepConfig(mixture=mix, sweep_axis="model_size", grid=grid)
+        for grid in ((0.1, 2.0), (0.0, 0.5), (0.5, 1.0), (math.nan,)):
+            with pytest.raises(ValueError, match=r"grid entries must be in \(0, 1\)"):
+                SweepConfig(mixture=mix, sweep_axis="mixing_ratio", grid=grid, total_capacity=1e3)
+        # Each axis checks its own range: a capacity grid may start at 0 and pass 1.
+        SweepConfig(mixture=mix, sweep_axis="model_size", grid=(0.0, 2.0))
 
     def test_csv_shape(self):
         mix = uniform_mixture()
