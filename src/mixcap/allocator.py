@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,11 @@ __all__ = [
     "apply_ckm",
 ]
 
-@dataclass(frozen=True, eq=False)
+_SCALAR_FIELDS = (
+    "knowledge_capacity", "web_capacity", "knowledge_loss", "web_loss", "mixture_loss"
+)
+
+
 class Allocation:
     """An optimal capacity split and the losses it achieves.
 
@@ -52,32 +57,49 @@ class Allocation:
     float sum m1 + m2 can round to a neighbour of M at a rounding tie; no
     m1 that keeps the monotonicity avoids every such tie. learned holds the
     per-fact learned fraction in original fact order, as a read-only float64
-    array; an array passed in is viewed, not copied. Equality compares the
-    scalar fields and the learned values, and pickling keeps learned
-    read-only.
+    array; an array passed in is viewed, not copied. An allocation from
+    optimal_allocation holds the solve's frontier instead and builds learned
+    from m1 on first read, so a caller that never reads it never pays for a
+    fact-length array. Equality compares the scalar fields and the learned
+    values, hashing reads the scalar fields alone, and pickling keeps
+    learned read-only. Instances are immutable.
     """
 
-    knowledge_capacity: float
-    web_capacity: float
-    knowledge_loss: float
-    web_loss: float
-    mixture_loss: float
-    learned: np.ndarray
+    _frontier = None  # the solve's _FrontierCurve; None when learned was given
 
-    def __post_init__(self):
+    def __init__(self, knowledge_capacity: float, web_capacity: float, knowledge_loss: float,
+                 web_loss: float, mixture_loss: float, learned):
         # A view, so the caller's own array keeps its flags.
-        learned = np.asarray(self.learned, dtype=float).view()
+        learned = np.asarray(learned, dtype=float).view()
         learned.flags.writeable = False
-        object.__setattr__(self, "learned", learned)
+        scalars = (knowledge_capacity, web_capacity, knowledge_loss, web_loss, mixture_loss)
+        vars(self).update(zip(_SCALAR_FIELDS, scalars), learned=learned)
+
+    @classmethod
+    def _solved(cls, frontier, *scalars: float) -> Allocation:
+        """An allocation whose learned is frontier.fractions_at(m1), built on first read."""
+        alloc = cls.__new__(cls)
+        vars(alloc).update(zip(_SCALAR_FIELDS, scalars), _frontier=frontier)
+        return alloc
+
+    @cached_property
+    def learned(self) -> np.ndarray:
+        learned = self._frontier.fractions_at(self.knowledge_capacity)
+        learned.flags.writeable = False
+        return learned
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Allocation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Allocation is immutable; cannot delete {name!r}")
 
     def _scalars(self) -> tuple[float, ...]:
-        return (
-            self.knowledge_capacity,
-            self.web_capacity,
-            self.knowledge_loss,
-            self.web_loss,
-            self.mixture_loss,
-        )
+        return tuple(getattr(self, name) for name in _SCALAR_FIELDS)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SCALAR_FIELDS)
+        return f"Allocation({fields})"
 
     def __eq__(self, other):
         if not isinstance(other, Allocation):
@@ -87,7 +109,7 @@ class Allocation:
         )
 
     def __hash__(self):
-        return hash((*self._scalars(), self.learned.size))
+        return hash(self._scalars())
 
     def __reduce__(self):
         return Allocation, (*self._scalars(), self.learned)
@@ -168,9 +190,11 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     knowledge domain. Uniform frequencies give the closed form
     m1 = clip(M - m0_minus(r*p/(1-r)), 0, min(M, H_tot)).
 
-    The m0_minus values are cached per mixture (with np.power for a
-    power-law web, as full_threshold_report computes them), so a solve is a
-    bisection over the sorted facts plus one pass that writes learned.
+    The interior m1 is capped at H_tot, so that the bits a rounded bound
+    leaves past H_tot go to the web. The m0_minus values are cached per
+    mixture (with np.power for a power-law web, as full_threshold_report
+    computes them), so a solve is a bisection over the sorted facts plus
+    O(log K) work; the returned learned is built from m1 on first read.
     """
     if not (math.isfinite(total_capacity) and total_capacity >= 0.0):
         raise ValueError(
@@ -189,19 +213,15 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
         # h_tot is summed apart from cum_h, so it can pass M by an ulp.
         m1 = min(frontier.h_tot, total_capacity)
     else:
-        m1 = max(float(total_capacity - m0[j]), float(cum_h[j - 1]) if j else 0.0)
+        m1 = min(
+            max(float(total_capacity - m0[j]), float(cum_h[j - 1]) if j else 0.0),
+            frontier.h_tot,
+        )
 
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)
     loss2 = eval_web_loss(web, m2)
-    return Allocation(
-        knowledge_capacity=m1,
-        web_capacity=m2,
-        knowledge_loss=loss1,
-        web_loss=loss2,
-        mixture_loss=r * loss1 + (1.0 - r) * loss2,
-        learned=frontier.fractions_at(m1),
-    )
+    return Allocation._solved(frontier, m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2)
 
 
 def full_threshold_report(

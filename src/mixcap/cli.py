@@ -81,6 +81,13 @@ def _number(value, key: str) -> float:
     return number
 
 
+def _capacity(value, key: str) -> float:
+    capacity = _number(value, key)
+    if capacity < 0.0:
+        raise ValueError(f"{key} must be >= 0, got {capacity}")
+    return capacity
+
+
 def _integer(value, key: str) -> int:
     """An integer; an integral float such as 1e3 counts as one."""
     if isinstance(value, float) and value.is_integer():
@@ -117,7 +124,7 @@ def integer(text: str) -> int | float:
         return float(text)
 
 
-_FLAG_TYPES = {_number: float, _integer: integer, _seed: integer}
+_FLAG_TYPES = {_number: float, _capacity: float, _integer: integer, _seed: integer}
 
 
 class Param(NamedTuple):
@@ -190,6 +197,8 @@ def cmd_thresholds(p) -> None:
     # Model sizes are in bits, or in parameters of bits_per_param bits each.
     per_unit = p.bits_per_param if p.units == "params" else 1.0
     capacity_bits = None if p.capacity is None else p.capacity * per_unit
+    if capacity_bits is not None and not 0.0 < capacity_bits < math.inf:
+        raise ValueError(f"capacity must be > 0 and finite in bits, got {p.capacity}")
     doc = full_threshold_report(mixture, capacity_bits).to_dict()
     for key in ("m_lower", "m_upper", "m_asymptotic"):
         if doc[key] is not None:
@@ -347,7 +356,7 @@ _SEED = Param("seed", _seed, "--seed", required=True, help="64-bit master seed")
 COMMANDS = {
     "allocate": Command(cmd_allocate, "optimal capacity split for a mixture", (
         _MIXTURE,
-        Param("capacity", _number, "--capacity", required=True),
+        Param("capacity", _capacity, "--capacity", required=True),
         _RATIO,
     )),
     "thresholds": Command(cmd_thresholds, "phase-transition threshold report", (
@@ -361,7 +370,7 @@ COMMANDS = {
         _MIXTURE,
         Param("axis", _string, "--axis", required=True, choices=("model_size", "mixing_ratio")),
         Param("grid", _numbers, required=True),
-        Param("capacity", _number, "--capacity", help="fixed capacity for mixing_ratio sweeps"),
+        Param("capacity", _capacity, "--capacity", help="fixed capacity for mixing_ratio sweeps"),
         _RATIO,
     )),
     # Config only; an absent key keeps the SubsetExperiment default.

@@ -69,8 +69,9 @@ class SweepConfig:
     on a model-size axis and ratios in (0, 1) on a mixing-ratio axis. A
     mixing-ratio sweep holds ``total_capacity`` fixed while r varies, so
     that field is required for that axis; a model-size sweep takes its
-    capacities from the grid. A sweep reports the accuracy at every grid
-    point and applies no target.
+    capacities from the grid. ``total_capacity``, when given, must be finite
+    and >= 0. A sweep reports the accuracy at every grid point and applies
+    no target.
     """
 
     mixture: MixtureUniverse
@@ -95,6 +96,9 @@ class SweepConfig:
             raise ValueError("grid must be strictly increasing")
         if self.sweep_axis == "mixing_ratio" and self.total_capacity is None:
             raise ValueError("mixing_ratio sweeps need total_capacity")
+        capacity = self.total_capacity
+        if capacity is not None and not (math.isfinite(capacity) and capacity >= 0.0):
+            raise ValueError(f"total_capacity must be finite and >= 0, got {capacity}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,9 @@ def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
     This is m1 / H_tot, one correctly rounded division of the solve's own
     knowledge capacity; in exact arithmetic it is the entropy-weighted
     learned fraction. At m1 >= H_tot, where every fact is learned, it is
-    exactly 1.0; that covers a universe with no entropy to learn, and an m1
-    that the solve returns a few ulps above H_tot.
+    exactly 1.0; that covers a universe with no entropy to learn. A solve
+    caps m1 at H_tot, so the division never reads above 1; an Allocation
+    built by hand may still carry a larger m1.
     """
     m1, h_tot = allocation.knowledge_capacity, knowledge.h_tot
     return 1.0 if m1 >= h_tot else m1 / h_tot
@@ -123,12 +128,21 @@ def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
 def count_accuracy(allocation: Allocation) -> float:
     """Plain fraction of facts learned, weighting every fact equally.
 
-    Secondary metric kept alongside the entropy-weighted accuracy for
-    comparison with studies that count memorized items.
+    This is fsum(learned) / n, 1.0 when there are no facts. For a solve it
+    reads no array: the k learned prefix facts, the z zero-entropy facts
+    after them and the boundary fraction f of _FrontierCurve.boundary give
+    (k + z + f) / n, the same correctly rounded sum. Secondary metric kept
+    alongside the entropy-weighted accuracy for comparison with studies
+    that count memorized items.
     """
-    if not allocation.learned.size:
+    frontier = allocation._frontier
+    if frontier is None:
+        learned = allocation.learned.tolist()
+        return math.fsum(learned) / len(learned) if learned else 1.0
+    if not frontier.count:
         return 1.0
-    return float(np.mean(allocation.learned))
+    k, f, z = frontier.boundary(allocation.knowledge_capacity)
+    return ((k + z) + f) / frontier.count
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:

@@ -18,6 +18,7 @@ learning.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -383,38 +384,53 @@ class _FrontierCurve:
         self.cum_h = np.cumsum(self.h_sorted)
         self.cum_ph = np.cumsum(self.p_sorted * self.h_sorted)
         self.total_ph = float(self.cum_ph[-1]) if self.count else 0.0
-        # Zero-entropy facts, by original index: any positive budget learns them.
-        self.zero_entropy = np.flatnonzero(h == 0.0)
+        # Sorted positions of the zero-entropy facts: any positive budget learns them.
+        self.zero_sorted = np.flatnonzero(self.h_sorted == 0.0)
 
     def loss_at(self, capacity: float) -> float:
         if self.count == 0 or capacity >= self.h_tot:
             return self.c1
         if capacity <= 0.0:
             return self.c1 + self.total_ph
-        k = int(np.searchsorted(self.cum_h, capacity, side="right"))
+        k = bisect.bisect_right(self.cum_h, capacity)
         learned = float(self.cum_ph[k - 1]) if k > 0 else 0.0
         if k < self.count:
             prev = float(self.cum_h[k - 1]) if k > 0 else 0.0
             learned += float(self.p_sorted[k]) * (capacity - prev)
         return self.c1 + (self.total_ph - learned)
 
+    def boundary(self, capacity: float) -> tuple[int, float, int]:
+        """(k, f, z): the learned layout at a capacity, in O(log K).
+
+        The first k sorted facts are fully learned, sorted fact k (if k < K)
+        holds the fraction f, and the z zero-entropy facts at sorted
+        positions >= k are fully learned too; every other fact is 0.
+        """
+        if capacity >= self.h_tot:
+            return self.count, 0.0, 0
+        if not capacity > 0.0:
+            return 0, 0.0, 0
+        k = bisect.bisect_right(self.cum_h, capacity)
+        f = 0.0
+        if k < self.count and self.h_sorted[k] > 0.0:
+            prev = float(self.cum_h[k - 1]) if k > 0 else 0.0
+            f = (capacity - prev) / float(self.h_sorted[k])
+        z = self.zero_sorted.size - bisect.bisect_left(self.zero_sorted, k)
+        return k, f, z
+
     def fractions_at(self, capacity: float) -> np.ndarray:
-        """Learned fraction of every fact in original order.
+        """Learned fraction of every fact in original order, laid out by boundary.
 
         Only the learned prefix, the boundary fact and the zero-entropy
-        facts are written through the sort order; the rest stay 0.
+        facts after it are written through the sort order; the rest stay 0.
         """
-        n = self.count
-        if capacity >= self.h_tot:
-            return np.ones(n)
-        fractions = np.zeros(n)
-        if capacity > 0.0:
-            k = int(np.searchsorted(self.cum_h, capacity, side="right"))
-            fractions[self.order[:k]] = 1.0
-            if k < n and self.h_sorted[k] > 0.0:
-                prev = float(self.cum_h[k - 1]) if k > 0 else 0.0
-                fractions[self.order[k]] = (capacity - prev) / self.h_sorted[k]
-            fractions[self.zero_entropy] = 1.0
+        k, f, z = self.boundary(capacity)
+        fractions = np.zeros(self.count)
+        fractions[self.order[:k]] = 1.0
+        if f:
+            fractions[self.order[k]] = f
+        if z:
+            fractions[self.order[self.zero_sorted[-z:]]] = 1.0
         return fractions
 
 

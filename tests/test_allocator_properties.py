@@ -11,6 +11,7 @@ for bit.
 import contextlib
 import json
 import math
+import pickle
 import signal
 from dataclasses import replace
 from datetime import timedelta
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixcap.allocator import optimal_allocation
-from mixcap.simulator import accuracy
+from mixcap.allocator import Allocation, optimal_allocation
+from mixcap.simulator import accuracy, count_accuracy
 from mixcap.universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -145,7 +146,7 @@ def linear_scan_allocation(mixture, total):
     if j == len(bound):
         m1 = min(frontier.h_tot, total)
     else:
-        m1 = max(float(bound[j]), float(frontier.cum_h[j - 1]) if j else 0.0)
+        m1 = min(max(float(bound[j]), float(frontier.cum_h[j - 1]) if j else 0.0), frontier.h_tot)
     m2 = total - m1
     loss1, loss2 = frontier.loss_at(m1), eval_web_loss(web, m2)
     learned = full_fractions(frontier, m1)
@@ -304,15 +305,60 @@ class TestAccuracyProperties:
         assert acc_high >= acc_low
 
     def test_m1_ulps_above_h_tot_scores_one(self):
-        # The interior branch of the solve returns m1 one ulp above H_tot
-        # here (1.0000000000000018 against 1.0000000000000016), so a bare
-        # m1 / H_tot would read 1.0000000000000002.
+        # The interior bound of the solve lands one ulp above H_tot here
+        # (1.0000000000000018 against 1.0000000000000016); the solve caps m1
+        # at H_tot and gives the leftover bits to the web.
         knowledge = KnowledgeUniverse([0.5] + [0.01] * 10, [1.0] + [1.5e-16] * 10)
         mixture = MixtureUniverse(knowledge, PowerLawCurve(1.0, 1e-3, 0.5), 0.1)
-        alloc = optimal_allocation(mixture, 1.5872301461753313)
-        assert alloc.knowledge_capacity > knowledge.h_tot
+        total = 1.5872301461753313
+        alloc = optimal_allocation(mixture, total)
+        assert alloc.knowledge_capacity == knowledge.h_tot
+        assert alloc.web_capacity == total - knowledge.h_tot
         assert alloc.learned.tolist() == [1.0] * 11
         assert accuracy(alloc, knowledge) == 1.0
+        assert count_accuracy(alloc) == 1.0
+
+    @PROPERTY_SETTINGS
+    @given(cases())
+    def test_count_accuracy_is_the_fsum_of_learned(self, case):
+        mixture, total = case
+        with no_hang():
+            alloc = optimal_allocation(mixture, total)
+        learned = alloc.learned
+        assert count_accuracy(alloc) == math.fsum(learned.tolist()) / learned.size
+
+    def test_count_accuracy_of_an_empty_universe_is_one(self):
+        empty = MixtureUniverse(KnowledgeUniverse([], []), PowerLawCurve(1.0, 1.0, 0.5), 0.5)
+        alloc = optimal_allocation(empty, 10.0)
+        assert count_accuracy(alloc) == 1.0
+        assert count_accuracy(Allocation(*_scalars(alloc), alloc.learned)) == 1.0
+
+
+def _scalars(alloc):
+    return (
+        alloc.knowledge_capacity,
+        alloc.web_capacity,
+        alloc.knowledge_loss,
+        alloc.web_loss,
+        alloc.mixture_loss,
+    )
+
+
+class TestLazyLearned:
+    @PROPERTY_SETTINGS
+    @given(cases())
+    def test_lazy_and_explicit_allocations_agree(self, case):
+        mixture, total = case
+        with no_hang():
+            lazy = optimal_allocation(mixture, total)
+        frontier = mixture.knowledge._frontier
+        assert lazy.learned.tobytes() == frontier.fractions_at(lazy.knowledge_capacity).tobytes()
+        explicit = Allocation(*_scalars(lazy), lazy.learned)
+        assert lazy == explicit and hash(lazy) == hash(explicit)
+        assert pickle.loads(pickle.dumps(lazy)) == pickle.loads(pickle.dumps(explicit))
+        assert lazy.to_dict() == explicit.to_dict()
+        assert json.dumps(lazy.to_dict()) == json.dumps(explicit.to_dict())
+        assert count_accuracy(lazy) == count_accuracy(explicit)
 
 
 class TestMixtureJson:

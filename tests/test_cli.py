@@ -65,11 +65,12 @@ class TestAllocate:
     def test_non_finite_capacity_exits_2_naming_parameter(
         self, tmp_path, config_path, capsys
     ):
-        for value in ("nan", "inf"):
+        for value in ("nan", "inf", "-5"):
             out = tmp_path / f"{value}.json"
             code = run(["allocate", "--config", config_path, "--capacity", value, "--out", out])
             assert code == 2
-            assert "capacity" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "capacity" in err and "total_capacity" not in err
             assert not out.exists()
 
     def test_json_errors_flag(self, tmp_path, config_path, capsys):
@@ -152,11 +153,12 @@ class TestThresholds:
     def test_non_finite_capacity_exits_2_naming_parameter(
         self, tmp_path, config_path, capsys
     ):
-        for value in ("nan", "inf"):
+        for value in ("nan", "inf", "-5", "0"):
             out = tmp_path / f"{value}.json"
             code = run(["thresholds", "--config", config_path, "--capacity", value, "--out", out])
             assert code == 2
-            assert "capacity" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "capacity" in err and "total_capacity" not in err
             assert not out.exists()
 
     def test_non_finite_bits_per_param_exits_2(self, tmp_path, config_path, capsys):
@@ -283,6 +285,8 @@ class TestSweep:
             ("mixing_ratio", [0.0, 0.5], 4000.0, "grid entries must be in (0, 1), got 0.0"),
             ("model_size", [0, 1e3], None, "grid entry 0.0 leaves the web loss infinite"),
             ("mixing_ratio", [0.1, 0.5], 0.0, "capacity 0.0 leaves the web loss infinite"),
+            ("mixing_ratio", [0.1, 0.5], -5.0, "capacity must be >= 0, got -5.0"),
+            ("model_size", [1e3, 2e3], -5.0, "capacity must be >= 0, got -5.0"),
         ],
     )
     def test_bad_grid_exits_2_naming_it(self, tmp_path, capsys, axis, grid, capacity, message):

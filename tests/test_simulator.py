@@ -165,6 +165,11 @@ class TestSweep:
                 SweepConfig(mixture=mix, sweep_axis="mixing_ratio", grid=grid, total_capacity=1e3)
         # Each axis checks its own range: a capacity grid may start at 0 and pass 1.
         SweepConfig(mixture=mix, sweep_axis="model_size", grid=(0.0, 2.0))
+        # A fixed capacity fails when the config is built, not at the first point.
+        for axis, grid in (("mixing_ratio", (0.1, 0.2)), ("model_size", (1.0, 2.0))):
+            for capacity in (-5.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="total_capacity must be finite and >= 0"):
+                    SweepConfig(mixture=mix, sweep_axis=axis, grid=grid, total_capacity=capacity)
 
     def test_csv_shape(self):
         mix = uniform_mixture()
@@ -175,6 +180,54 @@ class TestSweep:
         lines = text.strip().split("\n")
         assert lines[0] == "axis,accuracy,accuracy_count,knowledge_loss,web_loss,mixture_loss"
         assert len(lines) == 3
+
+
+def hetero_mixture(k=2000, seed=3):
+    rng = np.random.default_rng(seed)
+    raw = rng.pareto(1.5, k) + 1.0
+    h = rng.uniform(20.0, 60.0, k)
+    h[rng.choice(k, 20, replace=False)] = 0.0
+    return MixtureUniverse(
+        KnowledgeUniverse(raw / raw.sum(), h, 0.5), PowerLawCurve(1.0, 1e5, 0.3), 0.05
+    )
+
+
+class TestLazyLearned:
+    def test_scoring_a_solve_builds_no_learned_array(self, monkeypatch):
+        mix = hetero_mixture()
+        frontier, m0 = mix.knowledge._frontier, mix._frontier_m0
+        capacities = tuple(np.geomspace(0.5 * m0[0], 2.0 * (m0[-1] + frontier.h_tot), 25).tolist())
+
+        def refuse(self, capacity):
+            raise AssertionError("fractions_at called")
+
+        monkeypatch.setattr(type(frontier), "fractions_at", refuse)
+        rows = sweep(SweepConfig(mixture=mix, sweep_axis="model_size", grid=capacities))
+        assert any(0.0 < row.accuracy_count < 1.0 for row in rows)
+        sweep(SweepConfig(mixture=mix, sweep_axis="mixing_ratio", grid=(0.01, 0.05, 0.5),
+                          total_capacity=capacities[12]))
+        alloc = optimal_allocation(mix, capacities[12])
+        accuracy(alloc, mix.knowledge)
+        count_accuracy(alloc)
+        hash(alloc)
+
+    def test_learned_is_built_once_on_first_read(self, monkeypatch):
+        mix = hetero_mixture()
+        frontier_type = type(mix.knowledge._frontier)
+        build = frontier_type.fractions_at
+        calls = []
+
+        def counted(self, capacity):
+            calls.append(capacity)
+            return build(self, capacity)
+
+        monkeypatch.setattr(frontier_type, "fractions_at", counted)
+        alloc = optimal_allocation(mix, 0.5 * mix.knowledge.h_tot + 1e4)
+        assert calls == []
+        first = alloc.learned
+        assert calls == [alloc.knowledge_capacity]
+        assert alloc.learned is first
+        assert len(calls) == 1
 
 
 class TestSubsetExperiment:
