@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,76 +43,40 @@ __all__ = [
     "apply_ckm",
 ]
 
-_SCALAR_FIELDS = (
-    "knowledge_capacity", "web_capacity", "knowledge_loss", "web_loss", "mixture_loss"
-)
 
-
+@dataclass(frozen=True)
 class Allocation:
-    """An optimal capacity split and the losses it achieves.
+    """An optimal capacity split, the losses it achieves and its universe.
 
     knowledge_capacity (m1) and web_capacity (m2) are in bits. m2 is the
     correctly rounded M - m1 for the total capacity M, so the exact sum
     m1 + m2 is within half an ulp of M, and m1 is non-decreasing in M. The
     float sum m1 + m2 can round to a neighbour of M at a rounding tie; no
-    m1 that keeps the monotonicity avoids every such tie. learned holds the
-    per-fact learned fraction in original fact order, as a read-only float64
-    array; an array passed in is viewed, not copied. An allocation from
-    optimal_allocation holds the solve's frontier instead and builds learned
-    from m1 on first read, so a caller that never reads it never pays for a
-    fact-length array. Equality compares the scalar fields and the learned
-    values, hashing reads the scalar fields alone, and pickling keeps
-    learned read-only. Instances are immutable.
+    m1 that keeps the monotonicity avoids every such tie. knowledge is the
+    universe the split was solved on. learned, the per-fact learned
+    fraction in original fact order as a read-only float64 array, is built
+    from m1 on that universe's frontier on first read, so a caller that
+    never reads it never pays for a fact-length array. Equality compares
+    the scalar fields and the universe, hashing reads the scalar fields and
+    the universe's O(1) hash, and pickling carries the universe, so a list
+    of allocations from one universe pickles it once. Instances are
+    immutable.
     """
 
-    _frontier = None  # the solve's _FrontierCurve; None when learned was given
-
-    def __init__(self, knowledge_capacity: float, web_capacity: float, knowledge_loss: float,
-                 web_loss: float, mixture_loss: float, learned):
-        # A view, so the caller's own array keeps its flags.
-        learned = np.asarray(learned, dtype=float).view()
-        learned.flags.writeable = False
-        scalars = (knowledge_capacity, web_capacity, knowledge_loss, web_loss, mixture_loss)
-        vars(self).update(zip(_SCALAR_FIELDS, scalars), learned=learned)
-
-    @classmethod
-    def _solved(cls, frontier, *scalars: float) -> Allocation:
-        """An allocation whose learned is frontier.fractions_at(m1), built on first read."""
-        alloc = cls.__new__(cls)
-        vars(alloc).update(zip(_SCALAR_FIELDS, scalars), _frontier=frontier)
-        return alloc
+    knowledge_capacity: float
+    web_capacity: float
+    knowledge_loss: float
+    web_loss: float
+    mixture_loss: float
+    knowledge: KnowledgeUniverse = field(repr=False)
 
     @cached_property
     def learned(self) -> np.ndarray:
-        learned = self._frontier.fractions_at(self.knowledge_capacity)
-        learned.flags.writeable = False
-        return learned
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Allocation is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Allocation is immutable; cannot delete {name!r}")
-
-    def _scalars(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in _SCALAR_FIELDS)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SCALAR_FIELDS)
-        return f"Allocation({fields})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Allocation):
-            return NotImplemented
-        return self._scalars() == other._scalars() and np.array_equal(
-            self.learned, other.learned
-        )
-
-    def __hash__(self):
-        return hash(self._scalars())
+        return self.knowledge._frontier.fractions_at(self.knowledge_capacity)
 
     def __reduce__(self):
-        return Allocation, (*self._scalars(), self.learned)
+        # Rebuilt through __init__, so a learned already built is not pickled.
+        return Allocation, tuple(getattr(self, f.name) for f in fields(self))
 
     def to_dict(self) -> dict:
         return {
@@ -221,7 +185,7 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)
     loss2 = eval_web_loss(web, m2)
-    return Allocation._solved(frontier, m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2)
+    return Allocation(m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2, mixture.knowledge)
 
 
 def full_threshold_report(

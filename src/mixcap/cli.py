@@ -190,16 +190,21 @@ def cmd_allocate(p) -> None:
     _write_out(p, "allocation.json", _json_text(alloc.to_dict()))
 
 
+def _threshold_report(mixture: MixtureUniverse, capacity, per_unit: float = 1.0) -> dict:
+    """The threshold report at capacity units of per_unit bits (None: no capacity)."""
+    capacity_bits = None if capacity is None else capacity * per_unit
+    if capacity_bits is not None and not 0.0 < capacity_bits < math.inf:
+        raise ValueError(f"capacity must be > 0 and finite in bits, got {capacity}")
+    return full_threshold_report(mixture, capacity_bits).to_dict()
+
+
 def cmd_thresholds(p) -> None:
     mixture = _mixture_of(p)
     if p.bits_per_param <= 0.0:
         raise ValueError(f"bits_per_param must be > 0, got {p.bits_per_param}")
     # Model sizes are in bits, or in parameters of bits_per_param bits each.
     per_unit = p.bits_per_param if p.units == "params" else 1.0
-    capacity_bits = None if p.capacity is None else p.capacity * per_unit
-    if capacity_bits is not None and not 0.0 < capacity_bits < math.inf:
-        raise ValueError(f"capacity must be > 0 and finite in bits, got {p.capacity}")
-    doc = full_threshold_report(mixture, capacity_bits).to_dict()
+    doc = _threshold_report(mixture, p.capacity, per_unit)
     for key in ("m_lower", "m_upper", "m_asymptotic"):
         if doc[key] is not None:
             doc[key] = doc[key] / per_unit
@@ -224,7 +229,7 @@ def cmd_sweep(p) -> None:
     out = _write_out(p, "sweep.csv", simulator.sweep_csv(rows))
     # Sidecar threshold report for the swept configuration.
     try:
-        sidecar = full_threshold_report(mixture, p.capacity).to_dict()
+        sidecar = _threshold_report(mixture, p.capacity)
     except ValueError as exc:
         sidecar = {"error": str(exc)}
     _atomic_write(out.with_name(out.stem + "_thresholds.json"), _json_text(sidecar))

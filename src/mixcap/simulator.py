@@ -128,17 +128,14 @@ def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
 def count_accuracy(allocation: Allocation) -> float:
     """Plain fraction of facts learned, weighting every fact equally.
 
-    This is fsum(learned) / n, 1.0 when there are no facts. For a solve it
-    reads no array: the k learned prefix facts, the z zero-entropy facts
-    after them and the boundary fraction f of _FrontierCurve.boundary give
-    (k + z + f) / n, the same correctly rounded sum. Secondary metric kept
-    alongside the entropy-weighted accuracy for comparison with studies
-    that count memorized items.
+    This is fsum(learned) / n, 1.0 when there are no facts, and it reads no
+    array: the k learned prefix facts, the z zero-entropy facts after them
+    and the boundary fraction f that the allocation's universe gives at m1
+    (_FrontierCurve.boundary) make (k + z + f) / n, the same correctly
+    rounded sum. Secondary metric kept alongside the entropy-weighted
+    accuracy for comparison with studies that count memorized items.
     """
-    frontier = allocation._frontier
-    if frontier is None:
-        learned = allocation.learned.tolist()
-        return math.fsum(learned) / len(learned) if learned else 1.0
+    frontier = allocation.knowledge._frontier
     if not frontier.count:
         return 1.0
     k, f, z = frontier.boundary(allocation.knowledge_capacity)

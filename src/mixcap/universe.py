@@ -56,9 +56,10 @@ class KnowledgeUniverse:
     Facts are stored as two read-only float64 columns, copied from the
     arguments: ``p`` (exposure frequencies, each in (0, 1], summing to at
     most 1) and ``h`` (target entropies, bits, each finite and >= 0, with a
-    finite total). irreducible_loss is the loss that remains with unbounded
-    capacity (the floor of the domain's loss curve). The sorted frontier is
-    built on first use and shared by every later solve on this universe.
+    finite total). irreducible_loss, stored as a float, is the loss that
+    remains with unbounded capacity (the floor of the domain's loss curve).
+    The sorted frontier is built on first use and shared by every later
+    solve on this universe.
     """
 
     def __init__(self, p, h, irreducible_loss: float = 0.0):
@@ -96,7 +97,7 @@ class KnowledgeUniverse:
         h.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "irreducible_loss", irreducible_loss)
+        object.__setattr__(self, "irreducible_loss", float(irreducible_loss))
         object.__setattr__(self, "h_tot", h_tot)
 
     def __setattr__(self, name, value):
@@ -392,12 +393,17 @@ class _FrontierCurve:
             return self.c1
         if capacity <= 0.0:
             return self.c1 + self.total_ph
-        k = bisect.bisect_right(self.cum_h, capacity)
+        k, rest = self._prefix(capacity)
         learned = float(self.cum_ph[k - 1]) if k > 0 else 0.0
         if k < self.count:
-            prev = float(self.cum_h[k - 1]) if k > 0 else 0.0
-            learned += float(self.p_sorted[k]) * (capacity - prev)
+            learned += float(self.p_sorted[k]) * rest
         return self.c1 + (self.total_ph - learned)
+
+    def _prefix(self, capacity: float) -> tuple[int, float]:
+        """(k, rest): the k sorted facts whose cumulative entropy fits in
+        capacity, and the bits capacity - cum_h[k - 1] left past them."""
+        k = bisect.bisect_right(self.cum_h, capacity)
+        return k, capacity - (float(self.cum_h[k - 1]) if k > 0 else 0.0)
 
     def boundary(self, capacity: float) -> tuple[int, float, int]:
         """(k, f, z): the learned layout at a capacity, in O(log K).
@@ -410,16 +416,16 @@ class _FrontierCurve:
             return self.count, 0.0, 0
         if not capacity > 0.0:
             return 0, 0.0, 0
-        k = bisect.bisect_right(self.cum_h, capacity)
+        k, rest = self._prefix(capacity)
         f = 0.0
         if k < self.count and self.h_sorted[k] > 0.0:
-            prev = float(self.cum_h[k - 1]) if k > 0 else 0.0
-            f = (capacity - prev) / float(self.h_sorted[k])
+            f = rest / float(self.h_sorted[k])
         z = self.zero_sorted.size - bisect.bisect_left(self.zero_sorted, k)
         return k, f, z
 
     def fractions_at(self, capacity: float) -> np.ndarray:
-        """Learned fraction of every fact in original order, laid out by boundary.
+        """Learned fraction of every fact in original order, laid out by
+        boundary, as a new read-only float64 array.
 
         Only the learned prefix, the boundary fact and the zero-entropy
         facts after it are written through the sort order; the rest stay 0.
@@ -431,23 +437,25 @@ class _FrontierCurve:
             fractions[self.order[k]] = f
         if z:
             fractions[self.order[self.zero_sorted[-z:]]] = 1.0
+        fractions.flags.writeable = False
         return fractions
 
 
 def knowledge_frontier(
     knowledge: KnowledgeUniverse, capacity: float
-) -> tuple[float, list[float]]:
+) -> tuple[float, np.ndarray]:
     """Best loss over the knowledge domain alone, plus per-fact learned fractions.
 
     Capacity is spent greedily on the most frequently exposed facts first
     (ties broken by original fact index, for determinism); the fact at the
     boundary is learned fractionally. With uniform frequencies this matches
-    warmup_loss exactly.
+    warmup_loss exactly. The fractions come in original fact order as a
+    read-only float64 array, the type of Allocation.learned.
     """
     if capacity < 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     frontier = knowledge._frontier
-    return frontier.loss_at(capacity), frontier.fractions_at(capacity).tolist()
+    return frontier.loss_at(capacity), frontier.fractions_at(capacity)
 
 
 # ---------------------------------------------------------------------------

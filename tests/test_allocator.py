@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,38 +207,57 @@ class TestAllocationValue:
         with pytest.raises(AttributeError):
             alloc.learned = np.zeros(10)
 
-    def test_array_passed_in_is_viewed_and_keeps_its_flags(self):
-        learned = np.array([1.0, 0.25, 0.0])
-        alloc = Allocation(1.25, 2.0, 3.0, 4.0, 3.5, learned)
-        assert np.shares_memory(alloc.learned, learned)
-        assert learned.flags.writeable and not alloc.learned.flags.writeable
-
     def test_pickle_round_trip_stays_read_only(self):
         alloc = self._alloc()
+        alloc.learned  # built before pickling, and still not carried by it
         back = pickle.loads(pickle.dumps(alloc))
         assert back == alloc and hash(back) == hash(alloc)
+        assert "learned" not in vars(back)
         assert not back.learned.flags.writeable
+        assert back.learned.tobytes() == alloc.learned.tobytes()
+
+    def test_pickled_solves_share_one_universe(self):
+        mix = _uniform_mixture(p=4e-4, k=2000)
+        allocs = [optimal_allocation(mix, m) for m in np.linspace(0.0, 2e4, 20).tolist()]
+        data = pickle.dumps(allocs)
+        assert len(data) < 1.5 * len(pickle.dumps(mix.knowledge))
+        back = pickle.loads(data)
+        assert back == allocs
+        assert all(a.knowledge is back[0].knowledge for a in back)
+        assert back[0].knowledge is not mix.knowledge
+        for before, after in zip(allocs, back):
+            assert not after.learned.flags.writeable
+            assert after.learned.tobytes() == before.learned.tobytes()
 
     def test_equality_and_hash(self):
         alloc = self._alloc()
-        scalars = (
-            alloc.knowledge_capacity,
-            alloc.web_capacity,
-            alloc.knowledge_loss,
-            alloc.web_loss,
-            alloc.mixture_loss,
-        )
-        same = Allocation(*scalars, tuple(alloc.learned.tolist()))
+        rebuilt = _uniform_mixture(k=10)
+        assert rebuilt.knowledge is not alloc.knowledge
+        same = optimal_allocation(rebuilt, 4025.0)
         assert same == alloc and hash(same) == hash(alloc)
-        changed = alloc.learned.copy()
-        changed[-1] = 0.5
-        assert Allocation(*scalars, changed) != alloc
-        assert Allocation(*scalars, alloc.learned[:-1]) != alloc
-        for i in range(len(scalars)):
-            moved = list(scalars)
-            moved[i] = math.nextafter(moved[i], math.inf)
-            assert Allocation(*moved, alloc.learned) != alloc
+        assert same.learned.tobytes() == alloc.learned.tobytes()
+        p, h = alloc.knowledge.p.copy(), alloc.knowledge.h.copy()
+        p[3] = math.nextafter(p[3], 0.0)
+        h[7] = 6.0
+        for changed in (
+            KnowledgeUniverse(p, alloc.knowledge.h, 1.0),
+            KnowledgeUniverse(alloc.knowledge.p, h, 1.0),
+            KnowledgeUniverse(alloc.knowledge.p, alloc.knowledge.h, 1.5),
+        ):
+            assert replace(alloc, knowledge=changed) != alloc
+        for name in ("knowledge_capacity", "web_capacity", "knowledge_loss", "web_loss",
+                     "mixture_loss"):
+            moved = math.nextafter(getattr(alloc, name), math.inf)
+            assert replace(alloc, **{name: moved}) != alloc
         assert alloc != alloc.to_dict()
+
+    def test_repr_shows_the_scalars_only(self):
+        alloc = Allocation(1.25, 2.0, 3.0, 4.0, 3.5, KnowledgeUniverse([0.5], [2.0]))
+        assert repr(alloc) == (
+            "Allocation(knowledge_capacity=1.25, web_capacity=2.0, knowledge_loss=3.0, "
+            "web_loss=4.0, mixture_loss=3.5)"
+        )
+        assert alloc.learned.tolist() == [0.625]
 
     def test_to_dict_holds_python_floats(self):
         doc = self._alloc().to_dict()

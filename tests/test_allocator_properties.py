@@ -331,7 +331,7 @@ class TestAccuracyProperties:
         empty = MixtureUniverse(KnowledgeUniverse([], []), PowerLawCurve(1.0, 1.0, 0.5), 0.5)
         alloc = optimal_allocation(empty, 10.0)
         assert count_accuracy(alloc) == 1.0
-        assert count_accuracy(Allocation(*_scalars(alloc), alloc.learned)) == 1.0
+        assert count_accuracy(Allocation(*_scalars(alloc), KnowledgeUniverse([], []))) == 1.0
 
 
 def _scalars(alloc):
@@ -351,9 +351,12 @@ class TestLazyLearned:
         mixture, total = case
         with no_hang():
             lazy = optimal_allocation(mixture, total)
-        frontier = mixture.knowledge._frontier
+        knowledge = mixture.knowledge
+        frontier = knowledge._frontier
         assert lazy.learned.tobytes() == frontier.fractions_at(lazy.knowledge_capacity).tobytes()
-        explicit = Allocation(*_scalars(lazy), lazy.learned)
+        # The same split on an equal universe built apart, with its own frontier.
+        rebuilt = KnowledgeUniverse(knowledge.p, knowledge.h, knowledge.irreducible_loss)
+        explicit = Allocation(*_scalars(lazy), rebuilt)
         assert lazy == explicit and hash(lazy) == hash(explicit)
         assert pickle.loads(pickle.dumps(lazy)) == pickle.loads(pickle.dumps(explicit))
         assert lazy.to_dict() == explicit.to_dict()

@@ -73,6 +73,17 @@ class TestAllocate:
             assert "capacity" in err and "total_capacity" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("c1", [0, 2])
+    def test_integer_c1_is_written_as_a_float(self, tmp_path, c1):
+        mixture = {"knowledge": {"facts": [{"p": 0.001, "h": 5.0}], "c1": c1},
+                   "web": {"tabulated": [[0, 10], [100, 5], [1000, 4]]}, "r": 0.25}
+        out = tmp_path / "a.json"
+        config = _write_config(tmp_path, {"mixture": mixture, "capacity": 2000.0})
+        assert run(["allocate", "--config", config, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["learned"] == [1.0]
+        assert type(doc["loss1"]) is float and doc["loss1"] == c1
+
     def test_json_errors_flag(self, tmp_path, config_path, capsys):
         code = run(
             [
@@ -297,6 +308,19 @@ class TestSweep:
         assert message in err
         assert "total_capacity" not in err and "mixing_ratio must" not in err
         assert list(tmp_path.glob("sweep*")) == []
+
+    @pytest.mark.parametrize("axis, grid", [("model_size", [100.0, 500.0]),
+                                            ("mixing_ratio", [0.1, 0.5])])
+    def test_sidecar_names_capacity(self, tmp_path, axis, grid):
+        mixture = {"knowledge": {"facts": [{"p": 0.001, "h": 5.0}]},
+                   "web": {"tabulated": [[0, 10], [100, 5], [1000, 4]]}, "r": 0.25}
+        doc = {"mixture": mixture, "axis": axis, "grid": grid, "capacity": 0}
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", _write_config(tmp_path, doc), "--out", out]) == 0
+        assert len(out.read_text().strip().split("\n")) == 3
+        sidecar = (tmp_path / "sweep_thresholds.json").read_text()
+        assert json.loads(sidecar) == {"error": "capacity must be > 0 and finite in bits, got 0.0"}
+        assert "total_capacity" not in sidecar
 
 
 class TestSubsets:

@@ -17,6 +17,7 @@ from helpers import (
     make_tabulated,
     make_uniform_knowledge,
 )
+from mixcap.allocator import optimal_allocation
 from mixcap.simulator import SweepConfig, sweep
 from mixcap.universe import (
     KnowledgeUniverse,
@@ -442,14 +443,14 @@ class TestKnowledgeFrontier:
         ku = KnowledgeUniverse([0.5, 0.1], [2.0, 4.0])
         loss, learned = knowledge_frontier(ku, 2.0)
         assert loss == pytest.approx(0.4, abs=1e-9)
-        assert learned == [1.0, 0.0]
+        assert learned.tolist() == [1.0, 0.0]
         assert loss == pytest.approx(frontier_grid_oracle(ku, 2.0, 1e-3), abs=1e-3)
 
     def test_two_fact_fractional(self):
         ku = KnowledgeUniverse([0.5, 0.1], [2.0, 4.0])
         loss, learned = knowledge_frontier(ku, 4.0)
         assert loss == pytest.approx(0.2, abs=1e-9)
-        assert learned == [1.0, 0.5]
+        assert learned.tolist() == [1.0, 0.5]
         assert loss == pytest.approx(frontier_grid_oracle(ku, 4.0, 1e-3), abs=1e-3)
 
     def test_zero_capacity(self):
@@ -480,13 +481,24 @@ class TestKnowledgeFrontier:
     def test_tie_break_by_index(self):
         ku = KnowledgeUniverse([0.2, 0.2], [2.0, 2.0])
         _, learned = knowledge_frontier(ku, 2.0)
-        assert learned == [1.0, 0.0]
+        assert learned.tolist() == [1.0, 0.0]
+
+    def test_fractions_are_the_read_only_array_of_a_solve(self):
+        mix = MixtureUniverse(
+            KnowledgeUniverse([0.5, 0.1, 0.2], [2.0, 4.0, 1.0]), PowerLawCurve(1.0, 1.0, 0.5), 0.5
+        )
+        alloc = optimal_allocation(mix, 5.0)
+        loss, learned = knowledge_frontier(mix.knowledge, alloc.knowledge_capacity)
+        assert type(learned) is np.ndarray and learned.dtype == np.float64
+        assert not learned.flags.writeable
+        assert learned.tobytes() == alloc.learned.tobytes()
+        assert loss == alloc.knowledge_loss
 
     def test_full_capacity_learns_everything_exactly(self):
         rng = np.random.default_rng(37)
         ku = make_hetero_knowledge(rng)
         loss, learned = knowledge_frontier(ku, ku.h_tot)
-        assert learned == [1.0] * ku.fact_count
+        assert learned.tolist() == [1.0] * ku.fact_count
         assert loss == pytest.approx(ku.irreducible_loss, abs=1e-12)
 
 
@@ -514,6 +526,17 @@ class TestSerialization:
         doc = json.loads(json.dumps(mixture_to_dict(mix)))
         assert doc["web"]["tabulated"] == [[0, 10], [10, 5], [30, 3]]
         assert mixture_from_dict(doc) == mix
+
+    @pytest.mark.parametrize("c1", [0, 2])
+    def test_integer_c1_is_stored_and_returned_as_a_float(self, c1):
+        doc = {"knowledge": {"facts": [{"p": 0.1, "h": 1.0}], "c1": c1},
+               "web": {"power_law": {"c": 1.0, "a": 10.0, "alpha": 0.4}}, "r": 0.2}
+        knowledge = mixture_from_dict(doc).knowledge
+        assert type(knowledge.irreducible_loss) is float and knowledge.irreducible_loss == c1
+        assert repr(mixture_to_dict(mixture_from_dict(doc))["knowledge"]["c1"]) == f"{c1}.0"
+        for ku, capacity in ((knowledge, 1.0), (KnowledgeUniverse([], [], c1), 0.0)):
+            loss, _ = knowledge_frontier(ku, capacity)
+            assert type(loss) is float and loss == c1
 
     def test_missing_field_reported(self):
         with pytest.raises(ValueError, match="missing field"):
