@@ -260,8 +260,8 @@ def cmd_synbio(p) -> None:
         text = _json_text(docs)
     _write_out(p, f"synbio.{p.format}", text)
     if p.render_out:
-        lines = [corpus.render_exposure(r, corpus.render_seed(p.seed, i))
-                 for i, r in enumerate(records)]
+        lines = [corpus.render_exposure(r, seed)
+                 for r, seed in zip(records, corpus.render_seeds(p.seed, len(records)))]
         _atomic_write(Path(p.render_out), "\n".join(lines) + "\n")
 
 
@@ -288,8 +288,8 @@ def cmd_mixplan(p) -> None:
         if not records:
             raise ValueError("records file is empty; cannot measure tokens_per_fact")
         tokens_per_fact = sum(
-            corpus.whitespace_tokens(corpus.render_exposure(r, corpus.render_seed(p.seed, i)))
-            for i, r in enumerate(records)
+            corpus.whitespace_tokens(corpus.render_exposure(r, seed))
+            for r, seed in zip(records, corpus.render_seeds(p.seed, len(records)))
         ) / len(records)
     plan = corpus.plan_mixture(
         total_tokens=p.total_tokens,

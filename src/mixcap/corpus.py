@@ -7,21 +7,30 @@ fixed domains, and a full name drawn without replacement from a
 five sentences, one per attribute, with a fresh template choice per
 attribute and a fresh sentence order per exposure.
 
-Generation is deterministic given a 64-bit master seed: record i derives its
-own random stream from (seed, i), so shards can be produced concurrently and
-concatenated in index order for bit-identical output. Names come from one
+Generation is deterministic given a master seed, an int in [0, 2**64):
+record i derives its own random stream from (seed, i), so shards can be
+produced concurrently and concatenated in index order for bit-identical
+output. The streams are computed for a whole batch as array code, and the
+three algorithms behind them are part of the determinism contract: the
+SeedSequence hashmix with a pool of 4 words derives each stream's seed,
+PCG64 (setseq-128 with XSL-RR output) generates it, and 32-bit Lemire
+rejection on its 32-bit halves, low half first, turns it into bounded
+draws. Writing them out pins the corpus to them, not to numpy's
+``Generator``, whose streams may change between releases
+(https://numpy.org/neps/nep-0019-rng-policy.html). Names come from one
 batched uint64 Feistel permutation of the record indices, seeded by the
 master seed and cycle-walked into the name product; its images are part of
-the determinism contract. Token accounting uses
-whitespace-delimited counts as a proxy tokenizer; only token ratios matter
-downstream.
+the determinism contract too. Token accounting uses whitespace-delimited
+counts as a proxy tokenizer; only token ratios matter downstream.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Sequence
 
@@ -42,6 +51,7 @@ __all__ = [
     "subsample_corpus",
     "ckm_augment",
     "render_seed",
+    "render_seeds",
     "whitespace_tokens",
     "record_to_dict",
     "record_from_dict",
@@ -69,14 +79,6 @@ _LAST = _load_list("last_names.json")
 NAME_PRODUCT_SIZE = len(_FIRST) * len(_MIDDLE) * len(_LAST)
 
 
-def _birth_dates() -> tuple[str, ...]:
-    # 28 days x 12 months x 100 years (every other year of 1900-2098), ordered
-    # by year, then month, then day. The 336 "Month DD, " prefixes and the 100
-    # years are formatted once each; every cold import pays for this tuple.
-    prefixes = [f"{month} {day:02d}, " for month in _MONTHS for day in range(1, 29)]
-    return tuple(prefix + year for year in map(str, range(1900, 2100, 2)) for prefix in prefixes)
-
-
 @dataclass(frozen=True)
 class AttributeDomain:
     """One biography attribute: its value domain and its five templates."""
@@ -92,10 +94,29 @@ class AttributeDomain:
             )
 
 
+class _BirthDateDomain(AttributeDomain):
+    """The birth-date domain, whose 33,600 values are built on first read.
+
+    Generation formats birth dates from its draws and never reads this
+    tuple, so no import pays for it.
+    """
+
+    def __init__(self, templates: tuple[str, ...]):
+        super().__init__("birth_date", (), templates)
+        del self.__dict__["values"]  # let the first read reach values below
+
+    @cached_property
+    def values(self) -> tuple[str, ...]:
+        # 28 days x 12 months x 100 years (every other year of 1900-2098),
+        # ordered by year, then month, then day. The 336 "Month DD, "
+        # prefixes and the 100 years are formatted once each.
+        prefixes = [f"{month} {day:02d}, " for month in _MONTHS for day in range(1, 29)]
+        return tuple(prefix + year for year in map(str, range(1900, 2100, 2))
+                     for prefix in prefixes)
+
+
 ATTRIBUTES = (
-    AttributeDomain(
-        name="birth_date",
-        values=_birth_dates(),
+    _BirthDateDomain(
         templates=(
             "{name} was born on {value}.",
             "{name} came into this world on {value}.",
@@ -154,7 +175,8 @@ ATTRIBUTE_ORDER = tuple(a.name for a in ATTRIBUTES)
 _DOMAIN_BY_NAME = {a.name: a for a in ATTRIBUTES}
 
 # The domain cardinalities are part of the artifact contract; fail loudly if
-# the shipped data files ever drift.
+# the shipped data files ever drift. The generated birth-date domain is left
+# unbuilt here; its size, order and uniqueness are pinned by the tests.
 _EXPECTED_DOMAIN_SIZES = {
     "birth_date": 33_600,
     "birth_city": 200,
@@ -162,7 +184,7 @@ _EXPECTED_DOMAIN_SIZES = {
     "major": 100,
     "employer": 263,
 }
-for _attr in ATTRIBUTES:
+for _attr in ATTRIBUTES[1:]:
     if len(_attr.values) != _EXPECTED_DOMAIN_SIZES[_attr.name]:
         raise RuntimeError(
             f"attribute domain {_attr.name} has {len(_attr.values)} values, "
@@ -173,7 +195,7 @@ for _attr in ATTRIBUTES:
 
 # Entropy of one biography: the five attribute values are independent and
 # uniform, so it is the sum of log2 domain sizes (~45.59 bits).
-RECORD_ENTROPY_BITS = sum(math.log2(len(a.values)) for a in ATTRIBUTES)
+RECORD_ENTROPY_BITS = sum(math.log2(size) for size in _EXPECTED_DOMAIN_SIZES.values())
 
 _PRONOUNS = ("his", "her", "their")
 
@@ -234,40 +256,206 @@ def _permuted_indices(count: int, seed: int) -> np.ndarray:
 
 
 # Spawn-key tags of the streams derived from a master seed besides the
-# per-record attribute streams; see _seed_sequence.
+# per-record attribute streams, whose key is the one word (i,). A two-part
+# key (tag, index) is a different hash input from any one-part key, so these
+# streams cannot repeat a per-record stream: _CKM_RENDER_TAG renders record
+# ``index`` to count ckm_augment's original tokens; _CKM_FLIP_TAG (index 0)
+# drives ckm_augment's field flips; _RENDER_TAG renders record ``index`` for
+# the CLI (synbio --render-out and mixplan's measured tokens_per_fact).
 _CKM_RENDER_TAG = 10
 _CKM_FLIP_TAG = 11
 _RENDER_TAG = 12
 
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's 128-bit
+# LCG multiplier (pcg64.h), split into 64-bit halves.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_DRAW_BLOCK = 1 << 14
 
-def _seed_sequence(seed: int, *spawn_key: int) -> np.random.SeedSequence:
-    """Seed sequence of the stream with ``spawn_key`` under master ``seed``.
 
-    Record i's attributes use the one-part key (i,). Every other stream has
-    a two-part key (tag, index): _CKM_RENDER_TAG renders record ``index`` to
-    count ckm_augment's original tokens; _CKM_FLIP_TAG (index 0) drives
-    ckm_augment's field flips; _RENDER_TAG renders record ``index`` for the
-    CLI (synbio --render-out and mixplan's measured tokens_per_fact).
-    SeedSequence hashes every spawn-key word into its pool in turn, so a
-    two-part key is a different hash input from any one-part key and its
-    stream cannot repeat a per-record stream.
+def _check_int(name: str, value, bits: int) -> None:
+    """Refuse anything but an int (not a bool) in [0, 2**bits), naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash step of ``value``; returns it and the next constant.
+
+    ``value`` is a Python int below 2**32 or a uint32 array. Every Python int
+    that meets an array is below 2**32 too, so array arithmetic stays uint32
+    and wraps mod 2**32 under the casting rules of numpy 1.x and 2.x alike.
     """
-    return np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    value = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(seed: int, spawn_key: tuple, n_words: int) -> list:
+    """``SeedSequence(seed, spawn_key).generate_state(n_words)``, word by word.
+
+    Each spawn-key part is one word: a Python int below 2**32, or a uint32
+    array to hash a whole batch of keys at once. ``seed`` is below 2**64, so
+    its words zero-padded to the pool size of 4 are (low, high, 0, 0). Words
+    that do not depend on an array part stay Python ints, so the seed's pool
+    is mixed once per call and only the array parts run per element.
+    """
+    entropy = [seed & _MASK32, seed >> 32, 0, 0, *spawn_key]
+    const, pool = _INIT_A, []
+    for word in entropy[:4]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    const, words = _INIT_B, []
+    for k in range(n_words):
+        value, const = _hashmix(pool[k % 4], const, _MULT_B)
+        words.append(value)
+    return words
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 ``a`` and the constant ``b``."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    low = a0 * b0
+    mid = a1 * b0 + (low >> _SHIFT32)
+    cross = a0 * b1 + (mid & _LOW32)
+    return a1 * b1 + (mid >> _SHIFT32) + (cross >> _SHIFT32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo).astype(np.uint64), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + increment mod 2**128 on (high, low) uint64 halves."""
+    prod_hi = (_mulhi64(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI)
+               + hi * np.uint64(_PCG_MULT_LO))
+    return _add128(prod_hi, lo * np.uint64(_PCG_MULT_LO), inc_hi, inc_lo)
+
+
+def _pcg_words(state: tuple, n_outputs: int) -> tuple[np.ndarray, tuple]:
+    """The next ``n_outputs`` PCG64 outputs of each stream as 32-bit words.
+
+    ``state`` is the (high, low, increment high, increment low) uint64 arrays
+    of the streams; each output is a step followed by the XSL-RR of the new
+    state: its halves xor-ed, rotated right by its top 6 bits. Returns the
+    words, low half first, one row per stream, and the advanced state.
+    """
+    hi, lo, inc_hi, inc_lo = state
+    outs = []
+    for _ in range(n_outputs):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        outs.append(x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63)))
+    out = np.stack(outs, axis=1)
+    words = np.stack([out & _LOW32, out >> _SHIFT32], axis=2).reshape(len(hi), 2 * n_outputs)
+    return words, (hi, lo, inc_hi, inc_lo)
+
+
+def _attribute_draws(seed: int, indices: np.ndarray, lows, highs) -> np.ndarray:
+    """Row j is ``default_rng(SeedSequence(seed, spawn_key=(i,))).integers(lows, highs)``
+    for record ``i = indices[j]``, an index below 2**32.
+
+    The whole batch runs as array code in three stages. Seeding: the
+    SeedSequence hash of every key (i,) and its first 4 uint64 words
+    (_seed_words). PCG64 (setseq-128) on (high, low) uint64 halves: state 0,
+    step, add the initial state, step (_pcg_words). Draws: 32-bit Lemire
+    rejection on the outputs' 32-bit words, low half first. A draw takes the
+    next word while the low word of ``word * size`` is below 2**32 mod size,
+    which shifts every later draw of that record by one word. So all rows
+    are drawn at once from the word positions 0..len(lows)-1; each record
+    that rejected shifts the positions from its first rejected draw on and
+    is drawn again, until no record rejects. Each range ``highs - lows``
+    must lie in [2, 2**32].
+    """
+    lows = np.asarray(lows, dtype=np.int64)
+    sizes = np.asarray(highs, dtype=np.int64) - lows
+    if not ((sizes >= 2) & (sizes <= 1 << 32)).all():
+        raise ValueError(f"every range must be in [2, 2**32], got {sizes.tolist()}")
+    multipliers, thresholds = sizes.astype(np.uint64), ((1 << 32) % sizes).astype(np.uint64)
+    key = np.asarray(indices, dtype=np.uint32)
+    seed_words = [w.astype(np.uint64) for w in _seed_words(seed, (key,), 8)]
+    init_hi, init_lo, seq_hi, seq_lo = (
+        seed_words[k] | seed_words[k + 1] << _SHIFT32 for k in range(0, 8, 2)
+    )
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, init_hi, init_lo), inc_hi, inc_lo)
+    words, state = _pcg_words((hi, lo, inc_hi, inc_lo), (sizes.size + 1) // 2)
+
+    columns = np.arange(sizes.size)
+    draws = np.empty((key.size, sizes.size), dtype=np.int64)
+    rows = np.arange(key.size)
+    pos = np.broadcast_to(columns, draws.shape)
+    while rows.size:
+        if pos[:, -1].max() >= words.shape[1]:
+            more, state = _pcg_words(state, 1)
+            words = np.hstack([words, more])
+        scaled = np.take_along_axis(words, pos, axis=1) * multipliers
+        draws[rows] = (scaled >> _SHIFT32).astype(np.int64) + lows
+        rejected = (scaled & _LOW32) < thresholds
+        retry = rejected.any(axis=1)
+        first = rejected[retry].argmax(axis=1)
+        rows, words, state = rows[retry], words[retry], tuple(x[retry] for x in state)
+        pos = pos[retry] + (columns >= first[:, None])
+    return draws
+
+
+def render_seeds(seed: int, count: int, tag: int = _RENDER_TAG) -> list[int]:
+    """``render_seed(seed, i, tag)`` for i in range(count), hashed as one batch."""
+    _check_int("seed", seed, 64)
+    _check_int("count", count, 32)
+    _check_int("tag", tag, 32)
+    return _seed_words(seed, (tag, np.arange(count, dtype=np.uint32)), 1)[0].tolist()
 
 
 def render_seed(seed: int, index: int, tag: int = _RENDER_TAG) -> int:
-    """32-bit render_exposure seed for record ``index`` of a corpus with master ``seed``."""
-    return int(_seed_sequence(seed, tag, index).generate_state(1)[0])
+    """32-bit render_exposure seed for record ``index`` of a corpus with master ``seed``.
+
+    It is ``SeedSequence(seed, spawn_key=(tag, index)).generate_state(1)[0]``.
+    """
+    _check_int("seed", seed, 64)
+    _check_int("index", index, 32)
+    _check_int("tag", tag, 32)
+    return int(_seed_words(seed, (tag, np.array([index], dtype=np.uint32)), 1)[0][0])
 
 
 def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
     """Generate ``count`` biographies with distinct names, deterministically.
 
-    Attribute values are independent and uniform over their domains. The
-    per-record draw layout (one block of 8 integers: day, month, year, city,
-    university, major, employer, pronoun) is part of the determinism
-    contract.
+    Attribute values are independent and uniform over their domains. Record
+    i draws one block of 8 integers (day, month, year, city, university,
+    major, employer, pronoun) from its own stream, the one numpy's
+    ``default_rng(SeedSequence(seed, spawn_key=(i,))).integers`` gives; the
+    layout and the three algorithms behind it are part of the determinism
+    contract: the SeedSequence hashmix with a pool of 4 words, PCG64
+    (setseq-128) with XSL-RR output, and 32-bit Lemire rejection on the
+    outputs' halves, low half first. They run here as batched array code
+    (_attribute_draws), so the corpus is pinned to those algorithms and not
+    to ``Generator.integers``, whose streams may change between numpy
+    releases (https://numpy.org/neps/nep-0019-rng-policy.html). ``seed``
+    must be an int in [0, 2**64).
     """
+    _check_int("seed", seed, 64)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count > NAME_PRODUCT_SIZE:
@@ -275,36 +463,34 @@ def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
             f"count must be <= {NAME_PRODUCT_SIZE} (the unique-name product), got {count}"
         )
     n_first, n_middle = len(_FIRST), len(_MIDDLE)
-    lows = np.array([1, 0, 0, 0, 0, 0, 0, 0])
-    highs = np.array(
-        [
-            29,
-            12,
-            100,
-            len(_DOMAIN_BY_NAME["birth_city"].values),
-            len(_DOMAIN_BY_NAME["university"].values),
-            len(_DOMAIN_BY_NAME["major"].values),
-            len(_DOMAIN_BY_NAME["employer"].values),
-            len(_PRONOUNS),
-        ]
+    cities, universities, majors, employers = (
+        _DOMAIN_BY_NAME[name].values for name in ATTRIBUTE_ORDER[1:]
+    )
+    lows = [1, 0, 0, 0, 0, 0, 0, 0]
+    highs = [29, 12, 100, len(cities), len(universities), len(majors), len(employers),
+             len(_PRONOUNS)]
+    # Blocks of _DRAW_BLOCK records bound the memory of the draw arrays.
+    blocks = (np.arange(start, min(start + _DRAW_BLOCK, count))
+              for start in range(0, count, _DRAW_BLOCK))
+    draws = itertools.chain.from_iterable(
+        _attribute_draws(seed, block, lows, highs).tolist() for block in blocks
     )
     records = []
-    for i, name_idx in enumerate(_permuted_indices(count, seed).tolist()):
+    for name_idx, row in zip(_permuted_indices(count, seed).tolist(), draws):
         first = _FIRST[name_idx % n_first]
         middle = _MIDDLE[(name_idx // n_first) % n_middle]
         last = _LAST[name_idx // (n_first * n_middle)]
-        draws = np.random.default_rng(_seed_sequence(seed, i)).integers(lows, highs)
-        day, month, year_step, city, uni, major, employer, pron = draws.tolist()
+        day, month, year_step, city, uni, major, employer, pron = row
         year = 1900 + 2 * year_step
         records.append(
             BiographyRecord(
                 full_name=f"{first} {middle} {last}",
                 attribute_values={
                     "birth_date": f"{_MONTHS[month]} {day:02d}, {year}",
-                    "birth_city": _DOMAIN_BY_NAME["birth_city"].values[city],
-                    "university": _DOMAIN_BY_NAME["university"].values[uni],
-                    "major": _DOMAIN_BY_NAME["major"].values[major],
-                    "employer": _DOMAIN_BY_NAME["employer"].values[employer],
+                    "birth_city": cities[city],
+                    "university": universities[uni],
+                    "major": majors[major],
+                    "employer": employers[employer],
                 },
                 pronoun=_PRONOUNS[pron],
             )
@@ -447,21 +633,22 @@ def ckm_augment(
     birth-date and employer fields flipped with probability 1/2, cycling over
     the records until the compact token budget is met. The original token
     count is measured from one deterministic rendering pass over the records
-    (seeded from the same master seed). Returns
+    (seeded from the same master seed, an int in [0, 2**64)). Returns
     (texts, original_tokens, compact_tokens, realized_ratio).
     """
     if ckm_ratio < 0.0:
         raise ValueError(f"ckm_ratio must be >= 0, got {ckm_ratio}")
     records = list(records)
-    original_tokens = 0
-    for i, record in enumerate(records):
-        text = render_exposure(record, render_seed(seed, i, _CKM_RENDER_TAG))
-        original_tokens += whitespace_tokens(text)
+    original_tokens = sum(
+        whitespace_tokens(render_exposure(record, render))
+        for record, render in zip(records, render_seeds(seed, len(records), _CKM_RENDER_TAG))
+    )
     target = ckm_ratio * original_tokens
     texts: list[str] = []
     compact_tokens = 0
     if records and target > 0.0:
-        flip_rng = np.random.default_rng(_seed_sequence(seed, _CKM_FLIP_TAG, 0))
+        flips = np.random.SeedSequence(seed, spawn_key=(_CKM_FLIP_TAG, 0))
+        flip_rng = np.random.default_rng(flips)
         i = 0
         while compact_tokens < target:
             record = records[i % len(records)]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -23,12 +26,29 @@ from mixcap.corpus import (
     record_from_dict,
     record_to_dict,
     render_exposure,
+    render_seed,
+    render_seeds,
     subsample_corpus,
     whitespace_tokens,
 )
-from mixcap.corpus import _MONTHS, _permuted_indices
+from mixcap.corpus import _DRAW_BLOCK, _MONTHS, _attribute_draws, _permuted_indices
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 20250524]
+SYNBIO_LOWS = [1, 0, 0, 0, 0, 0, 0, 0]
+SYNBIO_HIGHS = [29, 12, 100, 200, 300, 100, 263, 3]
+
+
+def reference_draws(seed, indices, lows, highs):
+    """numpy's own per-record draws, and whether each stream ended on a half word."""
+    rows, odd = [], []
+    for i in indices:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        rows.append(rng.integers(lows, highs).tolist())
+        odd.append(rng.bit_generator.state["has_uint32"])
+    return rows, odd
 
 
 class TestDomains:
@@ -108,6 +128,135 @@ class TestStoredDigests:
 
         stored = json.loads(digests.EXPECTED.read_text())["sha256"]
         assert digests.artifacts(mixcap) == stored
+
+
+class TestAttributeDraws:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "lows, highs",
+        [
+            (SYNBIO_LOWS, SYNBIO_HIGHS),
+            # 2**32 mod (2**31 + 1) = 2**31 - 1, so about half of all draws
+            # are rejected: rejection chains run long, and a column draws
+            # from a low or a high half word depending on the record.
+            ([0] * 8, [2**31 + 1] * 8),
+            # An odd column count, both ends of [2, 2**32], negative lows.
+            ([-5, 0, 0, 10, -(2**31)], [2**31 - 4, 2, 2**32, 13, 2**31 - 5]),
+        ],
+    )
+    def test_matches_numpy_generator(self, seed, lows, highs):
+        count = 300
+        draws = _attribute_draws(seed, np.arange(count), lows, highs)
+        expected, odd = reference_draws(seed, range(count), lows, highs)
+        assert draws.dtype == np.int64 and draws.shape == (count, len(lows))
+        assert draws.tolist() == expected
+        if highs[0] == 2**31 + 1:
+            # A stream that ends on a half word used an odd number of words,
+            # so it rejected and its later draws changed half-word alignment.
+            assert 0 < sum(odd) < count
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_smallest_batches(self, seed, count):
+        for highs in (SYNBIO_HIGHS, [2**31 + 1] * 8):
+            draws = _attribute_draws(seed, np.arange(count), SYNBIO_LOWS, highs)
+            assert draws.shape == (count, 8)
+            assert draws.tolist() == reference_draws(seed, range(count), SYNBIO_LOWS, highs)[0]
+
+    def test_records_across_a_draw_block_boundary(self):
+        # generate_synbio draws _DRAW_BLOCK records at a time; the records on
+        # both sides of a block boundary keep numpy's draws and the layout.
+        start, stop = _DRAW_BLOCK - 2, _DRAW_BLOCK + 2
+        records = generate_synbio(stop, 3)[start:]
+        rows, _ = reference_draws(3, range(start, stop), SYNBIO_LOWS, SYNBIO_HIGHS)
+        values = {a.name: a.values for a in ATTRIBUTES[1:]}
+        for record, (day, month, year, city, uni, major, employer, pron) in zip(records, rows):
+            assert record.attribute_values == {
+                "birth_date": f"{_MONTHS[month]} {day:02d}, {1900 + 2 * year}",
+                "birth_city": values["birth_city"][city],
+                "university": values["university"][uni],
+                "major": values["major"][major],
+                "employer": values["employer"][employer],
+            }
+            assert record.pronoun == ("his", "her", "their")[pron]
+
+    @pytest.mark.parametrize("highs", [[1], [2**32 + 1]])
+    def test_range_outside_the_32_bit_path_is_refused(self, highs):
+        with pytest.raises(ValueError, match="range"):
+            _attribute_draws(1, np.arange(3), [0], highs)
+
+
+class TestRenderSeeds:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batch_matches_seed_sequence(self, seed):
+        for tag in (10, 12):
+            expected = [
+                int(np.random.SeedSequence(seed, spawn_key=(tag, i)).generate_state(1)[0])
+                for i in range(300)
+            ]
+            assert render_seeds(seed, 300, tag) == expected
+            assert [render_seed(seed, i, tag) for i in (0, 1, 299)] == [
+                expected[0], expected[1], expected[299]
+            ]
+        assert render_seeds(seed, 300) == render_seeds(seed, 300, 12)
+        assert render_seeds(seed, 0) == []
+
+    def test_last_one_word_index(self):
+        key = (12, 2**32 - 1)
+        expected = int(np.random.SeedSequence(5, spawn_key=key).generate_state(1)[0])
+        assert render_seed(5, 2**32 - 1) == expected
+        with pytest.raises(ValueError, match="index"):
+            render_seed(5, 2**32)
+
+
+class TestBatchedSeeding:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("SeedSequence", "default_rng"):
+            def counted(*args, _name=name, _original=getattr(np.random, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        return calls
+
+    def test_generation_makes_no_per_record_stream(self, calls):
+        records = generate_synbio(1000, 7)
+        assert len(records) == 1000
+        assert calls["SeedSequence"] <= 2 and calls["default_rng"] <= 2
+
+    def test_render_seeds_make_no_per_record_stream(self, calls):
+        assert len(render_seeds(7, 1000)) == 1000
+        records = generate_synbio(1000, 7)
+        ckm_augment(records, 0.1, 7)
+        # render_exposure keeps one stream per record; the seeds it gets
+        # come from one batch.
+        assert calls["SeedSequence"] <= 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+    def test_seed_outside_the_domain_is_refused(self, seed):
+        records = generate_synbio(2, 1)
+        for call in (
+            lambda: generate_synbio(2, seed),
+            lambda: render_seed(seed, 0),
+            lambda: render_seeds(seed, 2),
+            lambda: ckm_augment(records, 0.5, seed),
+        ):
+            with pytest.raises(ValueError, match="seed"):
+                call()
+
+    def test_birth_dates_are_built_on_first_read(self):
+        probe = (
+            "from mixcap.corpus import ATTRIBUTES, generate_synbio\n"
+            "generate_synbio(50, 3)\n"
+            "domain = ATTRIBUTES[0]\n"
+            "assert 'values' not in vars(domain)\n"
+            "assert len(domain.values) == 33_600 and vars(domain)['values'] is domain.values\n"
+        )
+        path = [str(SRC), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 class TestGenerateSynbio:
