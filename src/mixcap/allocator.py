@@ -196,15 +196,17 @@ def full_threshold_report(
     Model size: at or below m0_minus(r*p/(1-r)) the optimal learner stores
     no facts; at or above m0_plus(r*p/(1-r)) + H_tot it stores all of them.
     For a power-law web curve the two m0 values coincide and the report
-    carries (A*alpha*(1-r)/(r*p)) ** (1/(alpha+1)) as the nominal single
-    threshold along with the scaling exponent alpha + 1.
+    carries m0_minus, (A*alpha*(1-r)/(r*p)) ** (1/(alpha+1)), as the nominal
+    single threshold along with the scaling exponent alpha + 1; it is the
+    same float as the lower bound.
 
     Mixing ratio, at capacity M (the fields stay None without one): below
     r_lower = g / (p + g), with g the left web marginal at M, nothing is
     learned; above r_upper, computed from the right marginal at M - H_tot,
     everything is. When M <= H_tot full learning may require r -> 1, so
     r_upper is reported as 1. The asymptotic mixing ratio is g/p, the
-    small-r form under which halving the fact count halves the ratio.
+    small-r form under which halving the fact count halves the ratio. A
+    capacity so small that g overflows to +inf is refused.
 
     Single-fact frequency, at capacity M: a fact whose overall corpus
     frequency r*p exceeds the band is learned. The bounds are r*p at the
@@ -223,15 +225,18 @@ def full_threshold_report(
             "got heterogeneous facts"
         )
     t = mixture._marginal_ratio(p)
-    exponent = asymptotic = None
-    if isinstance(web, PowerLawCurve):
-        exponent = web.exponent + 1.0
-        asymptotic = (web.amplitude * web.exponent / t) ** (1.0 / exponent)
+    m_lower = m0_minus(web, t)
+    power_law = isinstance(web, PowerLawCurve)
     bands = {}
     if total_capacity is not None:
         if not (math.isfinite(total_capacity) and total_capacity > 0.0):
             raise ValueError(f"total_capacity must be finite and > 0, got {total_capacity}")
         g = web_marginal(web, total_capacity, "left")
+        if math.isinf(g):
+            raise ValueError(
+                f"capacity {total_capacity} bits leaves the web marginal infinite: "
+                "a power-law web marginal diverges as its capacity goes to 0"
+            )
         r_lower = min(max(g / (p + g), 0.0), 1.0)
         r_upper = 1.0
         if total_capacity - h_tot > 0.0:
@@ -247,10 +252,10 @@ def full_threshold_report(
             mixing_ratio_asymptotic=g / p,
         )
     return ThresholdReport(
-        model_size_lower=m0_minus(web, t),
+        model_size_lower=m_lower,
         model_size_upper=m0_plus(web, t) + h_tot,
-        model_size_asymptotic=asymptotic,
-        exponent=exponent,
+        model_size_asymptotic=m_lower if power_law else None,
+        exponent=web.exponent + 1.0 if power_law else None,
         **bands,
     )
 
@@ -293,10 +298,12 @@ def apply_ckm(
     proportionality between frequency and inverse token cost explicit; the
     token counts are parameters precisely because only their ratio matters.
     """
-    if ckm_ratio < 0.0:
-        raise ValueError(f"ckm_ratio must be >= 0, got {ckm_ratio}")
-    if original_tokens_per_fact <= 0.0 or compact_tokens_per_fact <= 0.0:
-        raise ValueError("token counts must be > 0")
+    if not (math.isfinite(ckm_ratio) and ckm_ratio >= 0.0):
+        raise ValueError(f"ckm_ratio must be finite and >= 0, got {ckm_ratio}")
+    for name, tokens in (("original_tokens_per_fact", original_tokens_per_fact),
+                         ("compact_tokens_per_fact", compact_tokens_per_fact)):
+        if not (math.isfinite(tokens) and tokens > 0.0):
+            raise ValueError(f"token counts must be finite and > 0: {name} is {tokens}")
     if ckm_ratio == 0.0:
         return mixture
     multiplier = (

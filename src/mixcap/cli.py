@@ -260,9 +260,8 @@ def cmd_synbio(p) -> None:
         text = _json_text(docs)
     _write_out(p, f"synbio.{p.format}", text)
     if p.render_out:
-        lines = [corpus.render_exposure(r, seed)
-                 for r, seed in zip(records, corpus.render_seeds(p.seed, len(records)))]
-        _atomic_write(Path(p.render_out), "\n".join(lines) + "\n")
+        rendered = corpus.render_exposures(records, p.seed)
+        _atomic_write(Path(p.render_out), "\n".join(rendered) + "\n")
 
 
 def _read_records(path: str) -> list:
@@ -288,8 +287,7 @@ def cmd_mixplan(p) -> None:
         if not records:
             raise ValueError("records file is empty; cannot measure tokens_per_fact")
         tokens_per_fact = sum(
-            corpus.whitespace_tokens(corpus.render_exposure(r, seed))
-            for r, seed in zip(records, corpus.render_seeds(p.seed, len(records)))
+            map(corpus.whitespace_tokens, corpus.render_exposures(records, p.seed))
         ) / len(records)
     plan = corpus.plan_mixture(
         total_tokens=p.total_tokens,

@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +50,7 @@ __all__ = [
     "plan_mixture",
     "subsample_corpus",
     "ckm_augment",
-    "render_seed",
-    "render_seeds",
+    "render_exposures",
     "whitespace_tokens",
     "record_to_dict",
     "record_from_dict",
@@ -258,10 +257,10 @@ def _permuted_indices(count: int, seed: int) -> np.ndarray:
 # Spawn-key tags of the streams derived from a master seed besides the
 # per-record attribute streams, whose key is the one word (i,). A two-part
 # key (tag, index) is a different hash input from any one-part key, so these
-# streams cannot repeat a per-record stream: _CKM_RENDER_TAG renders record
-# ``index`` to count ckm_augment's original tokens; _CKM_FLIP_TAG (index 0)
-# drives ckm_augment's field flips; _RENDER_TAG renders record ``index`` for
-# the CLI (synbio --render-out and mixplan's measured tokens_per_fact).
+# streams cannot repeat a per-record stream. render_exposures renders record
+# ``index`` under _RENDER_TAG by default (synbio --render-out, mixplan's
+# measured tokens_per_fact) and under _CKM_RENDER_TAG to count ckm_augment's
+# original tokens; _CKM_FLIP_TAG (index 0) drives ckm_augment's field flips.
 _CKM_RENDER_TAG = 10
 _CKM_FLIP_TAG = 11
 _RENDER_TAG = 12
@@ -420,25 +419,6 @@ def _attribute_draws(seed: int, indices: np.ndarray, lows, highs) -> np.ndarray:
     return draws
 
 
-def render_seeds(seed: int, count: int, tag: int = _RENDER_TAG) -> list[int]:
-    """``render_seed(seed, i, tag)`` for i in range(count), hashed as one batch."""
-    _check_int("seed", seed, 64)
-    _check_int("count", count, 32)
-    _check_int("tag", tag, 32)
-    return _seed_words(seed, (tag, np.arange(count, dtype=np.uint32)), 1)[0].tolist()
-
-
-def render_seed(seed: int, index: int, tag: int = _RENDER_TAG) -> int:
-    """32-bit render_exposure seed for record ``index`` of a corpus with master ``seed``.
-
-    It is ``SeedSequence(seed, spawn_key=(tag, index)).generate_state(1)[0]``.
-    """
-    _check_int("seed", seed, 64)
-    _check_int("index", index, 32)
-    _check_int("tag", tag, 32)
-    return int(_seed_words(seed, (tag, np.array([index], dtype=np.uint32)), 1)[0][0])
-
-
 def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
     """Generate ``count`` biographies with distinct names, deterministically.
 
@@ -519,6 +499,21 @@ def render_exposure(record: BiographyRecord, seed: int) -> str:
     return " ".join(sentences[a] for a in order)
 
 
+def render_exposures(records: Sequence[BiographyRecord], seed: int,
+                     tag: int = _RENDER_TAG) -> Iterator[str]:
+    """One exposure of each record, rendered lazily in order.
+
+    Record i goes through render_exposure with the seed
+    ``SeedSequence(seed, spawn_key=(tag, i)).generate_state(1)[0]``; the
+    seeds of the whole corpus are hashed as one batch.
+    """
+    _check_int("seed", seed, 64)
+    _check_int("count", len(records), 32)
+    _check_int("tag", tag, 32)
+    seeds = _seed_words(seed, (tag, np.arange(len(records), dtype=np.uint32)), 1)[0]
+    return map(render_exposure, records, seeds.tolist())
+
+
 def power_law_partition(groups: int, exponent: float) -> list[float]:
     """Normalized power-law sampling weights for ``groups`` equal-size groups.
 
@@ -530,7 +525,11 @@ def power_law_partition(groups: int, exponent: float) -> list[float]:
     if exponent <= 0.0:
         raise ValueError(f"exponent must be > 0, got {exponent}")
     raw = np.arange(1, groups + 1, dtype=float) ** (-exponent)
-    return (raw / raw.sum()).tolist()
+    weights = raw / raw.sum()
+    if not (weights[-1] > 0.0 and np.all(np.diff(weights) < 0.0)):
+        raise ValueError(f"exponent {exponent} gives {groups} weights that are not "
+                         "strictly decreasing and > 0 in floating point")
+    return weights.tolist()
 
 
 @dataclass(frozen=True)
@@ -552,15 +551,7 @@ class MixPlan:
     web_pool_tokens: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "total_tokens": self.total_tokens,
-            "mixing_ratio": self.mixing_ratio,
-            "knowledge_tokens": self.knowledge_tokens,
-            "web_pool_tokens": self.web_pool_tokens,
-            "knowledge_epochs": self.knowledge_epochs,
-            "web_sample_tokens": self.web_sample_tokens,
-            "per_fact_frequency": self.per_fact_frequency,
-        }
+        return asdict(self)
 
 
 def plan_mixture(
@@ -578,12 +569,14 @@ def plan_mixture(
     """
     if not 0.0 < mixing_ratio < 1.0:
         raise ValueError(f"mixing_ratio must be in (0, 1), got {mixing_ratio}")
-    if total_tokens <= 0.0 or knowledge_tokens <= 0.0:
-        raise ValueError("token counts must be > 0")
-    if fact_count < 1:
+    for name, tokens in (("total_tokens", total_tokens), ("knowledge_tokens", knowledge_tokens),
+                         ("tokens_per_fact", tokens_per_fact)):
+        if not (math.isfinite(tokens) and tokens > 0.0):
+            raise ValueError(f"token counts must be finite and > 0: {name} is {tokens}")
+    if web_pool_tokens is not None and not math.isfinite(web_pool_tokens):
+        raise ValueError(f"web_pool_tokens must be finite, got {web_pool_tokens}")
+    if not fact_count >= 1:
         raise ValueError(f"fact_count must be >= 1, got {fact_count}")
-    if tokens_per_fact <= 0.0:
-        raise ValueError(f"tokens_per_fact must be > 0, got {tokens_per_fact}")
     knowledge_sample = mixing_ratio * total_tokens
     web_sample = total_tokens - knowledge_sample
     if web_pool_tokens is not None and web_sample > web_pool_tokens:
@@ -636,13 +629,11 @@ def ckm_augment(
     (seeded from the same master seed, an int in [0, 2**64)). Returns
     (texts, original_tokens, compact_tokens, realized_ratio).
     """
-    if ckm_ratio < 0.0:
-        raise ValueError(f"ckm_ratio must be >= 0, got {ckm_ratio}")
+    if not (math.isfinite(ckm_ratio) and ckm_ratio >= 0.0):
+        raise ValueError(f"ckm_ratio must be finite and >= 0, got {ckm_ratio}")
     records = list(records)
-    original_tokens = sum(
-        whitespace_tokens(render_exposure(record, render))
-        for record, render in zip(records, render_seeds(seed, len(records), _CKM_RENDER_TAG))
-    )
+    original_tokens = sum(map(whitespace_tokens,
+                              render_exposures(records, seed, _CKM_RENDER_TAG)))
     target = ckm_ratio * original_tokens
     texts: list[str] = []
     compact_tokens = 0

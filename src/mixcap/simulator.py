@@ -204,6 +204,17 @@ class SubsetExperiment:
             raise ValueError(
                 f"mixing_ratio must be in (0, 1), got {self.mixing_ratio}"
             )
+        out_of_range = (
+            f"powerlaw_exponent {self.powerlaw_exponent} is out of range for "
+            f"{self.group_count} groups of {self.group_size} facts at mixing_ratio "
+            f"{self.mixing_ratio}"
+        )
+        try:
+            p_last = self.weights[-1] / self.group_size
+        except ValueError as exc:
+            raise ValueError(f"{out_of_range}: {exc}") from None
+        if self.mixing_ratio * p_last / (1.0 - self.mixing_ratio) == 0.0:
+            raise ValueError(f"{out_of_range}: the last group's r*p/(1-r) underflows to 0")
         if not self.capacity_grid:
             raise ValueError("capacity_grid must be non-empty")
         for c in self.capacity_grid:

@@ -154,8 +154,9 @@ class PowerLawCurve:
     """Best-achievable web loss F(M) = floor + amplitude * M**(-exponent).
 
     The exponent must lie in (0, 1). The curve diverges at M = 0; evaluation
-    there returns +inf as a documented sentinel so that allocation code can
-    treat a zero web budget uniformly (the allocator never selects it).
+    there, or at a capacity so small that the power passes the float range,
+    returns +inf as a documented sentinel so that allocation code can treat
+    a zero web budget uniformly (the allocator never selects it).
     """
 
     floor: float
@@ -269,9 +270,10 @@ def eval_web_loss(curve: WebLossCurve, capacity: float) -> float:
     if capacity < 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     if isinstance(curve, PowerLawCurve):
-        if capacity == 0.0:
+        try:
+            return curve.floor + curve.amplitude * capacity ** (-curve.exponent)
+        except (ZeroDivisionError, OverflowError):  # capacity 0, or a power past the float range
             return math.inf
-        return curve.floor + curve.amplitude * capacity ** (-curve.exponent)
     caps, losses = curve._capacities, curve._losses
     if capacity >= caps[-1]:
         return float(losses[-1])
@@ -294,11 +296,10 @@ def web_marginal(curve: WebLossCurve, capacity: float, side: Side) -> float:
     if capacity == 0.0 and side == "left":
         raise ValueError("left derivative is undefined at capacity 0")
     if isinstance(curve, PowerLawCurve):
-        if capacity == 0.0:
+        try:
+            return curve.amplitude * curve.exponent * capacity ** (-curve.exponent - 1.0)
+        except (ZeroDivisionError, OverflowError):  # capacity 0, or a power past the float range
             return math.inf
-        return (
-            curve.amplitude * curve.exponent * capacity ** (-curve.exponent - 1.0)
-        )
     caps, slopes = curve._capacities, curve._slopes
     if side == "left":
         # Segment whose open interval (caps[i], caps[i+1]] contains capacity.

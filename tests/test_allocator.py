@@ -294,6 +294,20 @@ class TestThresholdModelSize:
         assert report.model_size_upper == pytest.approx(m0 + 5000.0, rel=1e-12)
         assert report.model_size_asymptotic == pytest.approx(m0, rel=1e-12)
 
+    def test_asymptotic_is_the_lower_bound_float(self):
+        # m_asymptotic is m0_minus itself, so it cannot drift an ulp from m_lower.
+        report = full_threshold_report(_uniform_mixture(k=10, amplitude=1000.0, alpha=0.3))
+        assert report.model_size_lower == 38035.27369632807
+        assert report.model_size_asymptotic == 38035.27369632807
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            mix = _uniform_mixture(p=float(10 ** rng.uniform(-6, -2)), k=10,
+                                   r=float(rng.uniform(0.01, 0.99)),
+                                   amplitude=float(10 ** rng.uniform(0, 4)),
+                                   alpha=float(rng.uniform(0.05, 0.95)))
+            report = full_threshold_report(mix)
+            assert report.model_size_asymptotic == report.model_size_lower
+
     def test_exponent_is_alpha_plus_one(self):
         mix = _uniform_mixture(alpha=0.283)
         assert full_threshold_report(mix).exponent == pytest.approx(1.283, abs=1e-12)
@@ -423,6 +437,11 @@ class TestThresholdMixingRatio:
         web = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
         report = full_threshold_report(MixtureUniverse(knowledge, web, 0.5), 5.0)
         assert report.mixing_ratio_upper == 1.0
+
+    def test_capacity_whose_marginal_overflows_is_refused(self):
+        # g(1e-250) = 50 * 1e375 passes the float range; no inf/inf band is built.
+        with pytest.raises(ValueError, match="capacity 1e-250 bits leaves the web marginal inf"):
+            full_threshold_report(_uniform_mixture(), 1e-250)
 
 
 def _frequency_band(web, m, p, h_tot) -> tuple[float, float, float]:
@@ -560,6 +579,21 @@ class TestApplyCkm:
     def test_rejects_bad_tokens(self):
         with pytest.raises(ValueError, match="token counts"):
             apply_ckm(self._mixture(), 0.5, 0.0, 10.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 200.0, 20.0), "ckm_ratio"),
+        ((math.inf, 200.0, 20.0), "ckm_ratio"),
+        ((0.5, math.nan, 20.0), "original_tokens_per_fact"),
+        ((0.5, math.inf, 20.0), "original_tokens_per_fact"),
+        ((0.5, 200.0, math.nan), "compact_tokens_per_fact"),
+        ((0.5, 200.0, math.inf), "compact_tokens_per_fact"),
+    ])
+    def test_non_finite_argument_is_refused_by_name(self, args, name):
+        with pytest.raises(ValueError) as refused:
+            apply_ckm(self._mixture(), *args)
+        message = str(refused.value)
+        assert "must be finite" in message and name in message
+        assert "exposure_frequency" not in message
 
     def test_matches_per_fact_formula_exactly(self):
         rng = np.random.default_rng(89)

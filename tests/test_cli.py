@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: determinism, validation exits, overrides."""
 
+import hashlib
 import json
 import math
 import os
@@ -363,6 +364,86 @@ class TestSubsets:
         assert message in err
         assert "total_capacity" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exponent, reason",
+        [
+            (2000, "gives 100 weights that are not strictly decreasing and > 0"),
+            (160, "the last group's r*p/(1-r) underflows to 0"),
+        ],
+    )
+    def test_exponent_past_the_float_range_exits_2_naming_it(
+        self, tmp_path, capsys, exponent, reason
+    ):
+        config = _write_config(tmp_path, {"powerlaw_exponent": exponent})
+        out = tmp_path / "subsets.csv"
+        assert run(["subsets", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"powerlaw_exponent {float(exponent)} is out of range" in err and reason in err
+        assert "exposure_frequency" not in err
+        assert not out.exists()
+
+
+def _power_law_mixture(alpha):
+    return {**MIX_DOC["mixture"], "web": {"power_law": {"c": 1.0, "a": 100.0, "alpha": alpha}}}
+
+
+_DIVERGES = " leaves the web {} infinite: a power-law web {} diverges as its capacity goes to 0"
+
+
+class TestTinyCapacity:
+    """Capacities so small that the power-law web loss or marginal passes the float range."""
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["allocate", "--capacity", "1e-320"], {"mixture": _power_law_mixture(0.99)},
+             "capacity 1e-320" + _DIVERGES.format("loss", "loss")),
+            (["sweep", "--axis", "model_size"],
+             {"mixture": _power_law_mixture(0.99), "grid": [1e-320, 100.0]},
+             "grid entry 1e-320" + _DIVERGES.format("loss", "loss")),
+            (["thresholds", "--capacity", "1e-250"], {"mixture": _power_law_mixture(0.5)},
+             "capacity 1e-250 bits" + _DIVERGES.format("marginal", "marginal")),
+        ],
+    )
+    def test_exits_2_naming_capacity(self, tmp_path, capsys, argv, config, message):
+        out = tmp_path / "out"
+        code = run([*argv, "--config", _write_config(tmp_path, config), "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "internal" not in err
+        assert not out.exists()
+
+    def test_sweep_sidecar_refuses_the_report(self, tmp_path, capsys):
+        config = {"mixture": _power_law_mixture(0.5), "grid": [0.1, 0.5]}
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "mixing_ratio", "--capacity", "1e-250"]
+        assert run([*argv, "--config", _write_config(tmp_path, config), "--out", out]) == 0
+        assert len(out.read_text().strip().split("\n")) == 3
+        sidecar = json.loads((tmp_path / "sweep_thresholds.json").read_text())
+        assert sidecar == {"error": "capacity 1e-250 bits" + _DIVERGES.format("marginal", "marginal")}
+
+
+# SHA-256 of CLI corpus outputs that no stored benchmark digest covers.
+PINNED_SHA256 = {
+    "bios.txt": "e8fc5c48f07f1bae529d41a4e3b83864c8bb4df711043c48b6129ac53d8869f9",
+    "mixplan.json": "c77d0caa81f67ef26bc8b1cc9f0fada1b77cd7e9a6eef4962f3688d2cdb0baa7",
+    "ckm.txt": "d8e11a9d3029eec1b84a6cc2e904834eccd87b184f9fa3fa75abe1feeb21ea98",
+}
+
+
+def test_corpus_outputs_keep_their_bytes(tmp_path, capsys):
+    bios = tmp_path / "bios.jsonl"
+    assert run(["synbio", "--count", 200, "--seed", 7, "--out", bios,
+                "--render-out", tmp_path / "bios.txt"]) == 0
+    assert run(["mixplan", "--total-tokens", "32e9", "--ratio", 0.1, "--knowledge-tokens", "3.2e7",
+                "--fact-count", 200, "--records", bios, "--seed", 7,
+                "--out", tmp_path / "mixplan.json"]) == 0
+    assert run(["ckm", "--records", bios, "--ckm-ratio", 0.3, "--seed", 13,
+                "--out", tmp_path / "ckm.txt"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
 
 
 class TestSynbio:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,7 @@ from mixcap.corpus import (
     record_from_dict,
     record_to_dict,
     render_exposure,
-    render_seed,
-    render_seeds,
+    render_exposures,
     subsample_corpus,
     whitespace_tokens,
 )
@@ -189,24 +189,19 @@ class TestAttributeDraws:
 class TestRenderSeeds:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_batch_matches_seed_sequence(self, seed):
+        records = generate_synbio(300, 3)
         for tag in (10, 12):
-            expected = [
-                int(np.random.SeedSequence(seed, spawn_key=(tag, i)).generate_state(1)[0])
-                for i in range(300)
+            rendered = render_exposures(records, seed, tag)
+            assert isinstance(rendered, Iterator)
+            assert list(rendered) == [
+                render_exposure(
+                    record,
+                    np.random.SeedSequence(seed, spawn_key=(tag, i)).generate_state(1)[0],
+                )
+                for i, record in enumerate(records)
             ]
-            assert render_seeds(seed, 300, tag) == expected
-            assert [render_seed(seed, i, tag) for i in (0, 1, 299)] == [
-                expected[0], expected[1], expected[299]
-            ]
-        assert render_seeds(seed, 300) == render_seeds(seed, 300, 12)
-        assert render_seeds(seed, 0) == []
-
-    def test_last_one_word_index(self):
-        key = (12, 2**32 - 1)
-        expected = int(np.random.SeedSequence(5, spawn_key=key).generate_state(1)[0])
-        assert render_seed(5, 2**32 - 1) == expected
-        with pytest.raises(ValueError, match="index"):
-            render_seed(5, 2**32)
+        assert list(render_exposures(records, seed)) == list(render_exposures(records, seed, 12))
+        assert list(render_exposures([], seed)) == []
 
 
 class TestBatchedSeeding:
@@ -227,8 +222,8 @@ class TestBatchedSeeding:
         assert calls["SeedSequence"] <= 2 and calls["default_rng"] <= 2
 
     def test_render_seeds_make_no_per_record_stream(self, calls):
-        assert len(render_seeds(7, 1000)) == 1000
         records = generate_synbio(1000, 7)
+        assert len(list(render_exposures(records, 7))) == 1000
         ckm_augment(records, 0.1, 7)
         # render_exposure keeps one stream per record; the seeds it gets
         # come from one batch.
@@ -239,8 +234,7 @@ class TestBatchedSeeding:
         records = generate_synbio(2, 1)
         for call in (
             lambda: generate_synbio(2, seed),
-            lambda: render_seed(seed, 0),
-            lambda: render_seeds(seed, 2),
+            lambda: render_exposures(records, seed),
             lambda: ckm_augment(records, 0.5, seed),
         ):
             with pytest.raises(ValueError, match="seed"):
@@ -406,6 +400,12 @@ class TestPowerLawPartition:
         with pytest.raises(ValueError, match="exponent"):
             power_law_partition(2, 0.0)
 
+    @pytest.mark.parametrize("groups, exponent", [(3, math.inf), (3, math.nan), (100, 2000.0),
+                                                  (3, 1e-300)])
+    def test_weights_that_underflow_or_tie_are_refused(self, groups, exponent):
+        with pytest.raises(ValueError, match=f"exponent {exponent} gives {groups} weights"):
+            power_law_partition(groups, exponent)
+
 
 class TestPlanMixture:
     def test_hundred_epochs(self):
@@ -438,6 +438,15 @@ class TestPlanMixture:
             plan_mixture(1e9, 1.0, 1e6)
         with pytest.raises(ValueError, match="tokens_per_fact"):
             plan_mixture(1e9, 0.5, 1e6, tokens_per_fact=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["total_tokens", "knowledge_tokens", "web_pool_tokens",
+                                      "tokens_per_fact"])
+    def test_non_finite_token_count_is_refused_by_name(self, name, value):
+        args = {"total_tokens": 1e9, "mixing_ratio": 0.1, "knowledge_tokens": 1e6, name: value}
+        with pytest.raises(ValueError) as refused:
+            plan_mixture(**args)
+        assert "must be finite" in str(refused.value) and f"{name} " in str(refused.value)
 
     def test_json_fields(self):
         plan = plan_mixture(1e9, 0.25, 1e6, web_pool_tokens=1e12)
@@ -513,6 +522,11 @@ class TestCkmAugment:
     def test_deterministic(self):
         records = generate_synbio(4, seed=9)
         assert ckm_augment(records, 0.5, seed=10) == ckm_augment(records, 0.5, seed=10)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, -0.5])
+    def test_ratio_outside_the_domain_is_refused(self, ratio):
+        with pytest.raises(ValueError, match="^ckm_ratio must be finite and >= 0"):
+            ckm_augment(generate_synbio(2, seed=1), ratio, seed=2)
 
 
 class TestRecordSerialization:

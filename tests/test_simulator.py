@@ -244,6 +244,11 @@ class TestSubsetExperiment:
         with pytest.raises(ValueError, match=f"capacity_grid.*{match}"):
             SubsetExperiment(capacity_grid=grid)
 
+    @pytest.mark.parametrize("exponent", [math.inf, 2000.0, 160.0])
+    def test_exponent_whose_frequencies_underflow_is_refused(self, exponent):
+        with pytest.raises(ValueError, match=f"^powerlaw_exponent {exponent} is out of range"):
+            SubsetExperiment(powerlaw_exponent=exponent)
+
     def test_saturated_capacity_gives_sentinel(self):
         exp = SubsetExperiment(
             group_count=5,

@@ -235,6 +235,12 @@ class TestEvalWebLoss:
         curve = PowerLawCurve(floor=2.0, amplitude=5.0, exponent=0.3)
         assert eval_web_loss(curve, 0.0) == math.inf
 
+    def test_power_law_overflow_is_the_inf_sentinel(self):
+        # 1e-320 ** -0.99 passes the float range; the finite neighbour keeps **.
+        curve = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.99)
+        assert eval_web_loss(curve, 1e-320) == math.inf
+        assert eval_web_loss(curve, 1e-300) == 1.0 + 100.0 * 1e-300 ** -0.99
+
     def test_tabulated_interpolation(self):
         curve = TabulatedCurve(points=((0, 10), (10, 5), (30, 3)))
         assert eval_web_loss(curve, 20.0) == pytest.approx(4.0, abs=1e-12)
@@ -286,6 +292,13 @@ class TestWebMarginal:
         expected = 100.0 * 0.283 * 1000.0 ** (-1.283)
         assert web_marginal(curve, 1000.0, "left") == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(4.0067e-3, rel=1e-4)
+
+    def test_power_law_overflow_is_inf(self):
+        curve = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.5)
+        for side in ("left", "right"):
+            assert web_marginal(curve, 1e-250, side) == math.inf
+            assert web_marginal(curve, 1e-200, side) == 100.0 * 0.5 * 1e-200 ** -1.5
+        assert web_marginal(curve, 0.0, "right") == math.inf
 
     def test_tabulated_breakpoint_sides(self):
         curve = TabulatedCurve(points=((0, 10), (10, 5), (30, 3)))
