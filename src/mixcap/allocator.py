@@ -28,6 +28,7 @@ from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
+    _m0_map,
     eval_web_loss,
     m0_minus,
     m0_plus,
@@ -155,10 +156,10 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     m1 = clip(M - m0_minus(r*p/(1-r)), 0, min(M, H_tot)).
 
     The interior m1 is capped at H_tot, so that the bits a rounded bound
-    leaves past H_tot go to the web. The m0_minus values are cached per
-    mixture (with np.power for a power-law web, as full_threshold_report
-    computes them), so a solve is a bisection over the sorted facts plus
-    O(log K) work; the returned learned is built from m1 on first read.
+    leaves past H_tot go to the web. A solve is a bisection over the sorted
+    facts that evaluates m0_minus, as full_threshold_report does, only at
+    the facts it probes: O(log K) work with no fact-length array. The
+    returned learned is built from m1 on first read.
     """
     if not (math.isfinite(total_capacity) and total_capacity >= 0.0):
         raise ValueError(
@@ -166,21 +167,25 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
         )
     web, r = mixture.web, mixture.mixing_ratio
     frontier = mixture.knowledge._frontier
-    m0, cum_h = mixture._frontier_m0, frontier.cum_h
-    # j = the number of facts whose bound M - m0_k reaches cum_h[k]. The
-    # bound does not increase along the order and cum_h does not decrease,
-    # so those facts are a prefix and bisection finds its end.
+    p, cum_h = frontier.p_view, frontier.cum_h_view
+    if frontier.count:
+        # Products and quotients round monotonically, so r*p/(1-r) underflows
+        # for some fact exactly when it does for the least frequent one.
+        mixture._marginal_ratio(p[-1])
+    m0 = _m0_map(web, plus=False)
+    # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k].
+    # The bound does not increase along the order and cum_h does not
+    # decrease, so those facts are a prefix and bisection finds its end.
     j = bisect.bisect_left(
-        range(frontier.count), True, key=lambda k: not (total_capacity - m0[k] >= cum_h[k])
+        range(frontier.count), True,
+        key=lambda k: not (total_capacity - m0(r * p[k] / (1.0 - r)) >= cum_h[k]),
     )
     if j == frontier.count:
         # h_tot is summed apart from cum_h, so it can pass M by an ulp.
         m1 = min(frontier.h_tot, total_capacity)
     else:
-        m1 = min(
-            max(float(total_capacity - m0[j]), float(cum_h[j - 1]) if j else 0.0),
-            frontier.h_tot,
-        )
+        bound = total_capacity - m0(r * p[j] / (1.0 - r))
+        m1 = min(max(bound, cum_h[j - 1] if j else 0.0), frontier.h_tot)
 
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)
@@ -193,12 +198,16 @@ def full_threshold_report(
 ) -> ThresholdReport:
     """All phase-transition thresholds of a uniform-frequency mixture.
 
-    Model size: at or below m0_minus(r*p/(1-r)) the optimal learner stores
-    no facts; at or above m0_plus(r*p/(1-r)) + H_tot it stores all of them.
-    For a power-law web curve the two m0 values coincide and the report
-    carries m0_minus, (A*alpha*(1-r)/(r*p)) ** (1/(alpha+1)), as the nominal
-    single threshold along with the scaling exponent alpha + 1; it is the
-    same float as the lower bound.
+    Model size: at or below m0_minus(r*p/(1-r)) of the most frequent fact
+    the optimal learner stores no facts; at or above m0_plus(r*p/(1-r)) +
+    H_tot of the least frequent fact it stores all of them. Both go through
+    the m0_minus and m0_plus that optimal_allocation evaluates, so the band
+    and the solve agree to the bit. An upper bound that overflows to +inf
+    is refused, naming exposure_frequency. For a power-law web curve the
+    two m0 values coincide and the report carries m0_minus,
+    (A*alpha*(1-r)/(r*p)) ** (1/(alpha+1)), as the nominal single threshold
+    along with the scaling exponent alpha + 1; it is the same float as the
+    lower bound.
 
     Mixing ratio, at capacity M (the fields stay None without one): below
     r_lower = g / (p + g), with g the left web marginal at M, nothing is
@@ -224,8 +233,17 @@ def full_threshold_report(
             "threshold formulas need a uniform exposure_frequency; "
             "got heterogeneous facts"
         )
-    t = mixture._marginal_ratio(p)
-    m_lower = m0_minus(web, t)
+    # Frequencies within a relative 1e-12 count as uniform, so the band is
+    # taken from the extremes: the most frequent fact is the first one worth
+    # learning and the least frequent one the last.
+    p_max, p_min = float(mixture.knowledge.p.max()), float(mixture.knowledge.p.min())
+    m_lower = m0_minus(web, mixture._marginal_ratio(p_max))
+    m_upper = m0_plus(web, mixture._marginal_ratio(p_min)) + h_tot
+    if math.isinf(m_upper):
+        raise ValueError(
+            f"exposure_frequency {p_min} is too small for mixing_ratio "
+            f"{mixture.mixing_ratio}: the model size that learns it overflows"
+        )
     power_law = isinstance(web, PowerLawCurve)
     bands = {}
     if total_capacity is not None:
@@ -253,7 +271,7 @@ def full_threshold_report(
         )
     return ThresholdReport(
         model_size_lower=m_lower,
-        model_size_upper=m0_plus(web, t) + h_tot,
+        model_size_upper=m_upper,
         model_size_asymptotic=m_lower if power_law else None,
         exponent=web.exponent + 1.0 if power_law else None,
         **bands,

@@ -154,6 +154,15 @@ def _t_quantile_975(dof: int) -> float:
     return float(stats.t.ppf(0.975, dof))
 
 
+def _log(values: np.ndarray) -> np.ndarray:
+    """Natural log of each value through the C library's log, as math.log.
+
+    numpy's np.log dispatches to SIMD code whose last bit depends on the
+    CPU, so a fit would too.
+    """
+    return np.array([math.log(v) for v in values.tolist()])
+
+
 def _fit_line(
     model: str, u: np.ndarray, v: np.ndarray, names: dict[str, str], slope_sign: float = 1.0
 ) -> FitResult:
@@ -225,7 +234,7 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
         raise ValueError("T values must be > 0")
     if np.any((r <= 0.0) | (r >= 1.0)):
         raise ValueError("r values must be in (0, 1)")
-    return _fit_line("exponential", 1.0 / r, np.log(t), {"intercept": "logA", "slope": "B"})
+    return _fit_line("exponential", 1.0 / r, _log(t), {"intercept": "logA", "slope": "B"})
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -240,7 +249,7 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
     if np.any((r <= 0.0) | (r >= 1.0)):
         raise ValueError("r values must be in (0, 1)")
     return _fit_line(
-        "power_law", np.log(r), np.log(t), {"intercept": "logC", "slope": "D"}, -1.0
+        "power_law", _log(r), _log(t), {"intercept": "logC", "slope": "D"}, -1.0
     )
 
 
@@ -250,7 +259,7 @@ def fit_loglog(points: Iterable[tuple[float, float]]) -> FitResult:
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("loglog fit needs strictly positive data")
     return _fit_line(
-        "loglog", np.log(x), np.log(y), {"slope": "slope", "intercept": "intercept"}
+        "loglog", _log(x), _log(y), {"slope": "slope", "intercept": "intercept"}
     )
 
 

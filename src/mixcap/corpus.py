@@ -524,7 +524,9 @@ def power_law_partition(groups: int, exponent: float) -> list[float]:
         raise ValueError(f"groups must be >= 1, got {groups}")
     if exponent <= 0.0:
         raise ValueError(f"exponent must be > 0, got {exponent}")
-    raw = np.arange(1, groups + 1, dtype=float) ** (-exponent)
+    # Python's ** is the C library's pow, the same on every CPU; numpy's
+    # array power dispatches to SIMD code whose last bit depends on it.
+    raw = np.array([float(g) ** -exponent for g in range(1, groups + 1)])
     weights = raw / raw.sum()
     if not (weights[-1] > 0.0 and np.all(np.diff(weights) < 0.0)):
         raise ValueError(f"exponent {exponent} gives {groups} weights that are not "

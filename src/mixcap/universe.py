@@ -11,9 +11,9 @@ Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads or worker processes. A
 knowledge universe keeps its facts in read-only columns and caches its
 sorted frontier on first use; the cache is a pure function of those
-columns, so sharing a universe shares the sort. A mixture likewise caches
-the web capacity m0_minus at which each fact of that frontier is worth
-learning.
+columns, so sharing a universe shares the sort. A mixture caches nothing:
+m0_minus and m0_plus map one threshold to one capacity, with the C
+library's pow for a power law, as eval_web_loss and web_marginal.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, Union
+from typing import Callable, Literal, Union
 
 import numpy as np
 
@@ -235,34 +235,18 @@ class MixtureUniverse:
                 f"mixing_ratio must be in (0, 1), got {self.mixing_ratio}"
             )
 
-    def __reduce__(self):
-        # Rebuilt through __init__, so the cached m0 column is not pickled.
-        return MixtureUniverse, (self.knowledge, self.web, self.mixing_ratio)
-
-    def _marginal_ratio(self, p):
+    def _marginal_ratio(self, p: float) -> float:
         """Threshold t = r*p/(1-r) that the web marginal is compared against.
 
-        p may be a float or an array of frequencies. A frequency so small
-        that t underflows to 0 is refused: no web capacity is worth it.
+        A frequency so small that t underflows to 0 is refused: no web
+        capacity is worth it.
         """
         r = self.mixing_ratio
         t = r * p / (1.0 - r)
-        if np.any(t == 0.0):
-            raise ValueError(f"exposure_frequency {float(np.min(p))} is too small for "
+        if t == 0.0:
+            raise ValueError(f"exposure_frequency {p} is too small for "
                              f"mixing_ratio {r}: r*p/(1-r) underflows to 0")
         return t
-
-    @cached_property
-    def _frontier_m0(self) -> np.ndarray:
-        """m0_minus(web, r*p/(1-r)) of every fact in frontier order, read-only.
-
-        Computed once per mixture, so a model-size sweep evaluates it once.
-        A power-law web goes through np.power here and in
-        full_threshold_report alike, so both round the same t the same way.
-        """
-        m0 = m0_minus(self.web, self._marginal_ratio(self.knowledge._frontier.p_sorted))
-        m0.flags.writeable = False
-        return m0
 
 
 def eval_web_loss(curve: WebLossCurve, capacity: float) -> float:
@@ -311,16 +295,15 @@ def web_marginal(curve: WebLossCurve, capacity: float, side: Side) -> float:
     return float(-slopes[i])
 
 
-def m0_minus(curve: WebLossCurve, t):
+def m0_minus(curve: WebLossCurve, t: float) -> float:
     """Last capacity at which the web marginal still exceeds t.
 
-    sup{M >= 0 : -F'(M) > t}; returns 0 when no capacity qualifies. An
-    array of thresholds gives an array of capacities.
+    sup{M >= 0 : -F'(M) > t}; returns 0 when no capacity qualifies.
     """
     return _m0(curve, t, plus=False)
 
 
-def m0_plus(curve: WebLossCurve, t):
+def m0_plus(curve: WebLossCurve, t: float) -> float:
     """First capacity at which the web marginal falls below t.
 
     inf{M >= 0 : -F'(M) < t}; returns 0 when the marginal at 0+ is already
@@ -330,22 +313,28 @@ def m0_plus(curve: WebLossCurve, t):
     return _m0(curve, t, plus=True)
 
 
-def _m0(curve: WebLossCurve, t, plus: bool):
-    if np.any(np.asarray(t) <= 0.0):
-        raise ValueError(f"marginal threshold t must be > 0, got {np.min(t)}")
+def _m0(curve: WebLossCurve, t: float, plus: bool) -> float:
+    if not t > 0.0:
+        raise ValueError(f"marginal threshold t must be > 0, got {t}")
+    return _m0_map(curve, plus)(t)
+
+
+def _m0_map(curve: WebLossCurve, plus: bool) -> Callable[[float], float]:
+    """t -> m0_plus(curve, t) if plus else m0_minus(curve, t), for t > 0.
+
+    A power law goes through Python's ** (the C library's pow), which gives
+    +inf when A*alpha/t overflows: no finite web capacity is enough.
+    """
     if isinstance(curve, PowerLawCurve):
-        # np.power rather than **, so that a float t and the same t inside an
-        # array round alike: threshold reports and the allocator must agree.
-        m0 = np.power(curve.amplitude * curve.exponent / t, 1.0 / (curve.exponent + 1.0))
-    else:
-        # The marginals -slope are non-increasing by convexity, so the slopes
-        # are searched ascending. k = number of segments with marginal > t
-        # (minus) or >= t (plus); the answer is the breakpoint that ends
-        # that run of segments.
-        side = "right" if plus else "left"
-        k = np.minimum(np.searchsorted(curve._slopes, -t, side=side), len(curve._slopes))
-        m0 = curve._capacities[k]
-    return m0 if np.ndim(m0) else float(m0)
+        scale, power = curve.amplitude * curve.exponent, 1.0 / (curve.exponent + 1.0)
+        return lambda t: (scale / t) ** power
+    # The marginals -slope are non-increasing by convexity, so the slopes
+    # are searched ascending. k = number of segments with marginal > t
+    # (minus) or >= t (plus); the answer is the breakpoint that ends that
+    # run of segments.
+    slopes, caps = memoryview(curve._slopes), memoryview(curve._capacities)
+    search, last = (bisect.bisect_right if plus else bisect.bisect_left), len(slopes)
+    return lambda t: caps[min(search(slopes, -t), last)]
 
 
 def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
@@ -384,6 +373,8 @@ class _FrontierCurve:
         self.p_sorted = p[self.order]
         self.h_sorted = h[self.order]
         self.cum_h = np.cumsum(self.h_sorted)
+        # Views that index to Python floats, for the O(log K) probes.
+        self.p_view, self.cum_h_view = memoryview(self.p_sorted), memoryview(self.cum_h)
         self.cum_ph = np.cumsum(self.p_sorted * self.h_sorted)
         self.total_ph = float(self.cum_ph[-1]) if self.count else 0.0
         # Sorted positions of the zero-entropy facts: any positive budget learns them.
@@ -403,8 +394,8 @@ class _FrontierCurve:
     def _prefix(self, capacity: float) -> tuple[int, float]:
         """(k, rest): the k sorted facts whose cumulative entropy fits in
         capacity, and the bits capacity - cum_h[k - 1] left past them."""
-        k = bisect.bisect_right(self.cum_h, capacity)
-        return k, capacity - (float(self.cum_h[k - 1]) if k > 0 else 0.0)
+        k = bisect.bisect_right(self.cum_h_view, capacity)
+        return k, capacity - (self.cum_h_view[k - 1] if k > 0 else 0.0)
 
     def boundary(self, capacity: float) -> tuple[int, float, int]:
         """(k, f, z): the learned layout at a capacity, in O(log K).

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import signal
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -297,8 +298,8 @@ class TestThresholdModelSize:
     def test_asymptotic_is_the_lower_bound_float(self):
         # m_asymptotic is m0_minus itself, so it cannot drift an ulp from m_lower.
         report = full_threshold_report(_uniform_mixture(k=10, amplitude=1000.0, alpha=0.3))
-        assert report.model_size_lower == 38035.27369632807
-        assert report.model_size_asymptotic == 38035.27369632807
+        assert report.model_size_lower == 38035.27369632808
+        assert report.model_size_asymptotic == 38035.27369632808
         rng = np.random.default_rng(3)
         for _ in range(200):
             mix = _uniform_mixture(p=float(10 ** rng.uniform(-6, -2)), k=10,
@@ -358,6 +359,46 @@ class TestThresholdModelSize:
             for m in (report.model_size_upper, report.model_size_upper * 2.0):
                 alloc = optimal_allocation(mix, m)
                 assert abs(alloc.knowledge_capacity - h_tot) <= 1e-9
+
+    @staticmethod
+    def _near_uniform_webs(r, p_low, p_high):
+        """A power law, and a tabulated curve with a segment whose marginal
+        lies strictly between the two facts' r*p/(1-r)."""
+        t_low, t_high = (r * p / (1.0 - r) for p in (p_low, p_high))
+        mid = 0.5 * (t_low + t_high)
+        points = ((0.0, 2000.0), (1e3, 1000.0), (1e3 + 1e6, 1000.0 - mid * 1e6),
+                  (1e3 + 2e6, 1000.0 - mid * 1e6 - 1.0))
+        return PowerLawCurve(1.0, 100.0, 0.5), TabulatedCurve(points=points)
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    @pytest.mark.parametrize("most_frequent_first", [False, True])
+    def test_near_uniform_band_brackets_the_solve(self, tabulated, most_frequent_first):
+        # Frequencies within a relative 1e-12 count as uniform, but the band
+        # must hold for the facts as they are: nothing is learned at m_lower,
+        # everything at m_upper.
+        r, p_low, p_high = 0.25, 1e-3, 1e-3 * (1 + 5e-13)
+        assert p_low < p_high
+        p = [p_high, p_low] if most_frequent_first else [p_low, p_high]
+        web = self._near_uniform_webs(r, p_low, p_high)[tabulated]
+        mix = MixtureUniverse(KnowledgeUniverse(p, [5.0, 5.0]), web, r)
+        report = full_threshold_report(mix)
+        lower = optimal_allocation(mix, report.model_size_lower)
+        assert lower.knowledge_capacity == 0.0
+        assert lower.learned.tolist() == [0.0, 0.0]
+        upper = optimal_allocation(mix, report.model_size_upper)
+        assert upper.knowledge_capacity == mix.knowledge.h_tot
+        assert upper.learned.tolist() == [1.0, 1.0]
+
+    def test_bound_that_overflows_names_the_frequency(self):
+        # A*alpha/t overflows for this subnormal p, so no finite model size
+        # learns the fact; the solve leaves it unlearned, the report refuses.
+        mix = _uniform_mixture(p=1e-318, k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc = optimal_allocation(mix, 100.0)
+        assert alloc.knowledge_capacity == 0.0
+        with pytest.raises(ValueError, match="exposure_frequency 1e-318 is too small"):
+            full_threshold_report(mix)
 
     def test_power_law_lower_bound_learns_nothing(self):
         # Threshold reports and the allocator evaluate m0 alike, so not even

@@ -119,7 +119,7 @@ def capacities(draw, mixture):
     frontier = mixture.knowledge._frontier
     k = draw(st.integers(0, frontier.count - 1))
     r = mixture.mixing_ratio
-    onset = float(m0_minus(mixture.web, r * frontier.p_sorted[k] / (1.0 - r)))
+    onset = m0_minus(mixture.web, r * float(frontier.p_sorted[k]) / (1.0 - r))
     before = float(frontier.cum_h[k - 1]) if k else 0.0
     capacity = onset + before + draw(st.sampled_from([0.0, 1.0, 0.5])) * frontier.h_sorted[k]
     for _ in range(draw(st.integers(-3, 3))):
@@ -133,6 +133,13 @@ def cases(draw):
     return mixture, draw(capacities(mixture))
 
 
+def frontier_m0(mixture):
+    """m0_minus(r*p_k/(1-r)) of every fact in frontier order, one scalar call each."""
+    r = mixture.mixing_ratio
+    return np.array([m0_minus(mixture.web, r * p / (1.0 - r))
+                     for p in mixture.knowledge._frontier.p_sorted.tolist()])
+
+
 def linear_scan_allocation(mixture, total):
     """(m1, m2, loss1, loss2, loss, learned, predicate) by the linear-scan solve.
 
@@ -140,7 +147,7 @@ def linear_scan_allocation(mixture, total):
     """
     web, r = mixture.web, mixture.mixing_ratio
     frontier = mixture.knowledge._frontier
-    bound = total - m0_minus(web, r * frontier.p_sorted / (1.0 - r))
+    bound = total - frontier_m0(mixture)
     predicate = bound >= frontier.cum_h
     j = int(np.count_nonzero(predicate))
     if j == len(bound):
@@ -213,7 +220,7 @@ class TestLinearScanOracle:
             web = PowerLawCurve(floor=1.0, amplitude=1e5, exponent=0.3)
         mixture = MixtureUniverse(KnowledgeUniverse(p, h, 0.5), web, 0.05)
         frontier = mixture.knowledge._frontier
-        onsets = mixture._frontier_m0 + np.concatenate(([0.0], frontier.cum_h[:-1]))
+        onsets = frontier_m0(mixture) + np.concatenate(([0.0], frontier.cum_h[:-1]))
         picks = rng.choice(frontier.count, 40, replace=False)
         totals = [0.0, frontier.h_tot, 10.0 * frontier.h_tot]
         totals += np.geomspace(1.0, 4.0 * (onsets.max() + frontier.h_tot), 60).tolist()

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,31 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "exposure_frequency 5e-324 is too small for mixing_ratio 0.01" in err
         assert not out.exists()
+
+    def test_frequency_whose_bound_overflows_exits_2_naming_it(self, tmp_path, capsys):
+        # A*alpha/t overflows, so the model size that learns the fact does too.
+        mixture = {**MIX_DOC["mixture"], "knowledge": {"facts": [{"p": 1e-318, "h": 5.0}]}}
+        path = _write_config(tmp_path, {"mixture": mixture})
+        out = tmp_path / "t.json"
+        assert run(["thresholds", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "exposure_frequency 1e-318 is too small for mixing_ratio 0.25" in err
+        assert "internal" not in err
+        assert not out.exists()
+
+    def test_frequency_whose_bound_overflows_is_never_learned(self, tmp_path, capsys):
+        mixture = {**MIX_DOC["mixture"], "knowledge": {"facts": [{"p": 1e-318, "h": 5.0}]}}
+        path = _write_config(tmp_path, {"mixture": mixture, "grid": [100.0, 200.0]})
+        out = tmp_path / "a.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["allocate", "--config", path, "--capacity", 100.0, "--out", out]) == 0
+            assert run(["sweep", "--config", path, "--axis", "model_size",
+                        "--out", tmp_path / "sweep.csv"]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["learned"] == [0.0]
+        sidecar = json.loads((tmp_path / "sweep_thresholds.json").read_text())
+        assert "exposure_frequency 1e-318 is too small" in sidecar["error"]
 
     @pytest.mark.parametrize("command", ["allocate", "thresholds"])
     def test_entropy_total_beyond_float_range_exits_2(self, tmp_path, capsys, command):

@@ -27,6 +27,7 @@ from mixcap.universe import (
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
+    m0_minus,
 )
 
 
@@ -195,8 +196,10 @@ def hetero_mixture(k=2000, seed=3):
 class TestLazyLearned:
     def test_scoring_a_solve_builds_no_learned_array(self, monkeypatch):
         mix = hetero_mixture()
-        frontier, m0 = mix.knowledge._frontier, mix._frontier_m0
-        capacities = tuple(np.geomspace(0.5 * m0[0], 2.0 * (m0[-1] + frontier.h_tot), 25).tolist())
+        frontier, r = mix.knowledge._frontier, mix.mixing_ratio
+        first, last = (m0_minus(mix.web, r * float(frontier.p_sorted[i]) / (1.0 - r))
+                       for i in (0, -1))
+        capacities = tuple(np.geomspace(0.5 * first, 2.0 * (last + frontier.h_tot), 25).tolist())
 
         def refuse(self, capacity):
             raise AssertionError("fractions_at called")

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+import mixcap.allocator as allocator
 import mixcap.universe as universe
 
 from helpers import (
@@ -177,49 +178,52 @@ class TestColumnarUniverse:
         knowledge_frontier(mix.knowledge, 1.0)
         assert len(built) == 1
 
-    def test_frontier_m0_computed_once_per_mixture(self, monkeypatch):
-        over_frontier = []
-        m0_minus_of = universe.m0_minus
+    def test_mixing_ratio_sweep_probes_m0_logarithmically(self, monkeypatch):
+        calls = []
+        m0_map_of = allocator._m0_map
 
-        def counting_m0_minus(curve, t):
-            if np.ndim(t):
-                over_frontier.append(1)
-            return m0_minus_of(curve, t)
+        def counting_m0_map(curve, plus):
+            m0 = m0_map_of(curve, plus)
 
-        monkeypatch.setattr(universe, "m0_minus", counting_m0_minus)
-        p, h = self._columns(k=500)
+            def counting_m0(t):
+                calls.append(t)
+                return m0(t)
+
+            return counting_m0
+
+        monkeypatch.setattr(allocator, "_m0_map", counting_m0_map)
+        p, h = self._columns(k=100_000)
         mix = MixtureUniverse(
             knowledge=KnowledgeUniverse(p, h, 0.5),
             web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
             mixing_ratio=0.1,
         )
-        sizes = tuple(np.geomspace(1.0, 5.0 * float(h.sum()), 200).tolist())
-        sweep(SweepConfig(mixture=mix, sweep_axis="model_size", grid=sizes))
-        assert len(over_frontier) == 1
-        ratios = tuple(np.geomspace(1e-3, 0.9, 50).tolist())
-        sweep(
-            SweepConfig(
-                mixture=mix, sweep_axis="mixing_ratio", grid=ratios, total_capacity=sizes[100]
-            )
-        )
-        assert len(over_frontier) == 1 + len(ratios)
+        ratios = tuple(np.geomspace(1e-3, 0.9, 20).tolist())
+        capacity = 0.5 * float(h.sum())
+        budget = 2 * math.ceil(math.log2(p.size)) + 2
+        for r in ratios:
+            calls.clear()
+            sweep(SweepConfig(mixture=mix, sweep_axis="mixing_ratio", grid=(r,),
+                              total_capacity=capacity))
+            assert 0 < len(calls) <= budget
+            assert all(type(t) is float for t in calls)
 
-    def test_frontier_m0_is_read_only_and_not_pickled(self):
+    def test_solved_mixture_holds_and_pickles_no_fact_length_array(self):
         p, h = self._columns()
         mix = MixtureUniverse(
             knowledge=KnowledgeUniverse(p, h, 0.5),
             web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
             mixing_ratio=0.1,
         )
-        m0 = mix._frontier_m0
-        frontier = mix.knowledge._frontier
-        assert np.array_equal(m0, m0_minus(mix.web, 0.1 * frontier.p_sorted / 0.9))
-        with pytest.raises(ValueError, match="read-only"):
-            m0[0] = 1.0
-        back = pickle.loads(pickle.dumps(mix))
+        fresh = pickle.dumps(mix)
+        sizes = tuple(np.geomspace(1.0, 5.0 * float(h.sum()), 20).tolist())
+        sweep(SweepConfig(mixture=mix, sweep_axis="model_size", grid=sizes))
+        assert not any(isinstance(v, np.ndarray) for v in vars(mix).values())
+        assert pickle.dumps(mix) == fresh
+        # The universe's own p and h are the only fact-length columns pickled.
+        assert len(fresh) < len(pickle.dumps(mix.knowledge)) + 1000
+        back = pickle.loads(fresh)
         assert back == mix and hash(back) == hash(mix)
-        assert "_frontier_m0" not in vars(back)
-        assert np.array_equal(back._frontier_m0, m0)
 
 
 class TestEvalWebLoss:
