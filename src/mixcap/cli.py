@@ -8,7 +8,8 @@ which generating commands require outright (no wall-clock fallback), so
 rerunning any command with the same config and seed produces byte-identical
 artifacts at any BLAS thread count: no result goes through a BLAS call.
 Files are written atomically (temp file + rename) to keep long sweeps
-restartable.
+restartable. Each handler imports the library modules it runs, so a command
+loads only those and pays for no module, numpy or scipy it never calls.
 
 Exit codes: 0 success, 2 usage or validation failure, 1 internal error.
 With --json-errors a machine-readable {"error": ...} object goes to stderr,
@@ -25,12 +26,12 @@ import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import analysis, corpus, simulator, universe
-from .allocator import full_threshold_report, optimal_allocation
-from .universe import MixtureUniverse, mixture_from_dict, web_curve_from_dict
-from .simulator import SubsetExperiment, SweepConfig
+from ._json import json_number
+
+if TYPE_CHECKING:
+    from .universe import MixtureUniverse
 
 OUT_DIR_ENV = "MIXCAP_OUT_DIR"
 
@@ -75,7 +76,7 @@ def _json_text(payload) -> str:
 
 
 def _number(value, key: str) -> float:
-    number = float(universe._number(value, key))
+    number = float(json_number(value, key))
     if not math.isfinite(number):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return number
@@ -114,6 +115,18 @@ def _numbers(value, key: str) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a JSON array of numbers, got {value!r}")
     return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _mixture(value, key: str) -> MixtureUniverse:
+    from .universe import mixture_from_dict
+
+    return mixture_from_dict(value)
+
+
+def _web(value, key: str):
+    from .universe import web_curve_from_dict
+
+    return web_curve_from_dict(value, key)
 
 
 def integer(text: str) -> int | float:
@@ -185,6 +198,8 @@ def _finite_web_loss(web_loss: float, what: str) -> None:
 
 
 def cmd_allocate(p) -> None:
+    from .allocator import optimal_allocation
+
     alloc = optimal_allocation(_mixture_of(p), p.capacity)
     _finite_web_loss(alloc.web_loss, f"capacity {p.capacity}")
     _write_out(p, "allocation.json", _json_text(alloc.to_dict()))
@@ -192,6 +207,8 @@ def cmd_allocate(p) -> None:
 
 def _threshold_report(mixture: MixtureUniverse, capacity, per_unit: float = 1.0) -> dict:
     """The threshold report at capacity units of per_unit bits (None: no capacity)."""
+    from .allocator import full_threshold_report
+
     capacity_bits = None if capacity is None else capacity * per_unit
     if capacity_bits is not None and not 0.0 < capacity_bits < math.inf:
         raise ValueError(f"capacity must be > 0 and finite in bits, got {capacity}")
@@ -214,8 +231,10 @@ def cmd_thresholds(p) -> None:
 
 
 def cmd_sweep(p) -> None:
+    from . import simulator
+
     mixture = _mixture_of(p)
-    sweep_config = SweepConfig(
+    sweep_config = simulator.SweepConfig(
         mixture=mixture,
         sweep_axis=p.axis,
         grid=p.grid,
@@ -235,14 +254,14 @@ def cmd_sweep(p) -> None:
     _atomic_write(out.with_name(out.stem + "_thresholds.json"), _json_text(sidecar))
 
 
-_SUBSET_FIELDS = {f.name for f in fields(SubsetExperiment)}
-
-
 def cmd_subsets(p) -> None:
-    settings = {k: v for k, v in vars(p).items() if k in _SUBSET_FIELDS and v is not None}
+    from . import simulator
+
+    names = {f.name for f in fields(simulator.SubsetExperiment)}
+    settings = {k: v for k, v in vars(p).items() if k in names and v is not None}
     if p.web is not None:
         settings["web_curve"] = p.web
-    exp = SubsetExperiment(**settings)
+    exp = simulator.SubsetExperiment(**settings)
     results = simulator.run_subset_experiment(exp)
     out = _write_out(p, "subsets.csv", simulator.subset_long_csv(results, exp))
     _atomic_write(
@@ -252,6 +271,8 @@ def cmd_subsets(p) -> None:
 
 
 def cmd_synbio(p) -> None:
+    from . import corpus
+
     records = corpus.generate_synbio(p.count, p.seed)
     docs = [corpus.record_to_dict(r) for r in records]
     if p.format == "jsonl":
@@ -266,6 +287,8 @@ def cmd_synbio(p) -> None:
 
 def _read_records(path: str) -> list:
     """The records of a JSONL corpus; a bad line raises a ValueError naming it."""
+    from . import corpus
+
     records = []
     with open(path) as handle:
         for number, line in enumerate(handle, 1):
@@ -278,6 +301,8 @@ def _read_records(path: str) -> list:
 
 
 def cmd_mixplan(p) -> None:
+    from . import corpus
+
     tokens_per_fact = p.tokens_per_fact
     if tokens_per_fact is None and p.records:
         # Measure the mean rendered exposure length as the per-fact token cost.
@@ -301,6 +326,8 @@ def cmd_mixplan(p) -> None:
 
 
 def cmd_subsample(p) -> None:
+    from . import corpus
+
     kept = corpus.subsample_corpus(_read_records(p.records), p.keep_ratio, p.seed)
     text = "".join(
         json.dumps(corpus.record_to_dict(r), sort_keys=True) + "\n" for r in kept
@@ -309,6 +336,8 @@ def cmd_subsample(p) -> None:
 
 
 def cmd_ckm(p) -> None:
+    from . import corpus
+
     texts, original, compact, realized = corpus.ckm_augment(
         _read_records(p.records), p.ckm_ratio, p.seed
     )
@@ -324,32 +353,36 @@ def cmd_ckm(p) -> None:
 
 
 def cmd_estimate(p) -> None:
+    from . import analysis
+
+    # An absent flag and key take the library's defaults.
+    target = analysis.DEFAULT_ACCURACY_TARGET if p.accuracy_target is None else p.accuracy_target
+    failures = analysis.DEFAULT_MAX_FAILURES if p.max_failures is None else p.max_failures
     obs = analysis.read_observations_csv(p.observations)
-    threshold = analysis.estimate_threshold_popularity(obs, p.accuracy_target, p.max_failures)
+    threshold = analysis.estimate_threshold_popularity(obs, target, failures)
     doc = {
         "threshold_popularity": threshold,
-        "accuracy_target": p.accuracy_target,
-        "max_failures": p.max_failures,
+        "accuracy_target": target,
+        "max_failures": failures,
         "n": len(obs),
     }
     _write_out(p, "threshold.json", _json_text(doc))
 
 
-_FITTERS = {
-    "exp": analysis.fit_exponential,
-    "power": analysis.fit_power_law,
-    "loglog": analysis.fit_loglog,
-}
+# Each fit model and the analysis function that fits it.
+_FITTERS = {"exp": "fit_exponential", "power": "fit_power_law", "loglog": "fit_loglog"}
 
 
 def cmd_fit(p) -> None:
-    fit = _FITTERS[p.model](analysis.read_points_csv(p.points))
+    from . import analysis
+
+    fit = getattr(analysis, _FITTERS[p.model])(analysis.read_points_csv(p.points))
     _write_out(p, "fit.json", _json_text(fit.to_dict()))
 
 
 # The parameter table, and the parser built from it.
 
-_MIXTURE = Param("mixture", lambda value, key: mixture_from_dict(value), required=True)
+_MIXTURE = Param("mixture", _mixture, required=True)
 _RATIO = Param("ratio", _number, "--ratio", help="override the mixture's mixing ratio",
                flag_only=True)
 _RECORDS = Param("records", _string, "--records", required=True, help="input JSONL corpus",
@@ -385,7 +418,7 @@ COMMANDS = {
         Param("capacity_grid", _numbers),
         Param("accuracy_target", _number),
         Param("entropy_per_fact", _number),
-        Param("web", web_curve_from_dict),
+        Param("web", _web),
     )),
     "synbio": Command(cmd_synbio, "generate synthetic biographies", (
         Param("count", _integer, "--count", required=True),
@@ -418,8 +451,8 @@ COMMANDS = {
     "estimate": Command(cmd_estimate, "threshold popularity from observations", (
         Param("observations", _string, "--observations", required=True,
               help="CSV with header popularity,correct", flag_only=True),
-        Param("accuracy_target", _number, "--target", default=analysis.DEFAULT_ACCURACY_TARGET),
-        Param("max_failures", _integer, "--max-failures", default=analysis.DEFAULT_MAX_FAILURES),
+        Param("accuracy_target", _number, "--target"),
+        Param("max_failures", _integer, "--max-failures"),
     )),
     "fit": Command(cmd_fit, "fit a scaling-law curve to points", (
         Param("points", _string, "--points", required=True, help="CSV with header x,y",

@@ -171,6 +171,7 @@ ATTRIBUTES = (
 )
 
 ATTRIBUTE_ORDER = tuple(a.name for a in ATTRIBUTES)
+_ATTRIBUTE_SET = frozenset(ATTRIBUTE_ORDER)
 _DOMAIN_BY_NAME = {a.name: a for a in ATTRIBUTES}
 
 # The domain cardinalities are part of the artifact contract; fail loudly if
@@ -208,8 +209,9 @@ class BiographyRecord:
     pronoun: str
 
     def __post_init__(self):
-        missing = [a for a in ATTRIBUTE_ORDER if a not in self.attribute_values]
-        if missing:
+        # One containment test per record; the list is built only to report.
+        if not self.attribute_values.keys() >= _ATTRIBUTE_SET:
+            missing = [a for a in ATTRIBUTE_ORDER if a not in self.attribute_values]
             raise ValueError(f"record is missing attributes: {missing}")
 
 

@@ -26,7 +26,6 @@ from functools import cached_property
 import numpy as np
 
 from .allocator import Allocation, optimal_allocation
-from .corpus import RECORD_ENTROPY_BITS, power_law_partition
 from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -174,8 +173,9 @@ class SubsetExperiment:
     group_count groups of group_size facts each; group g has sampling weight
     proportional to g**(-powerlaw_exponent), split uniformly within the
     group (weights are normalized to sum to 1 before splitting). Every fact
-    carries entropy_per_fact bits, defaulting to the biography-record
-    entropy so corpus-derived universes line up with this builder.
+    carries entropy_per_fact bits; None (the default) stands for
+    ``corpus.RECORD_ENTROPY_BITS``, the biography-record entropy, so
+    corpus-derived universes line up with this builder.
     ``capacity_grid`` must be strictly increasing, with finite entries >= 0.
     """
 
@@ -188,9 +188,14 @@ class SubsetExperiment:
     # where the frequency staircase is fine enough for slope recovery.
     capacity_grid: tuple[float, ...] = tuple(np.geomspace(1e9, 1.2e10, 13).tolist())
     accuracy_target: float = 0.8
-    entropy_per_fact: float = RECORD_ENTROPY_BITS
+    entropy_per_fact: float | None = None
 
     def __post_init__(self):
+        if self.entropy_per_fact is None:
+            # Read here, so that importing this module loads no corpus.
+            from .corpus import RECORD_ENTROPY_BITS
+
+            object.__setattr__(self, "entropy_per_fact", RECORD_ENTROPY_BITS)
         object.__setattr__(
             self, "capacity_grid", tuple(float(c) for c in self.capacity_grid)
         )
@@ -234,6 +239,8 @@ class SubsetExperiment:
     @cached_property
     def weights(self) -> list[float]:
         """Per-group sampling weights, descending, computed once."""
+        from .corpus import power_law_partition
+
         return power_law_partition(self.group_count, self.powerlaw_exponent)
 
 

@@ -26,6 +26,8 @@ from typing import Callable, Literal, Union
 
 import numpy as np
 
+from ._json import json_number
+
 __all__ = [
     "KnowledgeUniverse",
     "PowerLawCurve",
@@ -472,9 +474,9 @@ def web_curve_from_dict(doc: dict, path: str = "web") -> WebLossCurve:
         path += ".power_law"
         pl = _object(doc["power_law"], path)
         return PowerLawCurve(
-            floor=_number(pl["c"], f"{path}.c"),
-            amplitude=_number(pl["a"], f"{path}.a"),
-            exponent=_number(pl["alpha"], f"{path}.alpha"),
+            floor=json_number(pl["c"], f"{path}.c"),
+            amplitude=json_number(pl["a"], f"{path}.a"),
+            exponent=json_number(pl["alpha"], f"{path}.alpha"),
         )
     if "tabulated" in doc:
         path += ".tabulated"
@@ -485,7 +487,7 @@ def web_curve_from_dict(doc: dict, path: str = "web") -> WebLossCurve:
             raise ValueError(f"{path} must be a JSON array of [capacity, loss] pairs")
         return TabulatedCurve(
             points=tuple(
-                (_number(m, f"{path}[{i}][0]"), _number(f, f"{path}[{i}][1]"))
+                (json_number(m, f"{path}[{i}][0]"), json_number(f, f"{path}[{i}][1]"))
                 for i, (m, f) in enumerate(points)
             )
         )
@@ -505,17 +507,6 @@ def mixture_to_dict(mixture: MixtureUniverse) -> dict:
         "web": web_curve_to_dict(mixture.web),
         "r": mixture.mixing_ratio,
     }
-
-
-def _number(value, path: str):
-    """value itself if it is a JSON number in the float range; NaN and inf pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path} must be a number, got {value!r}")
-    try:
-        float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{path} must be finite, got {value!r}") from None
-    return value
 
 
 def _object(value, path: str) -> dict:
@@ -539,7 +530,7 @@ def _fact_column(facts: list, key: str) -> np.ndarray:
     except OverflowError:
         pass
     for i, value in enumerate(column):
-        _number(value, f"mixture.knowledge.facts[{i}].{key}")
+        json_number(value, f"mixture.knowledge.facts[{i}].{key}")
     return np.array(column, dtype=float)
 
 
@@ -552,11 +543,11 @@ def mixture_from_dict(doc: dict) -> MixtureUniverse:
         knowledge = KnowledgeUniverse(
             _fact_column(facts, "p"),
             _fact_column(facts, "h"),
-            _number(kdoc.get("c1", 0.0), "mixture.knowledge.c1"),
+            json_number(kdoc.get("c1", 0.0), "mixture.knowledge.c1"),
         )
         web = web_curve_from_dict(doc["web"], "mixture.web")
         return MixtureUniverse(
-            knowledge=knowledge, web=web, mixing_ratio=_number(doc["r"], "mixture.r")
+            knowledge=knowledge, web=web, mixing_ratio=json_number(doc["r"], "mixture.r")
         )
     except KeyError as exc:
         raise ValueError(f"mixture document is missing field {exc}") from exc

@@ -999,50 +999,69 @@ class TestCsvCells:
         assert not out.exists()
 
 
-# Runs in a fresh interpreter: imports mixcap, runs each (name, argv) of
-# argv[1] through mixcap.cli.main, and writes to argv[2] the scipy modules
-# loaded after the import and after each command.
-_SCIPY_PROBE = """
+# The library modules each command loads besides the package, the cli and
+# its JSON-number check; corpus reads its name lists from mixcap.data.
+_CORPUS = {"mixcap.corpus", "mixcap.data"}
+_COMMAND_MODULES = {
+    "allocate": {"mixcap.universe", "mixcap.allocator"},
+    "thresholds": {"mixcap.universe", "mixcap.allocator"},
+    "sweep": {"mixcap.universe", "mixcap.allocator", "mixcap.simulator"},
+    "subsets": {"mixcap.universe", "mixcap.allocator", "mixcap.simulator", *_CORPUS},
+    "synbio": _CORPUS,
+    "mixplan": _CORPUS,
+    "subsample": _CORPUS,
+    "ckm": _CORPUS,
+    "estimate": {"mixcap.analysis"},
+    "fit": {"mixcap.analysis"},
+}
+
+# Runs in a fresh interpreter: runs argv[2:] through mixcap.cli.main and
+# writes its exit code and the mixcap and scipy modules then loaded to argv[1].
+_MODULE_PROBE = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-
-import mixcap
 import mixcap.cli
 
-loaded = {"import mixcap": scipy_modules()}
-for name, argv in json.loads(sys.argv[1]):
-    loaded[name] = [mixcap.cli.main(argv), scipy_modules()]
-with open(sys.argv[2], "w") as handle:
-    json.dump(loaded, handle)
+code = mixcap.cli.main(sys.argv[2:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("mixcap", "scipy"))
+with open(sys.argv[1], "w") as handle:
+    json.dump([code, loaded], handle)
 """
 
 
+def _fresh_python(args, cwd):
+    """Run python with args in a fresh interpreter that imports this checkout's mixcap."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, check=True, capture_output=True, text=True
+    )
+
+
 class TestImportCost:
-    def test_scipy_is_loaded_by_fit_alone(self, tmp_path, input_files):
-        invocations = []
-        for name in sorted(_BASE_INVOCATIONS, key=lambda name: name == "fit"):
-            flags, config = _BASE_INVOCATIONS[name]
-            config_path = tmp_path / f"{name}.json"
-            config_path.write_text(json.dumps(config))
-            argv = [f.format(**input_files) for f in flags]
-            out = tmp_path / f"{name}.out"
-            invocations.append(
-                (name, [name, *argv, "--config", str(config_path), "--out", str(out)])
-            )
-        report = tmp_path / "scipy.json"
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(invocations), str(report)],
-            env=env,
-            cwd=tmp_path,
-            check=True,
-            capture_output=True,
+    def test_bare_import_loads_no_submodule_numpy_or_scipy(self, tmp_path):
+        code = (
+            "import sys, mixcap; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('mixcap', 'numpy', 'scipy')))"
         )
-        loaded = json.loads(report.read_text())
-        assert loaded.pop("import mixcap") == []
-        code, fit_modules = loaded.pop("fit")
-        assert code == 0 and "scipy.stats" in fit_modules
-        assert loaded == {name: [0, []] for name in _BASE_INVOCATIONS if name != "fit"}
+        assert _fresh_python(["-c", code], tmp_path).stdout.split() == ["mixcap"]
+
+    @pytest.mark.parametrize("name", sorted(_BASE_INVOCATIONS))
+    def test_command_loads_only_its_modules(self, tmp_path, input_files, name):
+        flags, config = _BASE_INVOCATIONS[name]
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        argv = [f.format(**input_files) for f in flags]
+        argv += ["--config", str(config_path), "--out", str(tmp_path / f"{name}.out")]
+        report = tmp_path / "modules.json"
+        _fresh_python(["-c", _MODULE_PROBE, str(report), name, *argv], tmp_path)
+        code, loaded = json.loads(report.read_text())
+        assert code == 0
+        mixcap_modules = {m for m in loaded if m.split(".")[0] == "mixcap"}
+        assert mixcap_modules == {"mixcap", "mixcap.cli", "mixcap._json", *_COMMAND_MODULES[name]}
+        scipy_modules = [m for m in loaded if m.split(".")[0] == "scipy"]
+        if name == "fit":
+            assert "scipy.stats" in scipy_modules
+        else:
+            assert scipy_modules == []

@@ -34,3 +34,51 @@ def test_all_names_resolve_once(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ repeats a name"
     missing = [item for item in exported if not hasattr(module, item)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+# The package's public surface: each name and the module that defines it.
+PACKAGE_NAMES = {
+    "universe": "KnowledgeUniverse MixtureUniverse PowerLawCurve TabulatedCurve WebLossCurve "
+    "eval_web_loss web_marginal m0_minus m0_plus warmup_loss knowledge_frontier "
+    "mixture_from_dict mixture_to_dict",
+    "allocator": "Allocation ThresholdReport optimal_allocation full_threshold_report "
+    "apply_subsampling apply_ckm",
+    "simulator": "SweepConfig SweepRow SubsetExperiment SubsetCapacityResult accuracy "
+    "count_accuracy sweep run_subset_experiment",
+    "corpus": "AttributeDomain BiographyRecord MixPlan ATTRIBUTES RECORD_ENTROPY_BITS "
+    "generate_synbio render_exposure power_law_partition plan_mixture subsample_corpus "
+    "ckm_augment",
+    "analysis": "AccuracyObservation FitResult estimate_threshold_popularity fit_exponential "
+    "fit_power_law fit_loglog loglog_predict invert_size",
+}
+PACKAGE_EXPORTS = [
+    (module, name) for module, names in PACKAGE_NAMES.items() for name in names.split()
+]
+
+
+def test_package_exports_46_names():
+    assert len(PACKAGE_EXPORTS) == 46
+    assert sorted(mixcap.__all__) == sorted(name for _, name in PACKAGE_EXPORTS)
+    assert set(mixcap.__all__) <= set(dir(mixcap))
+
+
+@pytest.mark.parametrize("module, name", PACKAGE_EXPORTS)
+def test_package_name_is_its_modules_object(module, name):
+    defining = importlib.import_module(f"mixcap.{module}")
+    assert getattr(mixcap, name) is getattr(defining, name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from mixcap import *", namespace)
+    for module, name in PACKAGE_EXPORTS:
+        assert namespace[name] is getattr(importlib.import_module(f"mixcap.{module}"), name)
+
+
+def test_unknown_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mixcap.no_such_name
+
+
+def test_version_is_unchanged():
+    assert mixcap.__version__ == "0.1.0"

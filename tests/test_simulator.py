@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import allocation_grid_oracle
-from mixcap import simulator
-from mixcap.corpus import power_law_partition
+from mixcap import corpus
+from mixcap.corpus import RECORD_ENTROPY_BITS, power_law_partition
 from mixcap.allocator import full_threshold_report, optimal_allocation
 from mixcap.analysis import fit_loglog
 from mixcap.simulator import (
@@ -348,10 +348,15 @@ class TestSubsetExperiment:
             calls.append(args)
             return power_law_partition(*args)
 
-        monkeypatch.setattr(simulator, "power_law_partition", counting_partition)
+        # SubsetExperiment.weights looks the function up in corpus when it runs.
+        monkeypatch.setattr(corpus, "power_law_partition", counting_partition)
         exp = SubsetExperiment(group_count=4, group_size=3, capacity_grid=(1e9, 1e10))
         subset_long_csv(run_subset_experiment(exp), exp)
         assert calls == [(4, 1.5)]
+
+    def test_entropy_per_fact_defaults_to_the_record_entropy(self):
+        assert SubsetExperiment().entropy_per_fact == RECORD_ENTROPY_BITS
+        assert SubsetExperiment(entropy_per_fact=2.0).entropy_per_fact == 2.0
 
 
 class TestThresholdLaw:
