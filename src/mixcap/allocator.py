@@ -21,8 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .universe import (
     KnowledgeUniverse,
@@ -34,6 +33,9 @@ from .universe import (
     m0_plus,
     web_marginal,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Allocation",

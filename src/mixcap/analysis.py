@@ -14,6 +14,9 @@ All regressions use natural logarithms so recovered parameters are
 base-unambiguous. Confidence intervals are standard t-based OLS intervals;
 inversion of a fitted log-log law propagates uncertainty with the delta
 method. Fitters are unit-agnostic.
+Fits run on Python floats, as all of mixcap but its fact and record columns
+does, so no SIMD dispatch reaches them: logarithms go through math.log, sums
+and means through math.fsum and the t-quantile through scipy.special.stdtrit.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "AccuracyObservation",
@@ -131,40 +132,29 @@ def estimate_threshold_popularity(
     return x[index[0]]
 
 
-def _check_points(points, model: str) -> tuple[np.ndarray, np.ndarray]:
+def _check_points(points, model: str) -> tuple[list[float], list[float]]:
     pts = [(float(a), float(b)) for a, b in points]
     if len(pts) < 3:
         raise ValueError(f"{model} fit needs at least 3 points, got {len(pts)}")
     for i, pt in enumerate(pts):
         if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
             raise ValueError(f"{model} fit needs finite points; point {i} is {pt}")
-    a = np.array([p[0] for p in pts])
-    b = np.array([p[1] for p in pts])
-    return a, b
+    return [a for a, _ in pts], [b for _, b in pts]
 
 
 def _t_quantile_975(dof: int) -> float:
     """The 0.975 quantile of Student's t with dof degrees of freedom.
 
-    scipy is imported here, not at module level, so that importing mixcap
-    (and every command that never computes a t-interval) does not load it.
+    stdtrit, which scipy.stats.t.ppf calls, is imported here: only a t-interval
+    loads scipy, and it loads scipy.special without scipy.stats.
     """
-    from scipy import stats
+    from scipy.special import stdtrit
 
-    return float(stats.t.ppf(0.975, dof))
-
-
-def _log(values: np.ndarray) -> np.ndarray:
-    """Natural log of each value through the C library's log, as math.log.
-
-    numpy's np.log dispatches to SIMD code whose last bit depends on the
-    CPU, so a fit would too.
-    """
-    return np.array([math.log(v) for v in values.tolist()])
+    return float(stdtrit(dof, 0.975))
 
 
 def _fit_line(
-    model: str, u: np.ndarray, v: np.ndarray, names: dict[str, str], slope_sign: float = 1.0
+    model: str, u: list[float], v: list[float], names: dict[str, str], slope_sign: float = 1.0
 ) -> FitResult:
     """Least squares v = intercept + slope * u with standard OLS uncertainty.
 
@@ -173,8 +163,8 @@ def _fit_line(
     law's D = -slope). A constant response is fitted exactly with slope 0.
     """
     n = len(u)
-    if np.all(v == v[0]):
-        est = {"intercept": float(v[0]), "slope": 0.0}
+    if all(y == v[0] for y in v):
+        est = {"intercept": v[0], "slope": 0.0}
         return FitResult(
             model=model,
             params={name: est[role] for role, name in names.items()},
@@ -184,19 +174,18 @@ def _fit_line(
             n=n,
             _intercept=est["intercept"],
         )
-    u_mean = float(u.mean())
-    v_mean = float(v.mean())
-    du = u - u_mean
-    dv = v - v_mean
-    suu = math.fsum(memoryview(du * du))
+    u_mean = math.fsum(u) / n
+    v_mean = math.fsum(v) / n
+    du = [x - u_mean for x in u]
+    dv = [y - v_mean for y in v]
+    suu = math.fsum(d * d for d in du)
     if suu == 0.0:
         raise ValueError(f"{model} fit needs varying regressor values")
-    slope = math.fsum(memoryview(du * dv)) / suu
+    slope = math.fsum(a * b for a, b in zip(du, dv)) / suu
     intercept = v_mean - slope * u_mean
-    fitted = intercept + slope * u
-    resid = v - fitted
-    ss_res = math.fsum(memoryview(resid * resid))
-    ss_tot = math.fsum(memoryview(dv * dv))
+    resid = [y - (intercept + slope * x) for x, y in zip(u, v)]
+    ss_res = math.fsum(e * e for e in resid)
+    ss_tot = math.fsum(d * d for d in dv)
     dof = n - 2
     resid_var = ss_res / dof if dof > 0 else 0.0
     tq = _t_quantile_975(dof) if dof > 0 else 0.0
@@ -230,11 +219,12 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     the transformed coordinates.
     """
     r, t = _check_points(points, "exponential")
-    if np.any(t <= 0.0):
+    if any(value <= 0.0 for value in t):
         raise ValueError("T values must be > 0")
-    if np.any((r <= 0.0) | (r >= 1.0)):
+    if any(not 0.0 < value < 1.0 for value in r):
         raise ValueError("r values must be in (0, 1)")
-    return _fit_line("exponential", 1.0 / r, _log(t), {"intercept": "logA", "slope": "B"})
+    u, v = [1.0 / x for x in r], [*map(math.log, t)]
+    return _fit_line("exponential", u, v, {"intercept": "logA", "slope": "B"})
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -244,23 +234,21 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
     as r grows; params are logC (natural log of C) and D.
     """
     r, t = _check_points(points, "power_law")
-    if np.any(t <= 0.0):
+    if any(value <= 0.0 for value in t):
         raise ValueError("T values must be > 0")
-    if np.any((r <= 0.0) | (r >= 1.0)):
+    if any(not 0.0 < value < 1.0 for value in r):
         raise ValueError("r values must be in (0, 1)")
-    return _fit_line(
-        "power_law", _log(r), _log(t), {"intercept": "logC", "slope": "D"}, -1.0
-    )
+    u, v = [*map(math.log, r)], [*map(math.log, t)]
+    return _fit_line("power_law", u, v, {"intercept": "logC", "slope": "D"}, -1.0)
 
 
 def fit_loglog(points: Iterable[tuple[float, float]]) -> FitResult:
     """Fit ln y = intercept + slope * ln x with a 95% t-interval on the slope."""
     x, y = _check_points(points, "loglog")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
+    if any(value <= 0.0 for value in x + y):
         raise ValueError("loglog fit needs strictly positive data")
-    return _fit_line(
-        "loglog", _log(x), _log(y), {"slope": "slope", "intercept": "intercept"}
-    )
+    u, v = [*map(math.log, x)], [*map(math.log, y)]
+    return _fit_line("loglog", u, v, {"slope": "slope", "intercept": "intercept"})
 
 
 def loglog_predict(fit: FitResult, x: float) -> tuple[float, tuple[float, float]]:

@@ -602,8 +602,10 @@ def plan_mixture(
 def subsample_corpus(records: Sequence, keep_ratio: float, seed: int) -> list:
     """Keep a uniform random subset of round(keep_ratio * N) records.
 
-    Deterministic per seed; the survivors keep their original relative order.
+    Deterministic per seed, an int in [0, 2**64); the survivors keep their
+    original relative order.
     """
+    _check_int("seed", seed, 64)
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     records = list(records)

@@ -231,9 +231,9 @@ class SubsetExperiment:
             raise ValueError(
                 f"accuracy_target must be in (0, 1), got {self.accuracy_target}"
             )
-        if self.entropy_per_fact <= 0.0:
+        if not (math.isfinite(self.entropy_per_fact) and self.entropy_per_fact > 0.0):
             raise ValueError(
-                f"entropy_per_fact must be > 0, got {self.entropy_per_fact}"
+                f"entropy_per_fact must be finite and > 0, got {self.entropy_per_fact}"
             )
 
     @cached_property

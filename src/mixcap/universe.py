@@ -11,9 +11,12 @@ Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads or worker processes. A
 knowledge universe keeps its facts in read-only columns and caches its
 sorted frontier on first use; the cache is a pure function of those
-columns, so sharing a universe shares the sort. A mixture caches nothing:
-m0_minus and m0_plus map one threshold to one capacity, with the C
-library's pow for a power law, as eval_web_loss and web_marginal.
+columns, so sharing a universe shares the sort. numpy holds those fact
+columns and nothing else: web curves are Python floats, which no SIMD
+dispatch reaches. A power law goes through the C library's pow (Python's
+**); a tabulated curve keeps tuples, searched with bisect and interpolated
+as np.interp does. A mixture caches nothing: m0_minus and m0_plus map one
+threshold to one capacity on the same primitives.
 """
 
 from __future__ import annotations
@@ -186,32 +189,30 @@ class TabulatedCurve:
     """
 
     points: tuple[tuple[float, float], ...]
-    _capacities: np.ndarray = field(init=False, repr=False, compare=False)
-    _losses: np.ndarray = field(init=False, repr=False, compare=False)
-    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    _capacities: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple((float(m), float(f)) for m, f in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("tabulated curve needs at least 2 points")
-        caps = np.array([m for m, _ in pts], dtype=float)
-        losses = np.array([f for _, f in pts], dtype=float)
-        if not (np.all(np.isfinite(caps)) and np.all(np.isfinite(losses))):
+        caps = tuple(m for m, _ in pts)
+        losses = [f for _, f in pts]
+        if not all(map(math.isfinite, (*caps, *losses))):
             raise ValueError("points must be finite")
         if caps[0] != 0.0:
             raise ValueError(f"first capacity must be 0, got {caps[0]}")
-        if np.any(np.diff(caps) <= 0.0):
+        if any(b <= a for a, b in zip(caps, caps[1:])):
             raise ValueError("capacities must be strictly increasing")
-        if np.any(losses < 0.0):
+        if any(f < 0.0 for f in losses):
             raise ValueError("losses must be >= 0")
-        if np.any(np.diff(losses) > 0.0):
+        if any(b > a for a, b in zip(losses, losses[1:])):
             raise ValueError("losses must be non-increasing in capacity")
-        slopes = np.diff(losses) / np.diff(caps)
-        if np.any(np.diff(slopes) < 0.0):
+        slopes = tuple((f1 - f0) / (m1 - m0) for (m0, f0), (m1, f1) in zip(pts, pts[1:]))
+        if any(b < a for a, b in zip(slopes, slopes[1:])):
             raise ValueError("points are not convex (slopes must be non-decreasing)")
         object.__setattr__(self, "_capacities", caps)
-        object.__setattr__(self, "_losses", losses)
         object.__setattr__(self, "_slopes", slopes)
 
 
@@ -253,17 +254,19 @@ class MixtureUniverse:
 
 def eval_web_loss(curve: WebLossCurve, capacity: float) -> float:
     """Best achievable web loss at the given capacity (bits)."""
-    if capacity < 0.0:
+    if not capacity >= 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     if isinstance(curve, PowerLawCurve):
         try:
             return curve.floor + curve.amplitude * capacity ** (-curve.exponent)
         except (ZeroDivisionError, OverflowError):  # capacity 0, or a power past the float range
             return math.inf
-    caps, losses = curve._capacities, curve._losses
-    if capacity >= caps[-1]:
-        return float(losses[-1])
-    return float(np.interp(capacity, caps, losses))
+    # np.interp's arithmetic: a breakpoint's own loss, else slope_j * (M - m_j) + f_j.
+    if capacity >= curve._capacities[-1]:
+        return curve.points[-1][1]
+    j = bisect.bisect_right(curve._capacities, capacity) - 1
+    m_j, f_j = curve.points[j]
+    return f_j if capacity == m_j else curve._slopes[j] * (capacity - m_j) + f_j
 
 
 def web_marginal(curve: WebLossCurve, capacity: float, side: Side) -> float:
@@ -277,7 +280,7 @@ def web_marginal(curve: WebLossCurve, capacity: float, side: Side) -> float:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if capacity < 0.0:
+    if not capacity >= 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     if capacity == 0.0 and side == "left":
         raise ValueError("left derivative is undefined at capacity 0")
@@ -286,15 +289,12 @@ def web_marginal(curve: WebLossCurve, capacity: float, side: Side) -> float:
             return curve.amplitude * curve.exponent * capacity ** (-curve.exponent - 1.0)
         except (ZeroDivisionError, OverflowError):  # capacity 0, or a power past the float range
             return math.inf
-    caps, slopes = curve._capacities, curve._slopes
-    if side == "left":
-        # Segment whose open interval (caps[i], caps[i+1]] contains capacity.
-        i = int(np.searchsorted(caps, capacity, side="left")) - 1
-    else:
-        i = int(np.searchsorted(caps, capacity, side="right")) - 1
-    if i >= len(slopes):
+    # Segment i with capacity in (caps[i], caps[i+1]] (left) or [caps[i], caps[i+1]) (right).
+    search = bisect.bisect_left if side == "left" else bisect.bisect_right
+    i = search(curve._capacities, capacity) - 1
+    if i >= len(curve._slopes):
         return 0.0
-    return float(-slopes[i])
+    return -curve._slopes[i]
 
 
 def m0_minus(curve: WebLossCurve, t: float) -> float:
@@ -334,7 +334,7 @@ def _m0_map(curve: WebLossCurve, plus: bool) -> Callable[[float], float]:
     # are searched ascending. k = number of segments with marginal > t
     # (minus) or >= t (plus); the answer is the breakpoint that ends that
     # run of segments.
-    slopes, caps = memoryview(curve._slopes), memoryview(curve._capacities)
+    slopes, caps = curve._slopes, curve._capacities
     search, last = (bisect.bisect_right if plus else bisect.bisect_left), len(slopes)
     return lambda t: caps[min(search(slopes, -t), last)]
 

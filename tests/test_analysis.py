@@ -269,5 +269,7 @@ class TestFloatRange:
 
 class TestTQuantile:
     def test_equals_scipy_quantile_exactly(self):
-        for dof in [*range(1, 501), 10**3, 10**6, 10**9]:
+        # stdtrit is what scipy.stats.t.ppf calls; the oracle pins that it
+        # stays bit-identical on every dof a fit of up to 2002 points uses.
+        for dof in [*range(1, 2001), 10**6, 10**9]:
             assert _t_quantile_975(dof) == float(stats.t.ppf(0.975, dof)), dof

@@ -1016,14 +1016,15 @@ _COMMAND_MODULES = {
 }
 
 # Runs in a fresh interpreter: runs argv[2:] through mixcap.cli.main and
-# writes its exit code and the mixcap and scipy modules then loaded to argv[1].
+# writes its exit code and the mixcap, numpy and scipy modules then loaded
+# to argv[1].
 _MODULE_PROBE = """
 import json, sys
 
 import mixcap.cli
 
 code = mixcap.cli.main(sys.argv[2:])
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("mixcap", "scipy"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("mixcap", "numpy", "scipy"))
 with open(sys.argv[1], "w") as handle:
     json.dump([code, loaded], handle)
 """
@@ -1062,6 +1063,9 @@ class TestImportCost:
         assert mixcap_modules == {"mixcap", "mixcap.cli", "mixcap._json", *_COMMAND_MODULES[name]}
         scipy_modules = [m for m in loaded if m.split(".")[0] == "scipy"]
         if name == "fit":
-            assert "scipy.stats" in scipy_modules
+            assert "scipy.special" in scipy_modules
+            assert not [m for m in scipy_modules if m.split(".")[:2] == ["scipy", "stats"]]
         else:
             assert scipy_modules == []
+        if name == "estimate":
+            assert [m for m in loaded if m.split(".")[0] == "numpy"] == []

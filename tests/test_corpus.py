@@ -229,15 +229,17 @@ class TestBatchedSeeding:
         # come from one batch.
         assert calls["SeedSequence"] <= 2
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, True, 1.5, "7"])
     def test_seed_outside_the_domain_is_refused(self, seed):
         records = generate_synbio(2, 1)
         for call in (
             lambda: generate_synbio(2, seed),
             lambda: render_exposures(records, seed),
             lambda: ckm_augment(records, 0.5, seed),
+            lambda: subsample_corpus(records, 0.5, seed),
+            lambda: subsample_corpus(records, 1.0, seed),
         ):
-            with pytest.raises(ValueError, match="seed"):
+            with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
                 call()
 
     def test_birth_dates_are_built_on_first_read(self):

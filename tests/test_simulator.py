@@ -358,6 +358,11 @@ class TestSubsetExperiment:
         assert SubsetExperiment().entropy_per_fact == RECORD_ENTROPY_BITS
         assert SubsetExperiment(entropy_per_fact=2.0).entropy_per_fact == 2.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_entropy_per_fact_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match=r"^entropy_per_fact must be finite and > 0"):
+            SubsetExperiment(entropy_per_fact=value)
+
 
 class TestThresholdLaw:
     def test_exact_power_law_round_trip(self):

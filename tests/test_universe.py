@@ -258,6 +258,17 @@ class TestEvalWebLoss:
         with pytest.raises(ValueError, match="capacity"):
             eval_web_loss(curve, -1.0)
 
+    def test_nan_capacity_rejected(self):
+        for curve in (
+            PowerLawCurve(floor=1.0, amplitude=1.0, exponent=0.5),
+            TabulatedCurve(points=((0, 10), (10, 5), (30, 3))),
+        ):
+            with pytest.raises(ValueError, match="capacity must be >= 0, got nan"):
+                eval_web_loss(curve, math.nan)
+            for side in ("left", "right"):
+                with pytest.raises(ValueError, match="capacity must be >= 0, got nan"):
+                    web_marginal(curve, math.nan, side)
+
     def test_power_law_matches_dense_tabulation(self):
         # Cross-check the formula against a fine tabulated version of itself.
         curve = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.5)
@@ -414,6 +425,80 @@ class TestM0:
             if isinstance(curve, PowerLawCurve):
                 for lo, hi in zip(lows, highs):
                     assert lo == pytest.approx(hi, rel=1e-12)
+
+
+class TestTabulatedNumpyOracle:
+    """A tabulated curve's tuples and bisect against the numpy calls that
+    once evaluated it (np.interp, np.searchsorted), bit for bit."""
+
+    @staticmethod
+    def _curve(rng) -> TabulatedCurve | None:
+        n_seg = int(rng.integers(1, 8))
+        gaps = (10.0 ** rng.uniform(-3.0, 6.0, size=n_seg)).tolist()
+        slopes = sorted((-(10.0 ** rng.uniform(-4.0, 2.0, size=n_seg))).tolist())
+        for i in range(n_seg - 1):
+            if rng.uniform() < 0.2:  # collinear breakpoints: a repeated slope
+                slopes[i + 1] = slopes[i]
+        if rng.uniform() < 0.3:  # a flat last segment
+            slopes[-1] = 0.0
+        caps, losses = [0.0], [float(rng.uniform(0.0, 5.0))]
+        for gap in gaps:
+            caps.append(caps[-1] + gap)
+        for slope, gap in zip(reversed(slopes), reversed(gaps)):
+            losses.insert(0, losses[0] - slope * gap)
+        try:
+            return TabulatedCurve(points=tuple(zip(caps, losses)))
+        except ValueError:  # rounding can break convexity; such points are refused
+            return None
+
+    @staticmethod
+    def _neighbours(values):
+        out = set()
+        for v in values:
+            out.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+        out.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
+        return sorted(out)
+
+    def _curves(self, count):
+        # A first segment whose slope overflows to -inf: np.interp returns
+        # the breakpoint's loss at 0, where the segment formula gives nan.
+        yield TabulatedCurve(points=((0.0, 1e300), (1e-300, 0.0), (1.0, 0.0)))
+        rng = np.random.default_rng(23)
+        while count:
+            curve = self._curve(rng)
+            if curve is not None:
+                count -= 1
+                yield curve
+
+    def test_matches_interp_and_searchsorted(self):
+        checked, mismatches = 0, []
+        for curve in self._curves(300):
+            caps = np.array([m for m, _ in curve.points])
+            losses = np.array([f for _, f in curve.points])
+            with np.errstate(over="ignore"):
+                slopes = np.diff(losses) / np.diff(caps)
+            capacities = self._neighbours([*caps.tolist(), 2.0 * caps[-1] + 1.0])
+            for c in (c for c in capacities if c >= 0.0):
+                want = float(losses[-1]) if c >= caps[-1] else float(np.interp(c, caps, losses))
+                got = [(eval_web_loss(curve, c), want)]
+                for side in ("left", "right") if c > 0.0 else ("right",):
+                    i = int(np.searchsorted(caps, c, side=side)) - 1
+                    want = 0.0 if i >= slopes.size else float(-slopes[i])
+                    got.append((web_marginal(curve, c, side), want))
+                for value, want in got:
+                    checked += 1
+                    if value.hex() != want.hex():
+                        mismatches.append((curve.points, c, value, want))
+            thresholds = self._neighbours(sorted({-s for s in slopes.tolist() if s < 0.0}))
+            for t in (t for t in [*thresholds, 1e-300, 1e300] if t > 0.0):
+                for m0, side in ((m0_minus, "left"), (m0_plus, "right")):
+                    k = int(np.searchsorted(slopes, -t, side=side))
+                    want = float(caps[min(k, slopes.size)])
+                    checked += 1
+                    if m0(curve, t).hex() != want.hex():
+                        mismatches.append((curve.points, t, m0.__name__))
+        assert mismatches == []
+        assert checked > 20_000
 
 
 class TestWarmupLoss:
