@@ -17,11 +17,17 @@ PCG64 (setseq-128 with XSL-RR output) generates it, and 32-bit Lemire
 rejection on its 32-bit halves, low half first, turns it into bounded
 draws. Writing them out pins the corpus to them, not to numpy's
 ``Generator``, whose streams may change between releases
-(https://numpy.org/neps/nep-0019-rng-policy.html). Names come from one
-batched uint64 Feistel permutation of the record indices, seeded by the
-master seed and cycle-walked into the name product; its images are part of
-the determinism contract too. Token accounting uses whitespace-delimited
-counts as a proxy tokenizer; only token ratios matter downstream.
+(https://numpy.org/neps/nep-0019-rng-policy.html). Rendered text rests on
+the same footing: an exposure's seed goes through SeedSequence into
+``PCG64``, and its template picks (32-bit Lemire rejection) and sentence
+order (a Fisher-Yates shuffle on masked rejection draws) are written out
+on the 32-bit halves of its outputs. Two ``Generator`` uses remain:
+subsample_corpus's ``choice`` and ckm_augment's field flips. Names come
+from one batched uint64 Feistel permutation of the record indices, seeded
+by the master seed and cycle-walked into the name product; its images are
+part of the determinism contract too. Token accounting uses
+whitespace-delimited counts as a proxy tokenizer; only token ratios matter
+downstream.
 """
 
 from __future__ import annotations
@@ -276,6 +282,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 _DRAW_BLOCK = 1 << 14
+_FLIP_BLOCK = 1 << 10
 
 
 def _check_int(name: str, value, bits: int) -> None:
@@ -480,25 +487,67 @@ def generate_synbio(count: int, seed: int) -> list[BiographyRecord]:
     return records
 
 
+# Each template as a %-style string: literal % escaped, {name} and {pronoun}
+# kept, {value} keyed by the attribute's name, so one mapping per exposure
+# fills all five sentences and no template is parsed per exposure.
+_PERCENT_TEMPLATES = tuple(
+    tuple(t.replace("%", "%%").format(name="%(name)s", pronoun="%(pronoun)s",
+                                      value=f"%({attr.name})s") for t in attr.templates)
+    for attr in ATTRIBUTES
+)
+
+
+def _render_draws(words: Iterator[int]) -> tuple[list[int], list[int]]:
+    """Template picks and sentence order from a stream of 32-bit words.
+
+    The picks are ``Generator.integers(0, 5, size=5)``: 32-bit Lemire
+    rejection, which takes the next word while ``word * 5 mod 2**32`` is
+    below ``2**32 mod 5`` (1, so only a zero word). The order is
+    ``Generator.permutation(5)``: a Fisher-Yates shuffle of 0..4 that swaps
+    position i = 4, 3, 2, 1 with a draw in [0, i], the next word masked to
+    the smallest all-ones mask >= i and taken again while above i.
+    """
+    draw = words.__next__
+    picks = []
+    for _ in ATTRIBUTES:
+        scaled = draw() * 5
+        while not scaled & _MASK32:
+            scaled = draw() * 5
+        picks.append(scaled >> 32)
+    order = [0, 1, 2, 3, 4]
+    for i, mask in ((4, 7), (3, 3), (2, 3), (1, 1)):
+        j = draw() & mask
+        while j > i:
+            j = draw() & mask
+        order[i], order[j] = order[j], order[i]
+    return picks, order
+
+
 def render_exposure(record: BiographyRecord, seed: int) -> str:
     """Render one exposure of a record: five sentences in a fresh random order.
 
     Each attribute picks one of its five templates uniformly, then the five
-    sentences are shuffled uniformly; both choices are driven by ``seed``.
-    Values appear verbatim, so evaluation spans are recoverable from the text.
+    sentences are shuffled uniformly; both choices are driven by ``seed``
+    exactly as ``default_rng(seed)``'s ``integers(0, 5, size=5)`` then
+    ``permutation(5)`` drive them: ``PCG64(seed)`` (seeded through
+    SeedSequence) supplies the 32-bit halves of its outputs, low half first,
+    to the written-out draws of _render_draws. Values appear verbatim, so
+    evaluation spans are recoverable from the text.
     """
-    rng = np.random.default_rng(seed)
-    template_picks = rng.integers(0, 5, size=len(ATTRIBUTES)).tolist()
-    order = rng.permutation(len(ATTRIBUTES)).tolist()
-    sentences = [
-        attr.templates[pick].format(
-            name=record.full_name,
-            value=record.attribute_values[attr.name],
-            pronoun=record.pronoun,
-        )
-        for attr, pick in zip(ATTRIBUTES, template_picks)
-    ]
-    return " ".join(sentences[a] for a in order)
+    bitgen = np.random.PCG64(seed)
+    words: list[int] = []
+    while True:
+        # 6 outputs cover the draws unless the shuffle rejects 4 times; if
+        # the words run out, 6 more are appended and the draws redone. The
+        # little-endian view puts each output's low half first.
+        words += bitgen.random_raw(6).astype("<u8", copy=False).view("<u4").tolist()
+        try:
+            picks, order = _render_draws(iter(words))
+            break
+        except StopIteration:
+            pass
+    fields = {**record.attribute_values, "name": record.full_name, "pronoun": record.pronoun}
+    return " ".join([_PERCENT_TEMPLATES[a][picks[a]] % fields for a in order])
 
 
 def render_exposures(records: Sequence[BiographyRecord], seed: int,
@@ -644,18 +693,21 @@ def ckm_augment(
     texts: list[str] = []
     compact_tokens = 0
     if records and target > 0.0:
-        flips = np.random.SeedSequence(seed, spawn_key=(_CKM_FLIP_TAG, 0))
-        flip_rng = np.random.default_rng(flips)
-        i = 0
-        while compact_tokens < target:
-            record = records[i % len(records)]
+        flip_rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(_CKM_FLIP_TAG, 0)))
+        # Array and scalar draws take the same 32-bit words, so drawing the
+        # flips in blocks gives the flips of one integers(0, 2) per emission.
+        flips = itertools.chain.from_iterable(
+            flip_rng.integers(0, 2, size=_FLIP_BLOCK).tolist() for _ in itertools.count())
+        for record, flip in zip(itertools.cycle(records), flips):
+            if compact_tokens >= target:
+                break
             birth = f"B {record.attribute_values['birth_date']}"
             work = f"O {record.attribute_values['employer']}"
-            fields = (work, birth) if flip_rng.integers(0, 2) else (birth, work)
+            fields = (work, birth) if flip else (birth, work)
             text = f"Bio: N {record.full_name} {fields[0]} {fields[1]}"
             texts.append(text)
             compact_tokens += whitespace_tokens(text)
-            i += 1
     realized = compact_tokens / original_tokens if original_tokens else 0.0
     return texts, original_tokens, compact_tokens, realized
 

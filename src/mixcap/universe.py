@@ -210,6 +210,10 @@ class TabulatedCurve:
         if any(b > a for a, b in zip(losses, losses[1:])):
             raise ValueError("losses must be non-increasing in capacity")
         slopes = tuple((f1 - f0) / (m1 - m0) for (m0, f0), (m1, f1) in zip(pts, pts[1:]))
+        for k, slope in enumerate(slopes):
+            if not math.isfinite(slope):
+                raise ValueError(f"the slope of the segment from {pts[k]} to {pts[k + 1]} "
+                                 "overflows")
         if any(b < a for a, b in zip(slopes, slopes[1:])):
             raise ValueError("points are not convex (slopes must be non-decreasing)")
         object.__setattr__(self, "_capacities", caps)

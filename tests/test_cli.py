@@ -86,6 +86,17 @@ class TestAllocate:
         assert doc["learned"] == [1.0]
         assert type(doc["loss1"]) is float and doc["loss1"] == c1
 
+    def test_web_slope_that_overflows_exits_2(self, tmp_path, capsys):
+        mixture = {"knowledge": {"facts": [{"p": 0.5, "h": 1.0}]},
+                   "web": {"tabulated": [[0, 1e300], [1e-300, 0], [1, 0]]}, "r": 0.5}
+        out = tmp_path / "a.json"
+        config = _write_config(tmp_path, {"mixture": mixture, "capacity": 0.5})
+        assert run(["allocate", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "segment from (0.0, 1e+300) to (1e-300, 0.0) overflows" in err
+        assert "internal" not in err
+        assert not out.exists()
+
     def test_json_errors_flag(self, tmp_path, config_path, capsys):
         code = run(
             [

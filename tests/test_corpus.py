@@ -31,7 +31,13 @@ from mixcap.corpus import (
     subsample_corpus,
     whitespace_tokens,
 )
-from mixcap.corpus import _DRAW_BLOCK, _MONTHS, _attribute_draws, _permuted_indices
+from mixcap.corpus import (
+    _DRAW_BLOCK,
+    _MONTHS,
+    _attribute_draws,
+    _permuted_indices,
+    _render_draws,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -225,9 +231,10 @@ class TestBatchedSeeding:
         records = generate_synbio(1000, 7)
         assert len(list(render_exposures(records, 7))) == 1000
         ckm_augment(records, 0.1, 7)
-        # render_exposure keeps one stream per record; the seeds it gets
-        # come from one batch.
-        assert calls["SeedSequence"] <= 2
+        # render_exposure seeds one PCG64 per record and builds no Generator;
+        # the seeds it gets come from one batch. The one Generator left is
+        # ckm_augment's flip stream.
+        assert calls["SeedSequence"] <= 2 and calls["default_rng"] <= 2
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, True, 1.5, "7"])
     def test_seed_outside_the_domain_is_refused(self, seed):
@@ -319,7 +326,64 @@ class TestGenerateSynbio:
             assert r.pronoun in ("his", "her", "their")
 
 
+def reference_render(record, seed):
+    """An exposure as numpy's Generator draws it and str.format fills it."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, 5, size=len(ATTRIBUTES)).tolist()
+    order = rng.permutation(len(ATTRIBUTES)).tolist()
+    sentences = [
+        attr.templates[pick].format(name=record.full_name, pronoun=record.pronoun,
+                                    value=record.attribute_values[attr.name])
+        for attr, pick in zip(ATTRIBUTES, picks)
+    ]
+    return " ".join(sentences[a] for a in order)
+
+
+class TestRenderDraws:
+    """The written-out integers(0, 5, size=5) and permutation(5) on crafted words."""
+
+    def test_zero_word_is_rejected_and_shuffle_draws_above_i_take_the_next_word(self):
+        words = iter([
+            0,  # (0 * 5) mod 2**32 < 2**32 mod 5: rejected
+            2**32 - 1, 1, 2**30, 2**31, 0xCCCCCCCD,  # picks 4, 0, 1, 2, 4
+            5, 6, 2,  # i = 4, mask 7: 5 and 6 are above 4, 2 swaps 4 and 2
+            0xFFFFFFFF,  # i = 3, mask 3: 3, no swap
+            0xFFFFFFFB, 4,  # i = 2, mask 3: 3 is above 2, 0 swaps 2 and 0
+            2**32 - 1,  # i = 1, mask 1: 1, no swap
+            "unread",
+        ])
+        assert _render_draws(words) == ([4, 0, 1, 2, 4], [4, 1, 0, 3, 2])
+        assert next(words) == "unread"
+
+
 class TestRenderExposure:
+    def test_matches_numpy_generator_and_str_format(self):
+        records = generate_synbio(40, 5)
+        records.append(BiographyRecord(
+            full_name="Ada %s {name} Lovelace",
+            attribute_values={**records[0].attribute_values, "employer": "100% {value} Corp"},
+            pronoun="%(name)s",
+        ))
+        extra = np.random.SeedSequence(2024).generate_state(3000, dtype=np.uint64).tolist()
+        extra += [*range(2000), *(2**64 - 1 - k for k in range(100)), 2**32 - 1, 2**32]
+        seeds = SEEDS + extra
+        assert len(extra) >= 5000
+        mismatches = [
+            seed for k, seed in enumerate(seeds)
+            if render_exposure(records[k % len(records)], seed)
+            != reference_render(records[k % len(records)], seed)
+        ]
+        assert mismatches == []
+        # Some of these seeds need more words than the first 6 outputs hold.
+        refills = 0
+        for seed in seeds:
+            raw = np.random.PCG64(seed).random_raw(6)
+            try:
+                _render_draws(iter(raw.astype("<u8").view("<u4").tolist()))
+            except StopIteration:
+                refills += 1
+        assert refills > 0
+
     def test_deterministic(self):
         record = generate_synbio(1, seed=3)[0]
         assert render_exposure(record, 42) == render_exposure(record, 42)
