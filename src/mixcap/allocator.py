@@ -257,12 +257,12 @@ def full_threshold_report(
                 f"capacity {total_capacity} bits leaves the web marginal infinite: "
                 "a power-law web marginal diverges as its capacity goes to 0"
             )
-        r_lower = min(max(g / (p + g), 0.0), 1.0)
+        r_lower = g / (p + g)
         r_upper = 1.0
         if total_capacity - h_tot > 0.0:
             g_up = web_marginal(web, total_capacity - h_tot, "right")
             if not math.isinf(g_up):
-                r_upper = min(max(g_up / (p + g_up), 0.0), 1.0)
+                r_upper = g_up / (p + g_up)
         bands = dict(
             mixing_ratio_lower=r_lower,
             mixing_ratio_upper=r_upper,

@@ -22,8 +22,10 @@ and means through math.fsum and the t-quantile through scipy.special.stdtrit.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -98,13 +100,13 @@ def estimate_threshold_popularity(
 ) -> float:
     """Popularity below which accuracy no longer clears the target.
 
-    Observations are sorted by popularity ascending, then scanned group by
-    group from the highest popularity down (tied popularities form a single
-    group). After absorbing each group the running suffix accuracy is
-    compared with the target; each shortfall spends one unit of the failure
-    budget, and the popularity of the group that exhausts it is returned.
-    If the budget survives the whole scan, the smallest popularity is
-    returned. The result is always a member of the input popularity multiset.
+    Observations are stably sorted by popularity, then scanned in reverse,
+    group by group from the highest popularity down (tied popularities form
+    a single group). After absorbing each group the running suffix accuracy
+    is compared with the target; each shortfall spends one unit of the
+    failure budget, and the popularity of the group that exhausts it is
+    returned. If the budget survives the whole scan, the smallest popularity
+    is returned. The result is always a member of the input popularity multiset.
     """
     if len(obs) == 0:
         raise ValueError("observations must be non-empty")
@@ -112,24 +114,17 @@ def estimate_threshold_popularity(
         raise ValueError(f"accuracy_target must be in (0, 1), got {accuracy_target}")
     if max_failures < 1:
         raise ValueError(f"max_failures must be >= 1, got {max_failures}")
-    x = [o.popularity for o in obs]
-    y = [1 if o.correct else 0 for o in obs]
-    index = sorted(range(len(x)), key=lambda i: x[i])
-    sum_correct = 0
-    failures = 0
-    j = len(x) - 1
-    while j >= 0:
-        k = j
-        while k >= 0 and x[index[k]] == x[index[j]]:
-            k -= 1
-        for l in range(k + 1, j + 1):
-            sum_correct += y[index[l]]
-        if sum_correct / (len(x) - k - 1) < accuracy_target:
+    popularity_of = attrgetter("popularity")
+    ranked = sorted(obs, key=popularity_of)
+    seen = correct = failures = 0
+    for popularity, group in itertools.groupby(reversed(ranked), key=popularity_of):
+        for o in group:
+            seen, correct = seen + 1, correct + bool(o.correct)
+        if correct / seen < accuracy_target:
             failures += 1
-        if failures == max_failures:
-            return x[index[j]]
-        j = k
-    return x[index[0]]
+            if failures == max_failures:
+                return popularity
+    return ranked[0].popularity
 
 
 def _check_points(points, model: str) -> tuple[list[float], list[float]]:
@@ -140,6 +135,16 @@ def _check_points(points, model: str) -> tuple[list[float], list[float]]:
         if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
             raise ValueError(f"{model} fit needs finite points; point {i} is {pt}")
     return [a for a, _ in pts], [b for _, b in pts]
+
+
+def _check_ratio_points(points, model: str) -> tuple[list[float], list[float]]:
+    """The (r, T) columns of a threshold-versus-ratio fit: T > 0 and r in (0, 1)."""
+    r, t = _check_points(points, model)
+    if any(value <= 0.0 for value in t):
+        raise ValueError("T values must be > 0")
+    if any(not 0.0 < value < 1.0 for value in r):
+        raise ValueError("r values must be in (0, 1)")
+    return r, t
 
 
 def _t_quantile_975(dof: int) -> float:
@@ -218,11 +223,7 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     Returns params logA (natural log of A) and B. R-squared is computed on
     the transformed coordinates.
     """
-    r, t = _check_points(points, "exponential")
-    if any(value <= 0.0 for value in t):
-        raise ValueError("T values must be > 0")
-    if any(not 0.0 < value < 1.0 for value in r):
-        raise ValueError("r values must be in (0, 1)")
+    r, t = _check_ratio_points(points, "exponential")
     u, v = [1.0 / x for x in r], [*map(math.log, t)]
     return _fit_line("exponential", u, v, {"intercept": "logA", "slope": "B"})
 
@@ -233,11 +234,7 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
     D is reported with the sign convention that D > 0 means T decreases
     as r grows; params are logC (natural log of C) and D.
     """
-    r, t = _check_points(points, "power_law")
-    if any(value <= 0.0 for value in t):
-        raise ValueError("T values must be > 0")
-    if any(not 0.0 < value < 1.0 for value in r):
-        raise ValueError("r values must be in (0, 1)")
+    r, t = _check_ratio_points(points, "power_law")
     u, v = [*map(math.log, r)], [*map(math.log, t)]
     return _fit_line("power_law", u, v, {"intercept": "logC", "slope": "D"}, -1.0)
 
@@ -255,8 +252,8 @@ def loglog_predict(fit: FitResult, x: float) -> tuple[float, tuple[float, float]
     """Point prediction and 95% prediction interval for y at a new x."""
     if fit.model != "loglog":
         raise ValueError(f"prediction needs a loglog fit, got {fit.model}")
-    if x <= 0.0:
-        raise ValueError(f"x must be > 0, got {x}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"x must be finite and > 0, got {x}")
     lx = math.log(x)
     mean = fit._intercept + fit._slope * lx
     what = f"the prediction at x = {x!r}"
@@ -280,9 +277,9 @@ def invert_size(fit: FitResult, threshold_popularity: float) -> tuple[float, tup
     """
     if fit.model != "loglog":
         raise ValueError(f"inversion needs a loglog fit, got {fit.model}")
-    if threshold_popularity <= 0.0:
+    if not (math.isfinite(threshold_popularity) and threshold_popularity > 0.0):
         raise ValueError(
-            f"threshold_popularity must be > 0, got {threshold_popularity}"
+            f"threshold_popularity must be finite and > 0, got {threshold_popularity}"
         )
     m, b = fit._slope, fit._intercept
     if m == 0.0:

@@ -21,11 +21,12 @@ draws. Writing them out pins the corpus to them, not to numpy's
 the same footing: an exposure's seed goes through SeedSequence into
 ``PCG64``, and its template picks (32-bit Lemire rejection) and sentence
 order (a Fisher-Yates shuffle on masked rejection draws) are written out
-on the 32-bit halves of its outputs. Two ``Generator`` uses remain:
-subsample_corpus's ``choice`` and ckm_augment's field flips. Names come
-from one batched uint64 Feistel permutation of the record indices, seeded
-by the master seed and cycle-walked into the name product; its images are
-part of the determinism contract too. Token accounting uses
+on the 32-bit halves of its outputs, and so are ckm_augment's field
+flips (the top bit of each half). One ``Generator`` use remains:
+subsample_corpus's ``choice``. Names come from one batched uint64 Feistel
+permutation of the record indices, seeded by the master seed and
+cycle-walked into the name product; its images are part of the
+determinism contract too. Token accounting uses
 whitespace-delimited counts as a proxy tokenizer; only token ratios matter
 downstream.
 """
@@ -282,7 +283,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 _DRAW_BLOCK = 1 << 14
-_FLIP_BLOCK = 1 << 10
+_FLIP_BLOCK = 1 << 9  # PCG64 outputs per block of ckm flips, two flips each
 
 
 def _check_int(name: str, value, bits: int) -> None:
@@ -658,8 +659,6 @@ def subsample_corpus(records: Sequence, keep_ratio: float, seed: int) -> list:
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     records = list(records)
-    if keep_ratio == 1.0:
-        return records
     n_keep = int(round(keep_ratio * len(records)))
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(records), size=n_keep, replace=False))
@@ -679,8 +678,10 @@ def ckm_augment(
 
     Each emission is "Bio: N {name} B {birth date} O {employer}" with the
     birth-date and employer fields flipped with probability 1/2, cycling over
-    the records until the compact token budget is met. The original token
-    count is measured from one deterministic rendering pass over the records
+    the records until the compact token budget is met. The flips are the
+    ``Generator.integers(0, 2)`` draws of ``PCG64(SeedSequence(seed,
+    spawn_key=(11, 0)))``, read off its raw outputs. The original token count
+    is measured from one deterministic rendering pass over the records
     (seeded from the same master seed, an int in [0, 2**64)). Returns
     (texts, original_tokens, compact_tokens, realized_ratio).
     """
@@ -692,13 +693,13 @@ def ckm_augment(
     target = ckm_ratio * original_tokens
     texts: list[str] = []
     compact_tokens = 0
-    if records and target > 0.0:
-        flip_rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(_CKM_FLIP_TAG, 0)))
-        # Array and scalar draws take the same 32-bit words, so drawing the
-        # flips in blocks gives the flips of one integers(0, 2) per emission.
+    if target > 0.0:
+        bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_CKM_FLIP_TAG, 0)))
+        # Generator.integers(0, 2) is 32-bit Lemire on the next 32-bit word,
+        # low half first, and never rejects: a flip is that word's top bit.
         flips = itertools.chain.from_iterable(
-            flip_rng.integers(0, 2, size=_FLIP_BLOCK).tolist() for _ in itertools.count())
+            (bitgen.random_raw(_FLIP_BLOCK).astype("<u8", copy=False).view("<u4") >> 31)
+            .tolist() for _ in itertools.count())
         for record, flip in zip(itertools.cycle(records), flips):
             if compact_tokens >= target:
                 break
@@ -721,13 +722,19 @@ def record_to_dict(record: BiographyRecord) -> dict:
 
 
 def record_from_dict(doc: dict) -> BiographyRecord:
-    """A record from its document; a malformed document raises a ValueError."""
+    """A record from its document; a malformed document, or a name, pronoun or
+    attribute value that is not a string, raises a ValueError."""
     if not (isinstance(doc, dict) and doc.keys() >= {"name", "attrs", "pronoun"}
             and isinstance(doc["attrs"], dict)):
         raise ValueError(f'a record must be a JSON object with "name", "attrs" (an object) '
                          f'and "pronoun", got {doc!r}')
+    attrs = doc["attrs"]
+    for path, value in (("name", doc["name"]), ("pronoun", doc["pronoun"]),
+                        *((f"attrs.{a}", attrs[a]) for a in ATTRIBUTE_ORDER if a in attrs)):
+        if not isinstance(value, str):
+            raise ValueError(f"record field {path} must be a string, got {value!r}")
     return BiographyRecord(
         full_name=doc["name"],
-        attribute_values=dict(doc["attrs"]),
+        attribute_values=dict(attrs),
         pronoun=doc["pronoun"],
     )

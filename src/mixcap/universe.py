@@ -339,8 +339,8 @@ def _m0_map(curve: WebLossCurve, plus: bool) -> Callable[[float], float]:
     # (minus) or >= t (plus); the answer is the breakpoint that ends that
     # run of segments.
     slopes, caps = curve._slopes, curve._capacities
-    search, last = (bisect.bisect_right if plus else bisect.bisect_left), len(slopes)
-    return lambda t: caps[min(search(slopes, -t), last)]
+    search = bisect.bisect_right if plus else bisect.bisect_left
+    return lambda t: caps[search(slopes, -t)]
 
 
 def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
@@ -349,7 +349,7 @@ def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
     F(M) = irreducible_loss + p * max(H_tot - M, 0): loss falls linearly
     with capacity until the whole domain is stored, then stays flat.
     """
-    if capacity < 0.0:
+    if not capacity >= 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     if not knowledge.fact_count:
         return knowledge.irreducible_loss
@@ -383,11 +383,17 @@ class _FrontierCurve:
         self.p_view, self.cum_h_view = memoryview(self.p_sorted), memoryview(self.cum_h)
         self.cum_ph = np.cumsum(self.p_sorted * self.h_sorted)
         self.total_ph = float(self.cum_ph[-1]) if self.count else 0.0
+        # The loss with nothing learned; every loss on this frontier is at most it.
+        if not math.isfinite(c1 + self.total_ph):
+            raise ValueError(
+                f"irreducible_loss {c1!r} plus sum(p * h) {self.total_ph!r} overflows: "
+                "the knowledge loss with no fact learned leaves the float range"
+            )
         # Sorted positions of the zero-entropy facts: any positive budget learns them.
         self.zero_sorted = np.flatnonzero(self.h_sorted == 0.0)
 
     def loss_at(self, capacity: float) -> float:
-        if self.count == 0 or capacity >= self.h_tot:
+        if capacity >= self.h_tot:
             return self.c1
         if capacity <= 0.0:
             return self.c1 + self.total_ph
@@ -415,9 +421,8 @@ class _FrontierCurve:
         if not capacity > 0.0:
             return 0, 0.0, 0
         k, rest = self._prefix(capacity)
-        f = 0.0
-        if k < self.count and self.h_sorted[k] > 0.0:
-            f = rest / float(self.h_sorted[k])
+        # cum_h[k] > capacity >= cum_h[k - 1] (or 0), so fact k has h > 0.
+        f = rest / float(self.h_sorted[k]) if k < self.count else 0.0
         z = self.zero_sorted.size - bisect.bisect_left(self.zero_sorted, k)
         return k, f, z
 
@@ -450,7 +455,7 @@ def knowledge_frontier(
     warmup_loss exactly. The fractions come in original fact order as a
     read-only float64 array, the type of Allocation.learned.
     """
-    if capacity < 0.0:
+    if not capacity >= 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     frontier = knowledge._frontier
     return frontier.loss_at(capacity), frontier.fractions_at(capacity)

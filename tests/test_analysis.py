@@ -206,6 +206,12 @@ class TestFitLogLog:
         est, (lo, hi) = loglog_predict(fit, 12.0)
         assert lo < est < hi
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0])
+    def test_x_must_be_finite_and_positive(self, x):
+        fit = fit_loglog([(1.0, 2.0), (2.0, 8.0), (4.0, 30.0)])
+        with pytest.raises(ValueError, match=f"^x must be finite and > 0, got {x}$"):
+            loglog_predict(fit, x)
+
     def test_json_fields(self):
         fit = fit_loglog([(x, x * x) for x in (1.0, 2.0, 3.0)])
         doc = fit.to_dict()
@@ -230,6 +236,14 @@ class TestInvertSize:
         fit = fit_loglog([(1.0, 3.0), (2.0, 3.0), (4.0, 3.0)])
         with pytest.raises(ValueError, match="zero slope"):
             invert_size(fit, 1.0)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, 0.0])
+    def test_threshold_popularity_must_be_finite_and_positive(self, y):
+        fit = fit_loglog([(x, 1.0 / x) for x in (1.0, 2.0, 5.0, 10.0)])
+        with pytest.raises(
+            ValueError, match=f"^threshold_popularity must be finite and > 0, got {y}$"
+        ):
+            invert_size(fit, y)
 
     def test_interval_brackets_estimate_under_noise(self):
         rng = np.random.default_rng(89)

@@ -204,6 +204,23 @@ def _write_config(tmp_path, doc):
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
+        "argv",
+        [["allocate", "--capacity", 1], ["sweep", "--axis", "model_size"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_knowledge_loss_that_overflows_exits_2(self, tmp_path, capsys, argv):
+        # c1 + p * h = 2e308: the knowledge loss with nothing learned is past the float range.
+        mixture = {"knowledge": {"facts": [{"p": 1.0, "h": 1e308}], "c1": 1e308},
+                   "web": {"power_law": {"c": 0, "a": 1, "alpha": 0.5}}, "r": 0.5}
+        config = _write_config(tmp_path, {"mixture": mixture, "grid": [1, 2]})
+        out = tmp_path / "out"
+        assert run([*argv, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: irreducible_loss 1e+308 plus sum(p * h) 1e+308 overflows" in err
+        assert "internal" not in err and "JSON compliant" not in err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize(
         "mixture, field",
         [
             ([], "mixture must be a JSON object"),
@@ -631,8 +648,17 @@ class TestRecordsFile:
             ('{"name": "A B", "attrs": {}}', _NOT_A_RECORD + "{'name': 'A B', 'attrs': {}}"),
             ('{"name": "A B", "attrs": {}, "pronoun": "her"}', "record is missing attributes"),
             ("{", "Expecting property name"),
+            ('{"name": 5, "attrs": {}, "pronoun": "her"}',
+             "record field name must be a string, got 5"),
+            ('{"name": {"a": 1}, "attrs": {}, "pronoun": "her"}',
+             "record field name must be a string, got {'a': 1}"),
+            (json.dumps({"name": "A B", "pronoun": "her", "attrs": {
+                "birth_date": "May 01, 1950", "birth_city": "Austin", "university": "MIT",
+                "major": None, "employer": "Meta"}}),
+             "record field attrs.major must be a string, got None"),
         ],
-        ids=["array", "attrs-array", "no-pronoun", "no-attributes", "bad-json"],
+        ids=["array", "attrs-array", "no-pronoun", "no-attributes", "bad-json", "name-int",
+             "name-object", "major-null"],
     )
     @pytest.mark.parametrize(
         "argv",

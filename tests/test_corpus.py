@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -214,7 +215,7 @@ class TestBatchedSeeding:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = Counter()
-        for name in ("SeedSequence", "default_rng"):
+        for name in ("SeedSequence", "default_rng", "Generator"):
             def counted(*args, _name=name, _original=getattr(np.random, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -232,9 +233,10 @@ class TestBatchedSeeding:
         assert len(list(render_exposures(records, 7))) == 1000
         ckm_augment(records, 0.1, 7)
         # render_exposure seeds one PCG64 per record and builds no Generator;
-        # the seeds it gets come from one batch. The one Generator left is
-        # ckm_augment's flip stream.
-        assert calls["SeedSequence"] <= 2 and calls["default_rng"] <= 2
+        # the seeds it gets come from one batch. ckm_augment's one
+        # SeedSequence seeds its flip stream, a PCG64 read without a Generator.
+        assert calls["SeedSequence"] == 1
+        assert calls["default_rng"] == calls["Generator"] == 0
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, True, 1.5, "7"])
     def test_seed_outside_the_domain_is_refused(self, seed):
@@ -589,6 +591,21 @@ class TestCkmAugment:
         records = generate_synbio(4, seed=9)
         assert ckm_augment(records, 0.5, seed=10) == ckm_augment(records, 0.5, seed=10)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_flips_match_numpy_generator(self, seed):
+        # The written-out flips against the Generator draws they stand for,
+        # over several blocks of 1,024 flips.
+        records = generate_synbio(40, seed=3)
+        texts, *_ = ckm_augment(records, 60.0, seed)
+        assert len(texts) > 3 * 1024
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11, 0)))
+        for i, (text, flip) in enumerate(zip(texts, rng.integers(0, 2, size=len(texts)))):
+            record = records[i % len(records)]
+            birth = f"B {record.attribute_values['birth_date']}"
+            work = f"O {record.attribute_values['employer']}"
+            first, second = (work, birth) if flip else (birth, work)
+            assert text == f"Bio: N {record.full_name} {first} {second}"
+
     @pytest.mark.parametrize("ratio", [math.inf, math.nan, -0.5])
     def test_ratio_outside_the_domain_is_refused(self, ratio):
         with pytest.raises(ValueError, match="^ckm_ratio must be finite and >= 0"):
@@ -602,6 +619,20 @@ class TestRecordSerialization:
         assert set(doc) == {"name", "attrs", "pronoun"}
         assert record_from_dict(doc) == record
         assert record_from_dict(json.loads(json.dumps(doc))) == record
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("name", 5), ("name", {"a": 1}), ("pronoun", None), ("major", None), ("employer", 3.5)],
+    )
+    def test_non_string_field_is_refused_naming_it(self, field, value):
+        doc = record_to_dict(generate_synbio(1, seed=21)[0])
+        if field in ATTRIBUTE_ORDER:
+            doc["attrs"][field], path = value, f"attrs.{field}"
+        else:
+            doc[field], path = value, field
+        message = f"record field {path} must be a string, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            record_from_dict(doc)
 
     def test_missing_attribute_rejected(self):
         with pytest.raises(ValueError, match="missing attributes"):

@@ -542,6 +542,12 @@ class TestWarmupLoss:
         ku = KnowledgeUniverse([p, p * (1 + 1e-13)], [1.0, 1.0])
         warmup_loss(ku, 0.5)  # must not raise
 
+    @pytest.mark.parametrize("facts", [0, 1, 50])
+    def test_nan_capacity_rejected(self, facts):
+        ku = KnowledgeUniverse(np.full(facts, 0.01), np.ones(facts), irreducible_loss=2.0)
+        with pytest.raises(ValueError, match="capacity must be >= 0, got nan"):
+            warmup_loss(ku, math.nan)
+
 
 class TestKnowledgeFrontier:
     def test_two_fact_example(self):
@@ -605,6 +611,27 @@ class TestKnowledgeFrontier:
         loss, learned = knowledge_frontier(ku, ku.h_tot)
         assert learned.tolist() == [1.0] * ku.fact_count
         assert loss == pytest.approx(ku.irreducible_loss, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, h", [([], []), ([0.5, 0.1], [2.0, 4.0]), ([0.2, 0.2], [0.0, 2.0])],
+        ids=["empty", "heterogeneous", "uniform"],
+    )
+    def test_nan_capacity_rejected(self, p, h):
+        # NaN fails every comparison, so it would otherwise read as no capacity.
+        with pytest.raises(ValueError, match="capacity must be >= 0, got nan"):
+            knowledge_frontier(KnowledgeUniverse(p, h, 1.0), math.nan)
+
+    @pytest.mark.parametrize("call", ["knowledge_frontier", "optimal_allocation"])
+    def test_loss_that_overflows_is_refused(self, call):
+        # c1 + sum(p * h) = 2e308, the loss with no fact learned, is past the float range.
+        ku = KnowledgeUniverse([1.0], [1e308], irreducible_loss=1e308)
+        mix = MixtureUniverse(ku, PowerLawCurve(0.0, 1.0, 0.5), 0.5)
+        with pytest.raises(ValueError, match=r"^irreducible_loss 1e\+308 plus sum\(p \* h\) "
+                                             r"1e\+308 overflows"):
+            if call == "knowledge_frontier":
+                knowledge_frontier(ku, 1.0)
+            else:
+                optimal_allocation(mix, 1.0)
 
 
 class TestSerialization:
