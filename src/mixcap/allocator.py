@@ -198,49 +198,47 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
 def full_threshold_report(
     mixture: MixtureUniverse, total_capacity: float | None = None
 ) -> ThresholdReport:
-    """All phase-transition thresholds of a uniform-frequency mixture.
+    """All phase-transition thresholds of a mixture.
 
-    Model size: at or below m0_minus(r*p/(1-r)) of the most frequent fact
-    the optimal learner stores no facts; at or above m0_plus(r*p/(1-r)) +
-    H_tot of the least frequent fact it stores all of them. Both go through
-    the m0_minus and m0_plus that optimal_allocation evaluates, so the band
-    and the solve agree to the bit. An upper bound that overflows to +inf
-    is refused, naming exposure_frequency. For a power-law web curve the
-    two m0 values coincide and the report carries m0_minus,
-    (A*alpha*(1-r)/(r*p)) ** (1/(alpha+1)), as the nominal single threshold
-    along with the scaling exponent alpha + 1; it is the same float as the
-    lower bound.
+    Each bound is set by the fact that decides it: nothing-learned bounds by
+    the most frequent fact p_max, everything-learned bounds by the least
+    frequent p_min. With t_min = r*p_min/(1-r):
 
-    Mixing ratio, at capacity M (the fields stay None without one): below
-    r_lower = g / (p + g), with g the left web marginal at M, nothing is
-    learned; above r_upper, computed from the right marginal at M - H_tot,
-    everything is. When M <= H_tot full learning may require r -> 1, so
-    r_upper is reported as 1. The asymptotic mixing ratio is g/p, the
-    small-r form under which halving the fact count halves the ratio. A
-    capacity so small that g overflows to +inf is refused.
+    Model size: at or below m_lower = m0_minus(r*p_max/(1-r)), the m0 the
+    solve compares its first fact against, no fact is learned. At or above
+    m_upper all H_tot bits are: m_upper is fl(m0_plus(t_min) + H_tot) where
+    the solve there learns them all, else x = fl(m0_minus(t_min) + C), C the
+    frontier's last cumulative entropy, stepped once to nextafter(x, inf) if
+    fl(x - m0_minus(t_min)) < C, the solve's own all-learned test. One step
+    suffices: x is within half the gap to nextafter(x, inf) of the exact sum,
+    so nextafter(x, inf) - m0_minus(t_min) exceeds C exactly, and rounding is
+    monotone. The result passes the test the first value failed, so it
+    exceeds that value, itself >= H_tot. An m_upper that overflows is
+    refused, naming exposure_frequency. For a power-law web m_lower is also
+    the nominal threshold m_asymptotic, with exponent alpha + 1.
 
-    Single-fact frequency, at capacity M: a fact whose overall corpus
-    frequency r*p exceeds the band is learned. The bounds are r*p at the
-    mixing-ratio bounds; the asymptotic value is the small-r limit
-    f ~ -F2'(M) = g, which for a power law is A * alpha * M**(-alpha-1).
+    Mixing ratio, at capacity M (None without one): below r_lower =
+    g/(p_max + g), g the left web marginal at M, nothing is learned; above
+    r_upper = g_up/(p_min + g_up), g_up the right marginal at M - H_tot,
+    everything is (1 when M <= H_tot). r_asymptotic is g/p_max. A capacity
+    whose g overflows is refused. Single-fact frequency: f_lower =
+    r_lower*p_max and f_upper = r_upper*p_min, so on heterogeneous facts
+    f_upper may fall below f_lower; f_asymptotic is g, the small-r limit.
     """
     web, h_tot = mixture.web, mixture.knowledge.h_tot
     if not mixture.knowledge.fact_count:
         raise ValueError(
             "threshold formulas need at least one fact; the knowledge domain has no facts"
         )
-    p = mixture.knowledge.uniform_frequency()
-    if p is None:
-        raise ValueError(
-            "threshold formulas need a uniform exposure_frequency; "
-            "got heterogeneous facts"
-        )
-    # Frequencies within a relative 1e-12 count as uniform, so the band is
-    # taken from the extremes: the most frequent fact is the first one worth
-    # learning and the least frequent one the last.
     p_max, p_min = float(mixture.knowledge.p.max()), float(mixture.knowledge.p.min())
     m_lower = m0_minus(web, mixture._marginal_ratio(p_max))
-    m_upper = m0_plus(web, mixture._marginal_ratio(p_min)) + h_tot
+    t_min = mixture._marginal_ratio(p_min)
+    m_upper = m0_plus(web, t_min) + h_tot
+    if math.isfinite(m_upper) and optimal_allocation(mixture, m_upper).knowledge_capacity != h_tot:
+        m0, cum_h = m0_minus(web, t_min), mixture.knowledge._frontier.cum_h_view[-1]
+        m_upper = m0 + cum_h
+        if m_upper - m0 < cum_h:
+            m_upper = math.nextafter(m_upper, math.inf)
     if math.isinf(m_upper):
         raise ValueError(
             f"exposure_frequency {p_min} is too small for mixing_ratio "
@@ -257,19 +255,19 @@ def full_threshold_report(
                 f"capacity {total_capacity} bits leaves the web marginal infinite: "
                 "a power-law web marginal diverges as its capacity goes to 0"
             )
-        r_lower = g / (p + g)
+        r_lower = g / (p_max + g)
         r_upper = 1.0
         if total_capacity - h_tot > 0.0:
             g_up = web_marginal(web, total_capacity - h_tot, "right")
             if not math.isinf(g_up):
-                r_upper = g_up / (p + g_up)
+                r_upper = g_up / (p_min + g_up)
         bands = dict(
             mixing_ratio_lower=r_lower,
             mixing_ratio_upper=r_upper,
-            single_fact_frequency_lower=r_lower * p,
-            single_fact_frequency_upper=r_upper * p,
+            single_fact_frequency_lower=r_lower * p_max,
+            single_fact_frequency_upper=r_upper * p_min,
             single_fact_frequency_asymptotic=g,
-            mixing_ratio_asymptotic=g / p,
+            mixing_ratio_asymptotic=g / p_max,
         )
     return ThresholdReport(
         model_size_lower=m_lower,

@@ -56,8 +56,8 @@ class AccuracyObservation:
     correct: bool
 
     def __post_init__(self):
-        if not self.popularity > 0.0:
-            raise ValueError(f"popularity must be > 0, got {self.popularity}")
+        if not (math.isfinite(self.popularity) and self.popularity > 0.0):
+            raise ValueError(f"popularity must be finite and > 0, got {self.popularity}")
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,6 @@ __all__ = [
     "web_curve_from_dict",
 ]
 
-# Relative tolerance below which exposure frequencies count as equal.
-EQUAL_FREQUENCY_RTOL = 1e-12
-
 Side = Literal["left", "right"]
 
 
@@ -135,18 +132,6 @@ class KnowledgeUniverse:
     @property
     def fact_count(self) -> int:
         return self.p.size
-
-    def uniform_frequency(self) -> float | None:
-        """The shared exposure frequency, or None if facts differ.
-
-        Frequencies within relative 1e-12 of each other count as equal.
-        """
-        if not self.fact_count:
-            return None
-        p_max = float(self.p.max())
-        if p_max - float(self.p.min()) <= EQUAL_FREQUENCY_RTOL * p_max:
-            return float(self.p[0])
-        return None
 
     @cached_property
     def _frontier(self) -> _FrontierCurve:
@@ -348,18 +333,27 @@ def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
 
     F(M) = irreducible_loss + p * max(H_tot - M, 0): loss falls linearly
     with capacity until the whole domain is stored, then stays flat.
+    Frequencies within a relative 1e-12 of each other count as equal; facts
+    further apart are refused, as is a loss with nothing learned that
+    overflows.
     """
     if not capacity >= 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
+    c1 = knowledge.irreducible_loss
     if not knowledge.fact_count:
-        return knowledge.irreducible_loss
-    p = knowledge.uniform_frequency()
-    if p is None:
+        return c1
+    p, p_max = float(knowledge.p[0]), float(knowledge.p.max())
+    if p_max - float(knowledge.p.min()) > 1e-12 * p_max:
         raise ValueError(
             "facts have heterogeneous exposure frequencies; "
             "use knowledge_frontier instead"
         )
-    return knowledge.irreducible_loss + p * max(knowledge.h_tot - capacity, 0.0)
+    if math.isinf(c1 + p * knowledge.h_tot):
+        raise ValueError(
+            f"irreducible_loss {c1!r} plus p * H_tot {p * knowledge.h_tot!r} overflows: "
+            "the knowledge loss with no fact learned leaves the float range"
+        )
+    return c1 + p * max(knowledge.h_tot - capacity, 0.0)
 
 
 class _FrontierCurve:

@@ -9,8 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from helpers import allocation_grid_oracle, make_mixture
+from test_allocator_properties import PROPERTY_SETTINGS, log_uniform, mixtures, no_hang
 from mixcap.allocator import (
     Allocation,
     apply_ckm,
@@ -285,6 +287,27 @@ class TestDomainLosses:
         assert loss1 == pytest.approx(1.0 + 1e-3 * (5000.0 - m1), rel=1e-12)
 
 
+def _near_uniform_cases():
+    """(p, h, c1, web, r) of two facts a relative 5e-13 apart, either order,
+    under a power law and a tabulated curve with a segment whose marginal
+    lies strictly between their r*p/(1-r); and three uniform facts."""
+    r, p_low, p_high = 0.25, 1e-3, 1e-3 * (1 + 5e-13)
+    t_low, t_high = (r * p / (1.0 - r) for p in (p_low, p_high))
+    mid = 0.5 * (t_low + t_high)
+    points = ((0.0, 2000.0), (1e3, 1000.0), (1e3 + 1e6, 1000.0 - mid * 1e6),
+              (1e3 + 2e6, 1000.0 - mid * 1e6 - 1.0))
+    webs = PowerLawCurve(1.0, 100.0, 0.5), TabulatedCurve(points=points)
+    for tabulated in (False, True):
+        for most_frequent_first in (False, True):
+            p = [p_high, p_low] if most_frequent_first else [p_low, p_high]
+            yield pytest.param(p, [5.0, 5.0], 0.0, webs[tabulated], r,
+                               id=f"{most_frequent_first}-{tabulated}")
+    # fl(m0_plus + H_tot) = 5882.201461753292 left the third fact at
+    # 0.99999999999989; m_upper is the next float up.
+    yield pytest.param([1e-3] * 3, [3.3] * 3, 1.0, PowerLawCurve(1.0, 100.0, 0.5), 0.1,
+                       id="three-uniform")
+
+
 class TestThresholdModelSize:
     def test_power_law_band(self):
         mix = _uniform_mixture()
@@ -319,14 +342,27 @@ class TestThresholdModelSize:
         assert report.model_size_lower < 1e-2
         assert report.model_size_upper == pytest.approx(5000.0, abs=1e-2)
 
-    def test_heterogeneous_rejected(self):
+    def test_heterogeneous_band_brackets_the_solve(self):
+        # t = r*p/(1-r) is p itself at r = 0.5: m_lower reads p_max = 0.5,
+        # m_upper reads p_min = 0.1 and adds both facts' bits.
         mix = MixtureUniverse(
-            knowledge=KnowledgeUniverse([0.5, 0.1], [1.0, 1.0]),
+            knowledge=KnowledgeUniverse([0.1, 0.5], [1.0, 1.0]),
             web=PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5),
             mixing_ratio=0.5,
         )
-        with pytest.raises(ValueError, match="uniform"):
-            full_threshold_report(mix)
+        report = full_threshold_report(mix, 10.0)
+        assert report.model_size_lower == pytest.approx(1.0, rel=1e-15)
+        assert report.model_size_upper == pytest.approx(5.0 ** (2.0 / 3.0) + 2.0, rel=1e-15)
+        lower = optimal_allocation(mix, report.model_size_lower)
+        assert lower.knowledge_capacity == 0.0 and lower.learned.tolist() == [0.0, 0.0]
+        assert optimal_allocation(mix, report.model_size_lower * 1.01).learned.tolist()[1] > 0.0
+        upper = optimal_allocation(mix, report.model_size_upper)
+        assert upper.knowledge_capacity == 2.0 and upper.learned.tolist() == [1.0, 1.0]
+        assert optimal_allocation(mix, report.model_size_upper * 0.99).learned.tolist()[0] < 1.0
+        # The frequency band reads each bound's deciding fact, so it crosses.
+        assert report.single_fact_frequency_lower == report.mixing_ratio_lower * 0.5
+        assert report.single_fact_frequency_upper == report.mixing_ratio_upper * 0.1
+        assert report.mixing_ratio_asymptotic == web_marginal(mix.web, 10.0, "left") / 0.5
 
     def test_empty_domain_rejected_as_empty(self):
         mix = MixtureUniverse(
@@ -360,34 +396,17 @@ class TestThresholdModelSize:
                 alloc = optimal_allocation(mix, m)
                 assert abs(alloc.knowledge_capacity - h_tot) <= 1e-9
 
-    @staticmethod
-    def _near_uniform_webs(r, p_low, p_high):
-        """A power law, and a tabulated curve with a segment whose marginal
-        lies strictly between the two facts' r*p/(1-r)."""
-        t_low, t_high = (r * p / (1.0 - r) for p in (p_low, p_high))
-        mid = 0.5 * (t_low + t_high)
-        points = ((0.0, 2000.0), (1e3, 1000.0), (1e3 + 1e6, 1000.0 - mid * 1e6),
-                  (1e3 + 2e6, 1000.0 - mid * 1e6 - 1.0))
-        return PowerLawCurve(1.0, 100.0, 0.5), TabulatedCurve(points=points)
-
-    @pytest.mark.parametrize("tabulated", [False, True])
-    @pytest.mark.parametrize("most_frequent_first", [False, True])
-    def test_near_uniform_band_brackets_the_solve(self, tabulated, most_frequent_first):
-        # Frequencies within a relative 1e-12 count as uniform, but the band
-        # must hold for the facts as they are: nothing is learned at m_lower,
-        # everything at m_upper.
-        r, p_low, p_high = 0.25, 1e-3, 1e-3 * (1 + 5e-13)
-        assert p_low < p_high
-        p = [p_high, p_low] if most_frequent_first else [p_low, p_high]
-        web = self._near_uniform_webs(r, p_low, p_high)[tabulated]
-        mix = MixtureUniverse(KnowledgeUniverse(p, [5.0, 5.0]), web, r)
+    @pytest.mark.parametrize("p, h, c1, web, r", _near_uniform_cases())
+    def test_near_uniform_band_brackets_the_solve(self, p, h, c1, web, r):
+        # Nothing is learned at m_lower, everything at m_upper.
+        mix = MixtureUniverse(KnowledgeUniverse(p, h, c1), web, r)
         report = full_threshold_report(mix)
         lower = optimal_allocation(mix, report.model_size_lower)
         assert lower.knowledge_capacity == 0.0
-        assert lower.learned.tolist() == [0.0, 0.0]
+        assert lower.learned.tolist() == [0.0] * len(p)
         upper = optimal_allocation(mix, report.model_size_upper)
         assert upper.knowledge_capacity == mix.knowledge.h_tot
-        assert upper.learned.tolist() == [1.0, 1.0]
+        assert upper.learned.tolist() == [1.0] * len(p)
 
     def test_bound_that_overflows_names_the_frequency(self):
         # A*alpha/t overflows for this subnormal p, so no finite model size
@@ -518,6 +537,42 @@ class TestThresholdFrequency:
                 continue
             f_lower, _, asym = _frequency_band(web, m, float(p), 1.0)
             assert f_lower == pytest.approx(asym, rel=1e-3)
+
+
+# The mixing-ratio band is computed from web_marginal, not from the m0_minus
+# the solve compares against, so it can miss the solve by a few ulps: the
+# probes sit a relative 1e-9 outside it.
+R_MARGIN = 1e-9
+
+
+class TestThresholdBandProperties:
+    """Each band brackets the solve, on uniform and heterogeneous facts and
+    entropies (the drawn mixtures) under either web curve kind."""
+
+    @PROPERTY_SETTINGS
+    @given(mixtures())
+    def test_model_size_band(self, mix):
+        report = full_threshold_report(mix)
+        with no_hang():
+            lower = optimal_allocation(mix, report.model_size_lower)
+            upper = optimal_allocation(mix, report.model_size_upper)
+        assert lower.knowledge_capacity == 0.0 and not lower.learned.any()
+        assert upper.knowledge_capacity == mix.knowledge.h_tot and upper.learned.all()
+
+    @PROPERTY_SETTINGS
+    @given(mixtures(), log_uniform(0.3, 3))
+    def test_mixing_ratio_band(self, mix, excess):
+        capacity = mix.knowledge.h_tot * excess
+        report = full_threshold_report(mix, capacity)
+        below = report.mixing_ratio_lower * (1.0 - R_MARGIN)
+        above = report.mixing_ratio_upper * (1.0 + R_MARGIN)
+        with no_hang():
+            if below > 0.0:
+                alloc = optimal_allocation(replace(mix, mixing_ratio=below), capacity)
+                assert alloc.knowledge_capacity == 0.0 and not alloc.learned.any()
+            if 0.0 < above < 1.0:
+                alloc = optimal_allocation(replace(mix, mixing_ratio=above), capacity)
+                assert alloc.learned.all()
 
 
 def _hetero_mixture(rng, k=60):

@@ -68,6 +68,11 @@ class TestEstimateThresholdPopularity:
         with pytest.raises(ValueError, match="non-empty"):
             estimate_threshold_popularity([], 0.6, 5)
 
+    @pytest.mark.parametrize("popularity", [math.inf, math.nan, 0.0, -1.0])
+    def test_observation_needs_finite_positive_popularity(self, popularity):
+        with pytest.raises(ValueError, match=f"^popularity must be finite and > 0, got {popularity}$"):
+            AccuracyObservation(popularity, False)
+
     def test_validation(self):
         o = obs([1], [1])
         with pytest.raises(ValueError, match="accuracy_target"):

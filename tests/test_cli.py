@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from mixcap.allocator import full_threshold_report, optimal_allocation
 from mixcap.analysis import estimate_threshold_popularity, AccuracyObservation
 from mixcap.cli import COMMANDS, _json_text, main
 from mixcap.corpus import RECORD_ENTROPY_BITS
+from mixcap.simulator import SubsetExperiment, build_subset_universe
+from mixcap.universe import MixtureUniverse
 
 
 MIX_DOC = {
@@ -145,7 +148,7 @@ class TestThresholds:
         assert params["m_upper"] == pytest.approx(bits["m_upper"] / 2.0)
         assert bits["exponent"] == pytest.approx(1.5)
 
-    def test_heterogeneous_universe_exits_2(self, tmp_path, capsys):
+    def test_heterogeneous_universe_reports(self, tmp_path):
         doc = json.loads(json.dumps(MIX_DOC))
         doc["mixture"]["knowledge"]["facts"] = [
             {"p": 0.5, "h": 1.0},
@@ -153,8 +156,26 @@ class TestThresholds:
         ]
         path = tmp_path / "hetero.json"
         path.write_text(json.dumps(doc))
-        assert run(["thresholds", "--config", path, "--out", tmp_path / "t.json"]) == 2
-        assert "uniform" in capsys.readouterr().err
+        out = tmp_path / "t.json"
+        assert run(["thresholds", "--config", path, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["m_lower"] < report["m_upper"]
+        doc["grid"] = [1.0, 10.0]
+        path.write_text(json.dumps(doc))
+        assert run(["sweep", "--config", path, "--axis", "model_size", "--out", tmp_path / "s.csv"]) == 0
+        sidecar = json.loads((tmp_path / "s_thresholds.json").read_text())
+        assert "error" not in sidecar
+        assert sidecar["m_upper"] == report["m_upper"]
+
+    def test_synbio_320k_partition_reports(self):
+        # The subset experiment's power-law partition at SynBio-320k scale.
+        exp = SubsetExperiment(group_size=3200)
+        mixture = MixtureUniverse(build_subset_universe(exp), exp.web_curve, exp.mixing_ratio)
+        assert mixture.knowledge.fact_count == 320_000
+        report = full_threshold_report(mixture, exp.capacity_grid[0])
+        assert report.model_size_lower < exp.capacity_grid[0] < report.model_size_upper
+        upper = optimal_allocation(mixture, report.model_size_upper)
+        assert upper.knowledge_capacity == mixture.knowledge.h_tot
 
     def test_empty_domain_exits_2_naming_it(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MIX_DOC))

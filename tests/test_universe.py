@@ -537,6 +537,14 @@ class TestWarmupLoss:
         with pytest.raises(ValueError, match="knowledge_frontier"):
             warmup_loss(ku, 1.0)
 
+    def test_overflow_names_irreducible_loss(self):
+        # As knowledge_frontier refuses it: the loss with nothing learned is inf.
+        ku = KnowledgeUniverse([1.0], [1e308], irreducible_loss=1e308)
+        for capacity in (0.0, 1e308):
+            with pytest.raises(ValueError, match=r"^irreducible_loss 1e\+308 plus p \* H_tot "
+                                                 r"1e\+308 overflows"):
+                warmup_loss(ku, capacity)
+
     def test_near_equal_frequencies_tolerated(self):
         p = 0.123
         ku = KnowledgeUniverse([p, p * (1 + 1e-13)], [1.0, 1.0])
