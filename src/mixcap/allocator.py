@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -27,6 +28,7 @@ from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
+    WebLossCurve,
     _m0_map,
     eval_web_loss,
     m0_minus,
@@ -217,13 +219,16 @@ def full_threshold_report(
     refused, naming exposure_frequency. For a power-law web m_lower is also
     the nominal threshold m_asymptotic, with exponent alpha + 1.
 
-    Mixing ratio, at capacity M (None without one): below r_lower =
-    g/(p_max + g), g the left web marginal at M, nothing is learned; above
-    r_upper = g_up/(p_min + g_up), g_up the right marginal at M - H_tot,
-    everything is (1 when M <= H_tot). r_asymptotic is g/p_max. A capacity
-    whose g overflows is refused. Single-fact frequency: f_lower =
-    r_lower*p_max and f_upper = r_upper*p_min, so on heterogeneous facts
-    f_upper may fall below f_lower; f_asymptotic is g, the small-r limit.
+    Mixing ratio, at capacity M (None without one), with g the left web
+    marginal at M: r_lower is the least float ratio at which the solve
+    learns anything (_least_learning_ratio), so nothing is learned below it;
+    it is 0 when g is 0, as then every r*p_max/(1-r) that does not underflow
+    beats the web. Above r_upper = max(g_up/(p_min + g_up), r_lower), g_up
+    the right marginal at M - H_tot, everything is learned (1 when
+    M <= H_tot). r_asymptotic is g/p_max. A capacity whose g overflows is
+    refused. Single-fact frequency: f_lower = r_lower*p_max and f_upper =
+    r_upper*p_min, so on heterogeneous facts f_upper may fall below
+    f_lower; f_asymptotic is g, the small-r limit.
     """
     web, h_tot = mixture.web, mixture.knowledge.h_tot
     if not mixture.knowledge.fact_count:
@@ -255,12 +260,15 @@ def full_threshold_report(
                 f"capacity {total_capacity} bits leaves the web marginal infinite: "
                 "a power-law web marginal diverges as its capacity goes to 0"
             )
-        r_lower = g / (p_max + g)
+        r_lower = _least_learning_ratio(web, p_max, total_capacity) if g > 0.0 else 0.0
         r_upper = 1.0
         if total_capacity - h_tot > 0.0:
             g_up = web_marginal(web, total_capacity - h_tot, "right")
             if not math.isinf(g_up):
-                r_upper = g_up / (p_min + g_up)
+                # Where one linear web segment spans [M - H_tot, M], the solve
+                # learns nothing, then everything, across one ulp of r, which
+                # can put r_lower an ulp above this quotient.
+                r_upper = max(g_up / (p_min + g_up), r_lower)
         bands = dict(
             mixing_ratio_lower=r_lower,
             mixing_ratio_upper=r_upper,
@@ -276,6 +284,37 @@ def full_threshold_report(
         exponent=web.exponent + 1.0 if power_law else None,
         **bands,
     )
+
+
+def _least_learning_ratio(web: WebLossCurve, p_max: float, capacity: float) -> float:
+    """The least float r in (0, 1) at which the solve at capacity M learns anything.
+
+    That is the least r with fl(M - m0_minus(t)) > 0, t = fl(r*p_max/(1-r)),
+    the solve's own m1 > 0 test on its first fact; 1.0 if no r < 1 passes.
+    The test is monotone in r: r*p_max and 1 - r round monotonically, so t
+    does not decrease as r grows; m0_minus does not increase in t (the
+    solve's prefix bisection rests on the same), and M - m0 rounds
+    monotonically. A t that underflows to 0 fails, as the solve refuses it.
+    Nonnegative floats are ordered as their bit patterns, so this bisects
+    the integers between the patterns of 0.0 (fails) and 1.0 (passes). They
+    are fewer than 2**62 apart and each step halves the gap, so the loop
+    ends within 62 steps and cannot spin.
+    """
+    m0 = _m0_map(web, plus=False)
+
+    def ratio(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r = ratio(mid)
+        t = r * p_max / (1.0 - r)
+        if t > 0.0 and capacity - m0(t) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return ratio(hi)
 
 
 def apply_subsampling(mixture: MixtureUniverse, keep_ratio: float) -> MixtureUniverse:

@@ -10,6 +10,10 @@ artifacts at any BLAS thread count: no result goes through a BLAS call.
 Files are written atomically (temp file + rename) to keep long sweeps
 restartable. Each handler imports the library modules it runs, so a command
 loads only those and pays for no module, numpy or scipy it never calls.
+Run as the program (argv None), main caps the OpenBLAS that numpy and scipy
+load at one thread unless OPENBLAS_NUM_THREADS is set, so no command starts
+a BLAS worker pool it never uses; called with an argv, and on import, it
+leaves the environment alone.
 
 Exit codes: 0 success, 2 usage or validation failure, 1 internal error.
 With --json-errors a machine-readable {"error": ...} object goes to stderr,
@@ -499,7 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:
+        # Run as the program: no result goes through BLAS, so the OpenBLAS
+        # that numpy and scipy load starts no worker pool. It reads the
+        # variable once, when it loads, and no handler has imported numpy
+        # yet. A value the user set is kept.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        argv = sys.argv[1:]
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from helpers import allocation_grid_oracle, make_mixture
 from test_allocator_properties import PROPERTY_SETTINGS, log_uniform, mixtures, no_hang
@@ -539,9 +539,10 @@ class TestThresholdFrequency:
             assert f_lower == pytest.approx(asym, rel=1e-3)
 
 
-# The mixing-ratio band is computed from web_marginal, not from the m0_minus
-# the solve compares against, so it can miss the solve by a few ulps: the
-# probes sit a relative 1e-9 outside it.
+# r_lower is the solve's own least learning ratio, so its probes are exact;
+# r_upper comes from web_marginal, not from the m0_minus the solve compares
+# against, so it can miss the solve by a few ulps: its probe sits a relative
+# 1e-9 above it.
 R_MARGIN = 1e-9
 
 
@@ -561,15 +562,27 @@ class TestThresholdBandProperties:
 
     @PROPERTY_SETTINGS
     @given(mixtures(), log_uniform(0.3, 3))
+    # Here g/(p_max + g) rounds to 50/51, where the solve learns nothing; the
+    # least ratio at which it learns is one ulp above.
+    @example(
+        MixtureUniverse(
+            KnowledgeUniverse([1e-3, 5e-4], [5.0, 5.0], 0.5), PowerLawCurve(1.0, 100.0, 0.5), 0.1
+        ),
+        10.0,
+    )
     def test_mixing_ratio_band(self, mix, excess):
         capacity = mix.knowledge.h_tot * excess
         report = full_threshold_report(mix, capacity)
-        below = report.mixing_ratio_lower * (1.0 - R_MARGIN)
+        lower = report.mixing_ratio_lower
+        below = math.nextafter(lower, 0.0)
         above = report.mixing_ratio_upper * (1.0 + R_MARGIN)
         with no_hang():
             if below > 0.0:
                 alloc = optimal_allocation(replace(mix, mixing_ratio=below), capacity)
                 assert alloc.knowledge_capacity == 0.0 and not alloc.learned.any()
+            if 0.0 < lower < 1.0:
+                alloc = optimal_allocation(replace(mix, mixing_ratio=lower), capacity)
+                assert alloc.knowledge_capacity > 0.0 and alloc.learned.any()
             if 0.0 < above < 1.0:
                 alloc = optimal_allocation(replace(mix, mixing_ratio=above), capacity)
                 assert alloc.learned.all()
