@@ -28,15 +28,15 @@ from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
-    WebLossCurve,
     _m0_map,
     eval_web_loss,
     m0_minus,
-    m0_plus,
     web_marginal,
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 __all__ = [
@@ -99,8 +99,8 @@ class ThresholdReport:
     """Phase-transition thresholds for a mixture configuration.
 
     model_size_lower is the capacity at or below which nothing from the
-    knowledge domain is learned; model_size_upper the capacity at or above
-    which everything is. The mixing-ratio and single-fact-frequency fields
+    knowledge domain is learned; model_size_upper the least capacity at or
+    above which everything is. The mixing-ratio and single-fact-frequency fields
     are the analogous bounds at a fixed capacity and are None when no
     capacity was supplied. Asymptotic fields carry the single-value power-law
     forms of the same thresholds (unspecified proportionality constants in
@@ -202,48 +202,42 @@ def full_threshold_report(
 ) -> ThresholdReport:
     """All phase-transition thresholds of a mixture.
 
-    Each bound is set by the fact that decides it: nothing-learned bounds by
-    the most frequent fact p_max, everything-learned bounds by the least
-    frequent p_min. With t_min = r*p_min/(1-r):
+    Write m1(M, r) for the solve's knowledge_capacity at capacity M and
+    mixing ratio r. It does not decrease in M or in r: each fact's bound
+    fl(M - m0_minus(fl(r*p/(1-r)))) rises with both, as every rounding is
+    monotone and m0_minus does not increase, and higher bounds only move
+    the solve's learned prefix and its boundary share forward. So each
+    bound but m_lower is the least float at which the solve passes its
+    test (_least_float), and the test holds at every float above it.
 
-    Model size: at or below m_lower = m0_minus(r*p_max/(1-r)), the m0 the
-    solve compares its first fact against, no fact is learned. At or above
-    m_upper all H_tot bits are: m_upper is fl(m0_plus(t_min) + H_tot) where
-    the solve there learns them all, else x = fl(m0_minus(t_min) + C), C the
-    frontier's last cumulative entropy, stepped once to nextafter(x, inf) if
-    fl(x - m0_minus(t_min)) < C, the solve's own all-learned test. One step
-    suffices: x is within half the gap to nextafter(x, inf) of the exact sum,
-    so nextafter(x, inf) - m0_minus(t_min) exceeds C exactly, and rounding is
-    monotone. The result passes the test the first value failed, so it
-    exceeds that value, itself >= H_tot. An m_upper that overflows is
-    refused, naming exposure_frequency. For a power-law web m_lower is also
-    the nominal threshold m_asymptotic, with exponent alpha + 1.
+    Model size: m_lower = m0_minus(r*p_max/(1-r)), the m0 the solve
+    compares its most frequent fact against, so m1 is 0 at and below it;
+    for a power-law web it is also the nominal threshold m_asymptotic, with
+    exponent alpha + 1. m_upper is the least M with m1 == H_tot; one that
+    overflows is refused, naming exposure_frequency.
 
-    Mixing ratio, at capacity M (None without one), with g the left web
-    marginal at M: r_lower is the least float ratio at which the solve
-    learns anything (_least_learning_ratio), so nothing is learned below it;
-    it is 0 when g is 0, as then every r*p_max/(1-r) that does not underflow
-    beats the web. Above r_upper = max(g_up/(p_min + g_up), r_lower), g_up
-    the right marginal at M - H_tot, everything is learned (1 when
-    M <= H_tot). r_asymptotic is g/p_max. A capacity whose g overflows is
-    refused. Single-fact frequency: f_lower = r_lower*p_max and f_upper =
+    Mixing ratio, at capacity M (None without one): r_lower is the least
+    float ratio with m1 > 0, r_upper the least with m1 == H_tot. Each is 1
+    if no r < 1 qualifies, and 0 if the solve passes at the least ratio it
+    accepts (below it some r*p/(1-r) underflows). r_asymptotic is g/p_max,
+    g the left web marginal at M; a capacity whose g overflows is refused.
+    Single-fact frequency: f_lower = r_lower*p_max and f_upper =
     r_upper*p_min, so on heterogeneous facts f_upper may fall below
-    f_lower; f_asymptotic is g, the small-r limit.
+    f_lower; f_asymptotic is g, the small-r limit. Facts whose entropies
+    are all 0 are learned at every M and r, so they are refused.
     """
-    web, h_tot = mixture.web, mixture.knowledge.h_tot
-    if not mixture.knowledge.fact_count:
+    knowledge, web, h_tot = mixture.knowledge, mixture.web, mixture.knowledge.h_tot
+    if not knowledge.fact_count:
         raise ValueError(
             "threshold formulas need at least one fact; the knowledge domain has no facts"
         )
-    p_max, p_min = float(mixture.knowledge.p.max()), float(mixture.knowledge.p.min())
+    if not h_tot > 0.0:
+        raise ValueError("threshold formulas need a fact with target_entropy > 0")
+    p_max, p_min = float(knowledge.p.max()), float(knowledge.p.min())
     m_lower = m0_minus(web, mixture._marginal_ratio(p_max))
-    t_min = mixture._marginal_ratio(p_min)
-    m_upper = m0_plus(web, t_min) + h_tot
-    if math.isfinite(m_upper) and optimal_allocation(mixture, m_upper).knowledge_capacity != h_tot:
-        m0, cum_h = m0_minus(web, t_min), mixture.knowledge._frontier.cum_h_view[-1]
-        m_upper = m0 + cum_h
-        if m_upper - m0 < cum_h:
-            m_upper = math.nextafter(m_upper, math.inf)
+    m_upper = _least_float(
+        lambda m: optimal_allocation(mixture, m).knowledge_capacity == h_tot, math.inf
+    )
     if math.isinf(m_upper):
         raise ValueError(
             f"exposure_frequency {p_min} is too small for mixing_ratio "
@@ -260,15 +254,20 @@ def full_threshold_report(
                 f"capacity {total_capacity} bits leaves the web marginal infinite: "
                 "a power-law web marginal diverges as its capacity goes to 0"
             )
-        r_lower = _least_learning_ratio(web, p_max, total_capacity) if g > 0.0 else 0.0
-        r_upper = 1.0
-        if total_capacity - h_tot > 0.0:
-            g_up = web_marginal(web, total_capacity - h_tot, "right")
-            if not math.isinf(g_up):
-                # Where one linear web segment spans [M - H_tot, M], the solve
-                # learns nothing, then everything, across one ulp of r, which
-                # can put r_lower an ulp above this quotient.
-                r_upper = max(g_up / (p_min + g_up), r_lower)
+
+        def m1(r: float) -> float:
+            try:
+                mix = replace(mixture, mixing_ratio=r)
+                return optimal_allocation(mix, total_capacity).knowledge_capacity
+            except ValueError:  # r is 0, or the solve refuses it: some r*p/(1-r) underflows
+                return -math.inf
+
+        def least_ratio(test: Callable[[float], bool]) -> float:
+            r = _least_float(lambda r: test(m1(r)), 1.0)
+            return 0.0 if r < 1.0 and m1(math.nextafter(r, 0.0)) == -math.inf else r
+
+        r_lower = least_ratio(lambda m: m > 0.0)
+        r_upper = least_ratio(lambda m: m == h_tot)
         bands = dict(
             mixing_ratio_lower=r_lower,
             mixing_ratio_upper=r_upper,
@@ -286,35 +285,27 @@ def full_threshold_report(
     )
 
 
-def _least_learning_ratio(web: WebLossCurve, p_max: float, capacity: float) -> float:
-    """The least float r in (0, 1) at which the solve at capacity M learns anything.
+def _least_float(test: Callable[[float], bool], hi: float) -> float:
+    """The least float x in (0, hi) with test(x), or hi if there is none.
 
-    That is the least r with fl(M - m0_minus(t)) > 0, t = fl(r*p_max/(1-r)),
-    the solve's own m1 > 0 test on its first fact; 1.0 if no r < 1 passes.
-    The test is monotone in r: r*p_max and 1 - r round monotonically, so t
-    does not decrease as r grows; m0_minus does not increase in t (the
-    solve's prefix bisection rests on the same), and M - m0 rounds
-    monotonically. A t that underflows to 0 fails, as the solve refuses it.
-    Nonnegative floats are ordered as their bit patterns, so this bisects
-    the integers between the patterns of 0.0 (fails) and 1.0 (passes). They
-    are fewer than 2**62 apart and each step halves the gap, so the loop
-    ends within 62 steps and cannot spin.
+    test must be false up to some float and true from it on; it is never
+    called at 0.0 or at hi. Nonnegative floats are ordered as their bit
+    patterns, so this bisects the integers between the patterns of 0.0 and
+    hi. They are fewer than 2**63 apart for any hi up to inf and each step
+    halves the gap, so the loop ends within 63 steps and cannot spin.
     """
-    m0 = _m0_map(web, plus=False)
 
-    def ratio(bits: int) -> float:
+    def value(bits: int) -> float:
         return struct.unpack("<d", struct.pack("<q", bits))[0]
 
-    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        r = ratio(mid)
-        t = r * p_max / (1.0 - r)
-        if t > 0.0 and capacity - m0(t) > 0.0:
-            hi = mid
+    lo, hi_bits = 0, struct.unpack("<q", struct.pack("<d", hi))[0]
+    while hi_bits - lo > 1:
+        mid = (lo + hi_bits) // 2
+        if test(value(mid)):
+            hi_bits = mid
         else:
             lo = mid
-    return ratio(hi)
+    return value(hi_bits)
 
 
 def apply_subsampling(mixture: MixtureUniverse, keep_ratio: float) -> MixtureUniverse:

@@ -138,12 +138,15 @@ def _check_points(points, model: str) -> tuple[list[float], list[float]]:
 
 
 def _check_ratio_points(points, model: str) -> tuple[list[float], list[float]]:
-    """The (r, T) columns of a threshold-versus-ratio fit: T > 0 and r in (0, 1)."""
+    """The (r, T) columns of a threshold-versus-ratio fit: x is r in (0, 1), y is T > 0."""
     r, t = _check_points(points, model)
-    if any(value <= 0.0 for value in t):
-        raise ValueError("T values must be > 0")
-    if any(not 0.0 < value < 1.0 for value in r):
-        raise ValueError("r values must be in (0, 1)")
+    for i, pt in enumerate(zip(r, t)):
+        if not 0.0 < pt[0] < 1.0:
+            raise ValueError(f"{model} fit needs column 'x' (the mixing ratio r) in (0, 1); "
+                             f"point {i} is {pt}")
+        if not pt[1] > 0.0:
+            raise ValueError(f"{model} fit needs column 'y' (the threshold T) > 0; "
+                             f"point {i} is {pt}")
     return r, t
 
 

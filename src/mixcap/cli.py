@@ -74,6 +74,10 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _jsonl_text(docs) -> str:
+    return "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+
+
 # Parameter kinds: each returns its checked value or raises a ValueError
 # naming the key. As in mixture documents, only JSON numbers are numbers:
 # numeric strings and bools are refused, and so are non-finite values.
@@ -279,10 +283,7 @@ def cmd_synbio(p) -> None:
 
     records = corpus.generate_synbio(p.count, p.seed)
     docs = [corpus.record_to_dict(r) for r in records]
-    if p.format == "jsonl":
-        text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
-    else:
-        text = _json_text(docs)
+    text = _jsonl_text(docs) if p.format == "jsonl" else _json_text(docs)
     _write_out(p, f"synbio.{p.format}", text)
     if p.render_out:
         rendered = corpus.render_exposures(records, p.seed)
@@ -333,10 +334,7 @@ def cmd_subsample(p) -> None:
     from . import corpus
 
     kept = corpus.subsample_corpus(_read_records(p.records), p.keep_ratio, p.seed)
-    text = "".join(
-        json.dumps(corpus.record_to_dict(r), sort_keys=True) + "\n" for r in kept
-    )
-    _write_out(p, "subsample.jsonl", text)
+    _write_out(p, "subsample.jsonl", _jsonl_text(map(corpus.record_to_dict, kept)))
 
 
 def cmd_ckm(p) -> None:

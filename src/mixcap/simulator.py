@@ -60,6 +60,19 @@ THRESHOLD_LAW_REFERENCE = {"fitted_slope": 1.152, "predicted_exponent": 1.283}
 THRESHOLD_SENTINEL = "NA"
 
 
+def _check_grid(name: str, grid: tuple[float, ...], ratios: bool = False) -> None:
+    """Refuse an empty or unordered grid, or one with ratios outside (0, 1) or bad capacities."""
+    if not grid:
+        raise ValueError(f"{name} must be non-empty")
+    for g in grid:
+        if ratios and not 0.0 < g < 1.0:
+            raise ValueError(f"{name} entries must be in (0, 1), got {g}")
+        if not ratios and not (math.isfinite(g) and g >= 0.0):
+            raise ValueError(f"{name} entries must be finite and >= 0, got {g}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One-axis sweep specification.
@@ -84,15 +97,7 @@ class SweepConfig:
             raise ValueError(
                 f"sweep_axis must be 'model_size' or 'mixing_ratio', got {self.sweep_axis!r}"
             )
-        if not self.grid:
-            raise ValueError("grid must be non-empty")
-        for g in self.grid:
-            if self.sweep_axis == "model_size" and not (math.isfinite(g) and g >= 0.0):
-                raise ValueError(f"grid entries must be finite and >= 0, got {g}")
-            if self.sweep_axis == "mixing_ratio" and not 0.0 < g < 1.0:
-                raise ValueError(f"grid entries must be in (0, 1), got {g}")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
+        _check_grid("grid", self.grid, ratios=self.sweep_axis == "mixing_ratio")
         if self.sweep_axis == "mixing_ratio" and self.total_capacity is None:
             raise ValueError("mixing_ratio sweeps need total_capacity")
         capacity = self.total_capacity
@@ -220,13 +225,7 @@ class SubsetExperiment:
             raise ValueError(f"{out_of_range}: {exc}") from None
         if self.mixing_ratio * p_last / (1.0 - self.mixing_ratio) == 0.0:
             raise ValueError(f"{out_of_range}: the last group's r*p/(1-r) underflows to 0")
-        if not self.capacity_grid:
-            raise ValueError("capacity_grid must be non-empty")
-        for c in self.capacity_grid:
-            if not (math.isfinite(c) and c >= 0.0):
-                raise ValueError(f"capacity_grid entries must be finite and >= 0, got {c}")
-        if any(b <= a for a, b in zip(self.capacity_grid, self.capacity_grid[1:])):
-            raise ValueError("capacity_grid must be strictly increasing")
+        _check_grid("capacity_grid", self.capacity_grid)
         if not 0.0 < self.accuracy_target < 1.0:
             raise ValueError(
                 f"accuracy_target must be in (0, 1), got {self.accuracy_target}"

@@ -303,7 +303,7 @@ def _near_uniform_cases():
             yield pytest.param(p, [5.0, 5.0], 0.0, webs[tabulated], r,
                                id=f"{most_frequent_first}-{tabulated}")
     # fl(m0_plus + H_tot) = 5882.201461753292 left the third fact at
-    # 0.99999999999989; m_upper is the next float up.
+    # 0.99999999999989; the solve learns every bit from the next float up.
     yield pytest.param([1e-3] * 3, [3.3] * 3, 1.0, PowerLawCurve(1.0, 100.0, 0.5), 0.1,
                        id="three-uniform")
 
@@ -374,6 +374,14 @@ class TestThresholdModelSize:
             with pytest.raises(ValueError, match="the knowledge domain has no facts"):
                 full_threshold_report(mix, capacity)
 
+    def test_domain_of_zero_entropy_facts_rejected(self):
+        # m1 == H_tot == 0 at every capacity and ratio: there is no transition.
+        knowledge = KnowledgeUniverse([0.5, 0.1], [0.0, 0.0])
+        mix = MixtureUniverse(knowledge, PowerLawCurve(1.0, 100.0, 0.5), 0.3)
+        for capacity in (None, 100.0):
+            with pytest.raises(ValueError, match="need a fact with target_entropy > 0"):
+                full_threshold_report(mix, capacity)
+
     def test_band_exact_for_tabulated_curves(self):
         # The all-or-nothing cases are not power-law-specific: below the
         # lower bound nothing is learned, above the upper bound everything.
@@ -389,12 +397,10 @@ class TestThresholdModelSize:
             report = full_threshold_report(mix)
             h_tot = mix.knowledge.h_tot
             for m in (report.model_size_lower * 0.5, report.model_size_lower):
-                if m <= 0:
-                    continue
-                assert optimal_allocation(mix, m).knowledge_capacity <= 1e-9
+                assert optimal_allocation(mix, m).knowledge_capacity == 0.0
             for m in (report.model_size_upper, report.model_size_upper * 2.0):
                 alloc = optimal_allocation(mix, m)
-                assert abs(alloc.knowledge_capacity - h_tot) <= 1e-9
+                assert alloc.knowledge_capacity == h_tot and (alloc.learned == 1.0).all()
 
     @pytest.mark.parametrize("p, h, c1, web, r", _near_uniform_cases())
     def test_near_uniform_band_brackets_the_solve(self, p, h, c1, web, r):
@@ -539,26 +545,32 @@ class TestThresholdFrequency:
             assert f_lower == pytest.approx(asym, rel=1e-3)
 
 
-# r_lower is the solve's own least learning ratio, so its probes are exact;
-# r_upper comes from web_marginal, not from the m0_minus the solve compares
-# against, so it can miss the solve by a few ulps: its probe sits a relative
-# 1e-9 above it.
-R_MARGIN = 1e-9
-
-
 class TestThresholdBandProperties:
-    """Each band brackets the solve, on uniform and heterogeneous facts and
-    entropies (the drawn mixtures) under either web curve kind."""
+    """Each band is the solve's own exact bound, on uniform and heterogeneous
+    facts and entropies (the drawn mixtures) under either web curve kind: the
+    solve passes each test at its bound and fails it one float below."""
 
     @PROPERTY_SETTINGS
     @given(mixtures())
+    # The web's middle segment has the marginal t_min = 0.1 itself, so every
+    # bit is learned from m0_minus(t_min) + H_tot = 105, not m0_plus + H_tot.
+    @example(
+        MixtureUniverse(
+            KnowledgeUniverse([0.1], [5.0]),
+            TabulatedCurve(points=((0.0, 130.0), (100.0, 30.0), (200.0, 20.0), (300.0, 19.0))),
+            0.5,
+        )
+    )
     def test_model_size_band(self, mix):
+        h_tot = mix.knowledge.h_tot
         report = full_threshold_report(mix)
         with no_hang():
             lower = optimal_allocation(mix, report.model_size_lower)
             upper = optimal_allocation(mix, report.model_size_upper)
+            below = optimal_allocation(mix, math.nextafter(report.model_size_upper, 0.0))
         assert lower.knowledge_capacity == 0.0 and not lower.learned.any()
-        assert upper.knowledge_capacity == mix.knowledge.h_tot and upper.learned.all()
+        assert upper.knowledge_capacity == h_tot and (upper.learned == 1.0).all()
+        assert below.knowledge_capacity < h_tot
 
     @PROPERTY_SETTINGS
     @given(mixtures(), log_uniform(0.3, 3))
@@ -571,21 +583,26 @@ class TestThresholdBandProperties:
         10.0,
     )
     def test_mixing_ratio_band(self, mix, excess):
-        capacity = mix.knowledge.h_tot * excess
+        h_tot = mix.knowledge.h_tot
+        capacity = h_tot * excess
         report = full_threshold_report(mix, capacity)
-        lower = report.mixing_ratio_lower
-        below = math.nextafter(lower, 0.0)
-        above = report.mixing_ratio_upper * (1.0 + R_MARGIN)
+        lower, upper = report.mixing_ratio_lower, report.mixing_ratio_upper
+
+        def solve(r):
+            return optimal_allocation(replace(mix, mixing_ratio=r), capacity)
+
         with no_hang():
-            if below > 0.0:
-                alloc = optimal_allocation(replace(mix, mixing_ratio=below), capacity)
+            if lower > 0.0:
+                alloc = solve(math.nextafter(lower, 0.0))
                 assert alloc.knowledge_capacity == 0.0 and not alloc.learned.any()
             if 0.0 < lower < 1.0:
-                alloc = optimal_allocation(replace(mix, mixing_ratio=lower), capacity)
+                alloc = solve(lower)
                 assert alloc.knowledge_capacity > 0.0 and alloc.learned.any()
-            if 0.0 < above < 1.0:
-                alloc = optimal_allocation(replace(mix, mixing_ratio=above), capacity)
-                assert alloc.learned.all()
+            if upper > 0.0:
+                assert solve(math.nextafter(upper, 0.0)).knowledge_capacity < h_tot
+            if 0.0 < upper < 1.0:
+                alloc = solve(upper)
+                assert alloc.knowledge_capacity == h_tot and (alloc.learned == 1.0).all()
 
 
 def _hetero_mixture(rng, k=60):

@@ -135,9 +135,11 @@ class TestFitExponential:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
             fit_exponential([(0.3, 1.0), (0.4, 2.0)])
-        with pytest.raises(ValueError, match="T values"):
+        bad_y = r"column 'y' \(the threshold T\) > 0; point 1 is \(0\.4, -2\.0\)"
+        with pytest.raises(ValueError, match=bad_y):
             fit_exponential([(0.3, 1.0), (0.4, -2.0), (0.5, 3.0)])
-        with pytest.raises(ValueError, match="r values"):
+        bad_x = r"column 'x' \(the mixing ratio r\) in \(0, 1\); point 1 is \(1\.4, 2\.0\)"
+        with pytest.raises(ValueError, match=bad_x):
             fit_exponential([(0.3, 1.0), (1.4, 2.0), (0.5, 3.0)])
 
     def test_order_invariance(self):

@@ -730,6 +730,15 @@ class TestEstimateAndFit:
         assert doc["model"] == "loglog"
         assert doc["params"]["slope"] == pytest.approx(2.0)
 
+    def test_ratio_fit_out_of_range_x_exits_2_naming_column(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n" + "".join(f"{x},{100 / x}\n" for x in (1, 2, 4, 8, 16)))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--points", pts, "--model", "power", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "column 'x' (the mixing ratio r) in (0, 1); point 0 is (1.0, 100.0)" in err
+        assert not out.exists()
+
     def test_unknown_model_exits_2(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y\n1,1\n2,4\n3,9\n")
