@@ -15,7 +15,7 @@ import importlib
 # submodule and no numpy, and a command-line run loads only what it uses.
 _EXPORTS = {
     "universe": "KnowledgeUniverse MixtureUniverse PowerLawCurve TabulatedCurve WebLossCurve "
-    "eval_web_loss web_marginal m0_minus m0_plus warmup_loss knowledge_frontier "
+    "eval_web_loss web_marginal m0_minus warmup_loss knowledge_frontier "
     "mixture_from_dict mixture_to_dict",
     "allocator": "Allocation ThresholdReport optimal_allocation full_threshold_report "
     "apply_subsampling apply_ckm",

@@ -176,7 +176,7 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
         # Products and quotients round monotonically, so r*p/(1-r) underflows
         # for some fact exactly when it does for the least frequent one.
         mixture._marginal_ratio(p[-1])
-    m0 = _m0_map(web, plus=False)
+    m0 = _m0_map(web)
     # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k].
     # The bound does not increase along the order and cum_h does not
     # decrease, so those facts are a prefix and bisection finds its end.

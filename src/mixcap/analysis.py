@@ -76,8 +76,6 @@ class FitResult:
     stderr: dict[str, float]
     ci95: dict[str, tuple[float, float]]
     n: int
-    _slope: float = field(repr=False, default=0.0)
-    _intercept: float = field(repr=False, default=0.0)
     _u_mean: float = field(repr=False, default=0.0)
     _suu: float = field(repr=False, default=0.0)
     _resid_var: float = field(repr=False, default=0.0)
@@ -127,27 +125,32 @@ def estimate_threshold_popularity(
     return ranked[0].popularity
 
 
-def _check_points(points, model: str) -> tuple[list[float], list[float]]:
+# What a fit needs of its (x, y) columns: one (test, description) per column.
+_FINITE = ((math.isfinite, "finite"),) * 2
+_POSITIVE = ((lambda v: v > 0.0, "strictly positive"),) * 2
+# A threshold-versus-ratio fit: x is the mixing ratio r in (0, 1), y is T > 0.
+_RATIO = (
+    (lambda r: 0.0 < r < 1.0, "(the mixing ratio r) in (0, 1)"),
+    (lambda t: t > 0.0, "(the threshold T) > 0"),
+)
+
+
+def _check_points(points, model: str, needs) -> tuple[list[float], list[float]]:
+    """The x and y columns of at least 3 finite points that meet needs.
+
+    The first point that fails a check is named by its values, with the
+    column that fails; every point is checked finite before needs.
+    """
     pts = [(float(a), float(b)) for a, b in points]
     if len(pts) < 3:
         raise ValueError(f"{model} fit needs at least 3 points, got {len(pts)}")
-    for i, pt in enumerate(pts):
-        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
-            raise ValueError(f"{model} fit needs finite points; point {i} is {pt}")
+    for checks in (_FINITE, needs):
+        for pt in pts:
+            for column, value, (ok, what) in zip("xy", pt, checks):
+                if not ok(value):
+                    raise ValueError(f"{model} fit needs column {column!r} {what}, "
+                                     f"got point {pt}")
     return [a for a, _ in pts], [b for _, b in pts]
-
-
-def _check_ratio_points(points, model: str) -> tuple[list[float], list[float]]:
-    """The (r, T) columns of a threshold-versus-ratio fit: x is r in (0, 1), y is T > 0."""
-    r, t = _check_points(points, model)
-    for i, pt in enumerate(zip(r, t)):
-        if not 0.0 < pt[0] < 1.0:
-            raise ValueError(f"{model} fit needs column 'x' (the mixing ratio r) in (0, 1); "
-                             f"point {i} is {pt}")
-        if not pt[1] > 0.0:
-            raise ValueError(f"{model} fit needs column 'y' (the threshold T) > 0; "
-                             f"point {i} is {pt}")
-    return r, t
 
 
 def _t_quantile_975(dof: int) -> float:
@@ -180,7 +183,6 @@ def _fit_line(
             stderr={name: 0.0 for name in names.values()},
             ci95={name: (est[role], est[role]) for role, name in names.items()},
             n=n,
-            _intercept=est["intercept"],
         )
     u_mean = math.fsum(u) / n
     v_mean = math.fsum(v) / n
@@ -212,8 +214,6 @@ def _fit_line(
             for role, name in names.items()
         },
         n=n,
-        _slope=slope,
-        _intercept=intercept,
         _u_mean=u_mean,
         _suu=suu,
         _resid_var=resid_var,
@@ -226,7 +226,7 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     Returns params logA (natural log of A) and B. R-squared is computed on
     the transformed coordinates.
     """
-    r, t = _check_ratio_points(points, "exponential")
+    r, t = _check_points(points, "exponential", _RATIO)
     u, v = [1.0 / x for x in r], [*map(math.log, t)]
     return _fit_line("exponential", u, v, {"intercept": "logA", "slope": "B"})
 
@@ -237,16 +237,14 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> FitResult:
     D is reported with the sign convention that D > 0 means T decreases
     as r grows; params are logC (natural log of C) and D.
     """
-    r, t = _check_ratio_points(points, "power_law")
+    r, t = _check_points(points, "power_law", _RATIO)
     u, v = [*map(math.log, r)], [*map(math.log, t)]
     return _fit_line("power_law", u, v, {"intercept": "logC", "slope": "D"}, -1.0)
 
 
 def fit_loglog(points: Iterable[tuple[float, float]]) -> FitResult:
     """Fit ln y = intercept + slope * ln x with a 95% t-interval on the slope."""
-    x, y = _check_points(points, "loglog")
-    if any(value <= 0.0 for value in x + y):
-        raise ValueError("loglog fit needs strictly positive data")
+    x, y = _check_points(points, "loglog", _POSITIVE)
     u, v = [*map(math.log, x)], [*map(math.log, y)]
     return _fit_line("loglog", u, v, {"slope": "slope", "intercept": "intercept"})
 
@@ -258,7 +256,7 @@ def loglog_predict(fit: FitResult, x: float) -> tuple[float, tuple[float, float]
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"x must be finite and > 0, got {x}")
     lx = math.log(x)
-    mean = fit._intercept + fit._slope * lx
+    mean = fit.params["intercept"] + fit.params["slope"] * lx
     what = f"the prediction at x = {x!r}"
     if fit._suu == 0.0:
         (est,) = _exp_in_range(fit, what, mean)
@@ -284,7 +282,7 @@ def invert_size(fit: FitResult, threshold_popularity: float) -> tuple[float, tup
         raise ValueError(
             f"threshold_popularity must be finite and > 0, got {threshold_popularity}"
         )
-    m, b = fit._slope, fit._intercept
+    m, b = fit.params["slope"], fit.params["intercept"]
     if m == 0.0:
         raise ValueError("cannot invert a fit with zero slope")
     lx = (math.log(threshold_popularity) - b) / m
@@ -311,8 +309,8 @@ def _exp_in_range(fit: FitResult, what: str, *logs: float) -> list[float]:
         return [math.exp(v) for v in logs]
     except OverflowError:
         raise ValueError(
-            f"{what} or its 95% interval leaves the float range under the "
-            f"loglog fit with slope {fit._slope!r} and intercept {fit._intercept!r} "
+            f"{what} or its 95% interval leaves the float range under the loglog fit "
+            f"with slope {fit.params['slope']!r} and intercept {fit.params['intercept']!r} "
             f"(exp({max(logs)!r}) overflows)"
         ) from None
 

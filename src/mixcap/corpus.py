@@ -498,6 +498,17 @@ _PERCENT_TEMPLATES = tuple(
 )
 
 
+def _halves(bitgen: np.random.PCG64, block: int) -> Iterator[int]:
+    """The 32-bit halves of bitgen's raw outputs, low half first, without end.
+
+    Outputs are drawn ``block`` at a time; the little-endian view puts each
+    output's low half first, the order in which Generator's 32-bit draws
+    read them.
+    """
+    while True:
+        yield from bitgen.random_raw(block).astype("<u8", copy=False).view("<u4").tolist()
+
+
 def _render_draws(words: Iterator[int]) -> tuple[list[int], list[int]]:
     """Template picks and sentence order from a stream of 32-bit words.
 
@@ -535,18 +546,8 @@ def render_exposure(record: BiographyRecord, seed: int) -> str:
     to the written-out draws of _render_draws. Values appear verbatim, so
     evaluation spans are recoverable from the text.
     """
-    bitgen = np.random.PCG64(seed)
-    words: list[int] = []
-    while True:
-        # 6 outputs cover the draws unless the shuffle rejects 4 times; if
-        # the words run out, 6 more are appended and the draws redone. The
-        # little-endian view puts each output's low half first.
-        words += bitgen.random_raw(6).astype("<u8", copy=False).view("<u4").tolist()
-        try:
-            picks, order = _render_draws(iter(words))
-            break
-        except StopIteration:
-            pass
+    # One block of 6 outputs covers the draws unless the shuffle rejects 4 times.
+    picks, order = _render_draws(_halves(np.random.PCG64(seed), 6))
     fields = {**record.attribute_values, "name": record.full_name, "pronoun": record.pronoun}
     return " ".join([_PERCENT_TEMPLATES[a][picks[a]] % fields for a in order])
 
@@ -695,11 +696,9 @@ def ckm_augment(
     compact_tokens = 0
     if target > 0.0:
         bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(_CKM_FLIP_TAG, 0)))
-        # Generator.integers(0, 2) is 32-bit Lemire on the next 32-bit word,
-        # low half first, and never rejects: a flip is that word's top bit.
-        flips = itertools.chain.from_iterable(
-            (bitgen.random_raw(_FLIP_BLOCK).astype("<u8", copy=False).view("<u4") >> 31)
-            .tolist() for _ in itertools.count())
+        # Generator.integers(0, 2) is 32-bit Lemire on the next 32-bit word
+        # and never rejects: a flip is that word's top bit.
+        flips = (word >> 31 for word in _halves(bitgen, _FLIP_BLOCK))
         for record, flip in zip(itertools.cycle(records), flips):
             if compact_tokens >= target:
                 break

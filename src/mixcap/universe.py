@@ -15,8 +15,8 @@ columns, so sharing a universe shares the sort. numpy holds those fact
 columns and nothing else: web curves are Python floats, which no SIMD
 dispatch reaches. A power law goes through the C library's pow (Python's
 **); a tabulated curve keeps tuples, searched with bisect and interpolated
-as np.interp does. A mixture caches nothing: m0_minus and m0_plus map one
-threshold to one capacity on the same primitives.
+as np.interp does. A mixture caches nothing: m0_minus is the one map from
+a marginal threshold to a web capacity, on the same primitives.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "eval_web_loss",
     "web_marginal",
     "m0_minus",
-    "m0_plus",
     "warmup_loss",
     "knowledge_frontier",
     "mixture_to_dict",
@@ -289,29 +288,17 @@ def web_marginal(curve: WebLossCurve, capacity: float, side: Side) -> float:
 def m0_minus(curve: WebLossCurve, t: float) -> float:
     """Last capacity at which the web marginal still exceeds t.
 
-    sup{M >= 0 : -F'(M) > t}; returns 0 when no capacity qualifies.
+    sup{M >= 0 : -F'(M) > t}; returns 0 when no capacity qualifies. On a
+    flat-marginal band this is the band's low end, where ties go to the
+    knowledge domain.
     """
-    return _m0(curve, t, plus=False)
-
-
-def m0_plus(curve: WebLossCurve, t: float) -> float:
-    """First capacity at which the web marginal falls below t.
-
-    inf{M >= 0 : -F'(M) < t}; returns 0 when the marginal at 0+ is already
-    below t. Always m0_minus(t) <= m0_plus(t), with equality for a strictly
-    decreasing marginal (any power law).
-    """
-    return _m0(curve, t, plus=True)
-
-
-def _m0(curve: WebLossCurve, t: float, plus: bool) -> float:
     if not t > 0.0:
         raise ValueError(f"marginal threshold t must be > 0, got {t}")
-    return _m0_map(curve, plus)(t)
+    return _m0_map(curve)(t)
 
 
-def _m0_map(curve: WebLossCurve, plus: bool) -> Callable[[float], float]:
-    """t -> m0_plus(curve, t) if plus else m0_minus(curve, t), for t > 0.
+def _m0_map(curve: WebLossCurve) -> Callable[[float], float]:
+    """t -> m0_minus(curve, t), for t > 0, unchecked.
 
     A power law goes through Python's ** (the C library's pow), which gives
     +inf when A*alpha/t overflows: no finite web capacity is enough.
@@ -320,12 +307,10 @@ def _m0_map(curve: WebLossCurve, plus: bool) -> Callable[[float], float]:
         scale, power = curve.amplitude * curve.exponent, 1.0 / (curve.exponent + 1.0)
         return lambda t: (scale / t) ** power
     # The marginals -slope are non-increasing by convexity, so the slopes
-    # are searched ascending. k = number of segments with marginal > t
-    # (minus) or >= t (plus); the answer is the breakpoint that ends that
-    # run of segments.
+    # are searched ascending. k = number of segments with marginal > t;
+    # the answer is the breakpoint that ends that run of segments.
     slopes, caps = curve._slopes, curve._capacities
-    search = bisect.bisect_right if plus else bisect.bisect_left
-    return lambda t: caps[search(slopes, -t)]
+    return lambda t: caps[bisect.bisect_left(slopes, -t)]
 
 
 def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:

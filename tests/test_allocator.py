@@ -302,7 +302,7 @@ def _near_uniform_cases():
             p = [p_high, p_low] if most_frequent_first else [p_low, p_high]
             yield pytest.param(p, [5.0, 5.0], 0.0, webs[tabulated], r,
                                id=f"{most_frequent_first}-{tabulated}")
-    # fl(m0_plus + H_tot) = 5882.201461753292 left the third fact at
+    # fl(m0_minus + H_tot) = 5882.201461753292 left the third fact at
     # 0.99999999999989; the solve learns every bit from the next float up.
     yield pytest.param([1e-3] * 3, [3.3] * 3, 1.0, PowerLawCurve(1.0, 100.0, 0.5), 0.1,
                        id="three-uniform")
@@ -553,7 +553,8 @@ class TestThresholdBandProperties:
     @PROPERTY_SETTINGS
     @given(mixtures())
     # The web's middle segment has the marginal t_min = 0.1 itself, so every
-    # bit is learned from m0_minus(t_min) + H_tot = 105, not m0_plus + H_tot.
+    # bit is learned from m0_minus(t_min) + H_tot = 105, not from the flat
+    # band's high end, 200 + H_tot.
     @example(
         MixtureUniverse(
             KnowledgeUniverse([0.1], [5.0]),

@@ -1,6 +1,7 @@
 """Threshold-popularity estimation and the three scaling-law fitters."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,10 +136,10 @@ class TestFitExponential:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
             fit_exponential([(0.3, 1.0), (0.4, 2.0)])
-        bad_y = r"column 'y' \(the threshold T\) > 0; point 1 is \(0\.4, -2\.0\)"
+        bad_y = r"column 'y' \(the threshold T\) > 0, got point \(0\.4, -2\.0\)"
         with pytest.raises(ValueError, match=bad_y):
             fit_exponential([(0.3, 1.0), (0.4, -2.0), (0.5, 3.0)])
-        bad_x = r"column 'x' \(the mixing ratio r\) in \(0, 1\); point 1 is \(1\.4, 2\.0\)"
+        bad_x = r"column 'x' \(the mixing ratio r\) in \(0, 1\), got point \(1\.4, 2\.0\)"
         with pytest.raises(ValueError, match=bad_x):
             fit_exponential([(0.3, 1.0), (1.4, 2.0), (0.5, 3.0)])
 
@@ -195,14 +196,21 @@ class TestFitLogLog:
         assert a.params["slope"] == pytest.approx(b.params["slope"], rel=1e-9)
 
     def test_positive_data_required(self):
-        with pytest.raises(ValueError, match="positive"):
+        message = "loglog fit needs column 'y' strictly positive, got point (2.0, -1.0)"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             fit_loglog([(1.0, 1.0), (2.0, -1.0), (3.0, 2.0)])
+
+    def test_first_non_positive_x_is_named(self):
+        message = "loglog fit needs column 'x' strictly positive, got point (0.0, 0.0)"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            fit_loglog([(1.0, 1.0), (2.0, 4.0), (0.0, 0.0), (-1.0, 2.0)])
 
     @pytest.mark.parametrize("fitter", [fit_loglog, fit_exponential, fit_power_law])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, fitter, bad):
-        for point in ((0.5, bad), (bad, 2.0)):
-            with pytest.raises(ValueError, match="finite points; point 1"):
+        for column, point in (("y", (0.5, bad)), ("x", (bad, 2.0))):
+            message = f"needs column '{column}' finite, got point {point}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 fitter([(0.25, 4.0), point, (0.75, 1.0)])
 
     def test_prediction_interval_contains_point(self):

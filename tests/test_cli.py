@@ -736,7 +736,7 @@ class TestEstimateAndFit:
         out = tmp_path / "fit.json"
         assert run(["fit", "--points", pts, "--model", "power", "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "column 'x' (the mixing ratio r) in (0, 1); point 0 is (1.0, 100.0)" in err
+        assert "column 'x' (the mixing ratio r) in (0, 1), got point (1.0, 100.0)" in err
         assert not out.exists()
 
     def test_unknown_model_exits_2(self, tmp_path, capsys):

@@ -39,7 +39,7 @@ def test_all_names_resolve_once(name):
 # The package's public surface: each name and the module that defines it.
 PACKAGE_NAMES = {
     "universe": "KnowledgeUniverse MixtureUniverse PowerLawCurve TabulatedCurve WebLossCurve "
-    "eval_web_loss web_marginal m0_minus m0_plus warmup_loss knowledge_frontier "
+    "eval_web_loss web_marginal m0_minus warmup_loss knowledge_frontier "
     "mixture_from_dict mixture_to_dict",
     "allocator": "Allocation ThresholdReport optimal_allocation full_threshold_report "
     "apply_subsampling apply_ckm",
@@ -56,8 +56,8 @@ PACKAGE_EXPORTS = [
 ]
 
 
-def test_package_exports_46_names():
-    assert len(PACKAGE_EXPORTS) == 46
+def test_package_exports_45_names():
+    assert len(PACKAGE_EXPORTS) == 45
     assert sorted(mixcap.__all__) == sorted(name for _, name in PACKAGE_EXPORTS)
     assert set(mixcap.__all__) <= set(dir(mixcap))
 

@@ -98,7 +98,7 @@ class TestSweep:
         assert all(a == 0.0 for a in accs[:4])
         assert all(a == 1.0 for a in accs[-4:])
         assert all(b >= a for a, b in zip(accs, accs[1:]))
-        # The rise is confined to a window of width H_tot + (m0_plus - m0_minus).
+        # The rise spans at most m_upper - m_lower.
         window = (hi - mix.knowledge.h_tot) - lo + mix.knowledge.h_tot
         rising = [r.axis_value for r in rows if 0.0 < r.accuracy < 1.0]
         if rising:

@@ -28,7 +28,6 @@ from mixcap.universe import (
     eval_web_loss,
     knowledge_frontier,
     m0_minus,
-    m0_plus,
     mixture_from_dict,
     mixture_to_dict,
     warmup_loss,
@@ -189,8 +188,8 @@ class TestColumnarUniverse:
         calls = []
         m0_map_of = allocator._m0_map
 
-        def counting_m0_map(curve, plus):
-            m0 = m0_map_of(curve, plus)
+        def counting_m0_map(curve):
+            m0 = m0_map_of(curve)
 
             def counting_m0(t):
                 calls.append(t)
@@ -359,7 +358,6 @@ class TestM0:
     def test_power_law_unit(self):
         curve = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
         assert m0_minus(curve, 0.5) == pytest.approx(1.0, abs=1e-12)
-        assert m0_plus(curve, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_power_law_closed_form_vs_bisection(self):
         curve = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.5)
@@ -380,20 +378,17 @@ class TestM0:
     def test_tabulated_breakpoint_crossing(self):
         curve = TabulatedCurve(points=((0, 10), (10, 5), (30, 3)))
         assert m0_minus(curve, 0.3) == 10.0
-        assert m0_plus(curve, 0.3) == 10.0
 
     def test_tabulated_flat_tie_band(self):
         curve = TabulatedCurve(points=((0, 10), (10, 5), (30, 3)))
-        # t equal to a segment slope opens a band between the two maps.
+        # t equal to a segment's marginal opens a flat band [0, 10]; the map
+        # returns its low end, so the tie goes to the knowledge domain.
         assert m0_minus(curve, 0.5) == 0.0
-        assert m0_plus(curve, 0.5) == 10.0
 
     def test_tabulated_extremes(self):
         curve = TabulatedCurve(points=((0, 10), (10, 5), (30, 3)))
         assert m0_minus(curve, 99.0) == 0.0  # nothing exceeds a huge t
-        assert m0_plus(curve, 99.0) == 0.0
         assert m0_minus(curve, 0.001) == 30.0  # everything exceeds a tiny t
-        assert m0_plus(curve, 0.001) == 30.0
 
     def test_rejects_nonpositive_t(self):
         curve = PowerLawCurve(floor=0.0, amplitude=1.0, exponent=0.5)
@@ -401,8 +396,8 @@ class TestM0:
             m0_minus(curve, 0.0)
 
     def test_tabulated_matches_marginal_scan(self):
-        # Brute-force oracle: scan a fine capacity grid and read the sup/inf
-        # definitions straight off the one-sided marginals.
+        # Brute-force oracle: scan a fine capacity grid and read the sup
+        # definition straight off the one-sided marginals.
         rng = np.random.default_rng(19)
         for _ in range(30):
             curve = make_tabulated(rng)
@@ -411,12 +406,9 @@ class TestM0:
             for t in rng.uniform(0.005, 2.5, size=3):
                 t = float(t)
                 above = [m for m in ms if web_marginal(curve, float(m), "right") > t]
-                below = [m for m in ms if web_marginal(curve, float(m), "right") < t]
                 scan_minus = max(above) if above else 0.0
-                scan_plus = min(below) if below else 0.0
                 step = ms[1] - ms[0]
                 assert abs(m0_minus(curve, t) - scan_minus) <= step + 1e-9
-                assert abs(m0_plus(curve, t) - scan_plus) <= step + 1e-9
 
     def test_order_and_monotonicity(self):
         rng = np.random.default_rng(13)
@@ -424,14 +416,7 @@ class TestM0:
             curve = make_power_law(rng) if rng.uniform() < 0.5 else make_tabulated(rng)
             ts = np.sort(rng.uniform(0.001, 3.0, size=4))
             lows = [m0_minus(curve, float(t)) for t in ts]
-            highs = [m0_plus(curve, float(t)) for t in ts]
-            for lo, hi in zip(lows, highs):
-                assert lo <= hi + 1e-12
             assert all(a >= b - 1e-12 for a, b in zip(lows, lows[1:]))
-            assert all(a >= b - 1e-12 for a, b in zip(highs, highs[1:]))
-            if isinstance(curve, PowerLawCurve):
-                for lo, hi in zip(lows, highs):
-                    assert lo == pytest.approx(hi, rel=1e-12)
 
 
 class TestTabulatedNumpyOracle:
@@ -494,12 +479,11 @@ class TestTabulatedNumpyOracle:
                         mismatches.append((curve.points, c, value, want))
             thresholds = self._neighbours(sorted({-s for s in slopes.tolist() if s < 0.0}))
             for t in (t for t in [*thresholds, 1e-300, 1e300] if t > 0.0):
-                for m0, side in ((m0_minus, "left"), (m0_plus, "right")):
-                    k = int(np.searchsorted(slopes, -t, side=side))
-                    want = float(caps[min(k, slopes.size)])
-                    checked += 1
-                    if m0(curve, t).hex() != want.hex():
-                        mismatches.append((curve.points, t, m0.__name__))
+                k = int(np.searchsorted(slopes, -t, side="left"))
+                want = float(caps[min(k, slopes.size)])
+                checked += 1
+                if m0_minus(curve, t).hex() != want.hex():
+                    mismatches.append((curve.points, t))
         assert mismatches == []
         assert checked > 20_000
 
