@@ -165,23 +165,39 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     the facts it probes: O(log K) work with no fact-length array. The
     returned learned is built from m1 on first read.
     """
+    _check(mixture, total_capacity)
+    count = mixture.knowledge._frontier.count
+    return _solve(mixture, total_capacity, _m0_map(mixture.web), 0, count)[0]
+
+
+def _check(mixture: MixtureUniverse, total_capacity: float) -> None:
+    """Refuse what optimal_allocation refuses, in the order it checks."""
     if not (math.isfinite(total_capacity) and total_capacity >= 0.0):
         raise ValueError(
             f"total_capacity must be finite and >= 0, got {total_capacity}"
         )
-    web, r = mixture.web, mixture.mixing_ratio
     frontier = mixture.knowledge._frontier
-    p, cum_h = frontier.p_view, frontier.cum_h_view
     if frontier.count:
         # Products and quotients round monotonically, so r*p/(1-r) underflows
         # for some fact exactly when it does for the least frequent one.
-        mixture._marginal_ratio(p[-1])
-    m0 = _m0_map(web)
+        mixture._marginal_ratio(frontier.p_view[-1])
+
+
+def _solve(mixture: MixtureUniverse, total_capacity: float, m0: Callable[[float], float],
+           lo: int, hi: int) -> tuple[Allocation, int]:
+    """The allocation of a checked case and j, its learned-prefix length.
+
+    m0 is _m0_map(mixture.web). The caller knows that j lies in [lo, hi],
+    so the bisection probes only facts in range(lo, hi).
+    """
+    web, r = mixture.web, mixture.mixing_ratio
+    frontier = mixture.knowledge._frontier
+    p, cum_h = frontier.p_view, frontier.cum_h_view
     # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k].
     # The bound does not increase along the order and cum_h does not
     # decrease, so those facts are a prefix and bisection finds its end.
     j = bisect.bisect_left(
-        range(frontier.count), True,
+        range(frontier.count), True, lo, hi,
         key=lambda k: not (total_capacity - m0(r * p[k] / (1.0 - r)) >= cum_h[k]),
     )
     if j == frontier.count:
@@ -194,7 +210,45 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)
     loss2 = eval_web_loss(web, m2)
-    return Allocation(m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2, mixture.knowledge)
+    loss = r * loss1 + (1.0 - r) * loss2
+    return Allocation(m1, m2, loss1, loss2, loss, mixture.knowledge), j
+
+
+def _grid_allocations(cases: list[tuple[MixtureUniverse, float]]) -> list[Allocation]:
+    """optimal_allocation at every (mixture, capacity) case of a grid, in order.
+
+    The cases, at least one, share one knowledge universe and one web, and neither the
+    capacity M nor the mixing ratio r decreases along them, as on a sweep's
+    strictly increasing grid of either axis. Every case is checked first,
+    in grid order, so the first bad case raises what optimal_allocation
+    would. Then one bracketed search solves them: the middle case over the
+    whole order, then each half with its learned-prefix lengths j bracketed
+    by the j of the solved cases on either side.
+
+    This gives the allocations of independent solves. Sorted fact k passes
+    the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k] at a
+    case if it passes at an earlier one: as full_threshold_report notes,
+    every rounding is monotone and m0_minus does not increase, so the bound
+    rises with M and with r. j counts the prefix of facts that pass, so it
+    does not decrease along the cases; a case between two solved ones has
+    its j in [j_left, j_right], where a bisection finds the j a bisection
+    over the whole order finds, and the rest of the solve reads only j.
+    """
+    for mixture, capacity in cases:
+        _check(mixture, capacity)
+    m0 = _m0_map(cases[0][0].web)
+    allocations = [None] * len(cases)
+    # Pending halves: cases [a, b) whose j lie in [lo, hi].
+    stack = [(0, len(cases), 0, cases[0][0].knowledge._frontier.count)]
+    while stack:
+        a, b, lo, hi = stack.pop()
+        mid = (a + b) // 2
+        allocations[mid], j = _solve(*cases[mid], m0, lo, hi)
+        if a < mid:
+            stack.append((a, mid, lo, j))
+        if mid + 1 < b:
+            stack.append((mid + 1, b, j, hi))
+    return allocations
 
 
 def full_threshold_report(

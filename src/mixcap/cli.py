@@ -167,10 +167,19 @@ class Command(NamedTuple):
     params: tuple[Param, ...]
 
 
+# Kinds that parse a whole document, loading universe and numpy to do it.
+_DOCUMENTS = (_mixture, _web)
+
+
 def _params(args, config: dict) -> argparse.Namespace:
-    """The command's parameters, each merged flag over config over default, and checked."""
+    """The command's parameters, each merged flag over config over default, and checked.
+
+    Scalar rows are checked before document rows, so a bad scalar is
+    refused before a document parse loads universe and numpy.
+    """
     values = {"out": args.out}
-    for row in COMMANDS[args.command].params:
+    rows = COMMANDS[args.command].params
+    for row in sorted(rows, key=lambda row: row.kind in _DOCUMENTS):
         value = getattr(args, row.key) if row.flag else None
         if value is None and not row.flag_only:
             value = config.get(row.key)

@@ -10,9 +10,11 @@ accuracy falls below the target. Fitting log threshold frequency against
 log capacity (``analysis.fit_loglog``) recovers a line of slope
 -(alpha + 1), alpha being the web scaling exponent.
 
-Everything is a pure function of its config: grid points are independent and
-may be evaluated in any order or in parallel, with output sorted by axis
-value.
+Everything is a pure function of its config. A grid is solved as one
+bracketed search: the learned prefix of the knowledge frontier never shrinks
+along a strictly increasing grid of either axis, so each point bisects only
+between the prefix ends of the solved points on either side of it, and gets
+the allocation an independent solve gives it. Output is in grid order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocator import Allocation, optimal_allocation
+from .allocator import Allocation, _grid_allocations
 from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -147,28 +149,25 @@ def count_accuracy(allocation: Allocation) -> float:
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate the optimal allocation at every grid point, sorted by axis."""
-    rows = []
-    for value in config.grid:
-        if config.sweep_axis == "model_size":
-            mixture = config.mixture
-            capacity = value
-        else:
-            # The same KnowledgeUniverse object, so its sorted frontier is reused.
-            mixture = replace(config.mixture, mixing_ratio=value)
-            capacity = config.total_capacity
-        alloc = optimal_allocation(mixture, capacity)
-        rows.append(
-            SweepRow(
-                axis_value=value,
-                accuracy=accuracy(alloc, mixture.knowledge),
-                accuracy_count=count_accuracy(alloc),
-                knowledge_loss=alloc.knowledge_loss,
-                web_loss=alloc.web_loss,
-                mixture_loss=alloc.mixture_loss,
-            )
+    """Evaluate the optimal allocation at every grid point, in grid order."""
+    if config.sweep_axis == "model_size":
+        cases = [(config.mixture, value) for value in config.grid]
+    else:
+        # The same KnowledgeUniverse object, so its sorted frontier is reused.
+        capacity = config.total_capacity
+        cases = [(replace(config.mixture, mixing_ratio=value), capacity)
+                 for value in config.grid]
+    return [
+        SweepRow(
+            axis_value=value,
+            accuracy=accuracy(alloc, config.mixture.knowledge),
+            accuracy_count=count_accuracy(alloc),
+            knowledge_loss=alloc.knowledge_loss,
+            web_loss=alloc.web_loss,
+            mixture_loss=alloc.mixture_loss,
         )
-    return rows
+        for value, alloc in zip(config.grid, _grid_allocations(cases))
+    ]
 
 
 @dataclass(frozen=True)
@@ -267,9 +266,11 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
         knowledge=knowledge, web=exp.web_curve, mixing_ratio=exp.mixing_ratio
     )
     results = []
-    for capacity in exp.capacity_grid:
-        alloc = optimal_allocation(mixture, capacity)
-        frac = alloc.learned.reshape(exp.group_count, exp.group_size)
+    allocations = _grid_allocations([(mixture, c) for c in exp.capacity_grid])
+    for capacity, alloc in zip(exp.capacity_grid, allocations):
+        # alloc.learned, built without caching it on an allocation the grid holds.
+        learned = knowledge._frontier.fractions_at(alloc.knowledge_capacity)
+        frac = learned.reshape(exp.group_count, exp.group_size)
         group_acc = frac.mean(axis=1)  # uniform entropy within a group
         f_thres = None
         for g in range(exp.group_count):

@@ -22,7 +22,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mixcap.allocator import Allocation, optimal_allocation
-from mixcap.simulator import accuracy, count_accuracy
+from mixcap.simulator import (
+    SubsetCapacityResult,
+    SubsetExperiment,
+    SweepConfig,
+    SweepRow,
+    accuracy,
+    build_subset_universe,
+    count_accuracy,
+    run_subset_experiment,
+    sweep,
+)
 from mixcap.universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -369,6 +379,91 @@ class TestLazyLearned:
         assert lazy.to_dict() == explicit.to_dict()
         assert json.dumps(lazy.to_dict()) == json.dumps(explicit.to_dict())
         assert count_accuracy(lazy) == count_accuracy(explicit)
+
+
+@st.composite
+def grid_cases(draw):
+    """(mixture, capacity, capacities, ratios): a case from cases() and a grid on each axis.
+
+    Some draws zero the entropies of a few facts, and some swap the web for
+    a tabulated one with a flat band [c, 2c] whose marginal is exactly one
+    fact's r*p/(1-r) (t*c, 4*t*c and the quotient by c are exact), so that
+    fact ties at the case's ratio. Each grid holds the case's own point and
+    up to seven more, so some grids have one point.
+    """
+    mixture, capacity = draw(cases())
+    knowledge = mixture.knowledge
+    if draw(st.booleans()):
+        h = knowledge.h.copy()
+        h[draw(st.lists(st.integers(0, knowledge.fact_count - 1), max_size=3))] = 0.0
+        knowledge = KnowledgeUniverse(knowledge.p, h, knowledge.irreducible_loss)
+        mixture = replace(mixture, knowledge=knowledge)
+    if draw(st.booleans()):
+        r = mixture.mixing_ratio
+        t = r * draw(st.sampled_from(knowledge.p.tolist())) / (1.0 - r)
+        c = 2.0 ** draw(st.integers(-10, 50))
+        web = TabulatedCurve(points=((0.0, 4.0 * t * c), (c, t * c), (2.0 * c, 0.0)))
+        mixture = replace(mixture, web=web)
+        capacity = draw(capacities(mixture))
+    sizes = sorted({capacity, *draw(st.lists(capacities(mixture), max_size=7))})
+    mixing = sorted({mixture.mixing_ratio, *draw(st.lists(ratios, max_size=7))})
+    return mixture, capacity, tuple(sizes), tuple(mixing)
+
+
+def independent_row(mixture, axis_value, capacity):
+    """The sweep row of one point, from its own optimal_allocation."""
+    alloc = optimal_allocation(mixture, capacity)
+    return SweepRow(axis_value, accuracy(alloc, mixture.knowledge), count_accuracy(alloc),
+                    alloc.knowledge_loss, alloc.web_loss, alloc.mixture_loss)
+
+
+def independent_subset_result(exp, mixture, capacity):
+    """The subset experiment's result at one capacity, from its own optimal_allocation."""
+    learned = optimal_allocation(mixture, capacity).learned
+    group_acc = learned.reshape(exp.group_count, exp.group_size).mean(axis=1)
+    below = [g for g, acc in enumerate(group_acc) if acc < exp.accuracy_target]
+    f_thres = exp.mixing_ratio * exp.weights[below[0]] / exp.group_size if below else None
+    return SubsetCapacityResult(capacity, tuple(float(a) for a in group_acc), f_thres)
+
+
+class TestGridSolve:
+    """A grid solved as one bracketed search matches independent solves float for float."""
+
+    @PROPERTY_SETTINGS
+    @given(grid_cases())
+    def test_sweep_rows_match_independent_solves(self, case):
+        mixture, capacity, sizes, mixing = case
+        with no_hang():
+            by_size = sweep(SweepConfig(mixture, "model_size", sizes))
+            by_ratio = sweep(SweepConfig(mixture, "mixing_ratio", mixing, capacity))
+        assert [repr(row) for row in by_size] == [
+            repr(independent_row(mixture, m, m)) for m in sizes
+        ]
+        assert [repr(row) for row in by_ratio] == [
+            repr(independent_row(replace(mixture, mixing_ratio=r), r, capacity)) for r in mixing
+        ]
+
+    @PROPERTY_SETTINGS
+    @given(grid_cases(), st.data())
+    def test_subset_results_match_independent_solves(self, case, data):
+        mixture = case[0]
+        exp = SubsetExperiment(
+            group_count=data.draw(st.integers(1, 6)),
+            group_size=data.draw(st.integers(1, 4)),
+            powerlaw_exponent=data.draw(st.floats(0.1, 3.0)),
+            mixing_ratio=mixture.mixing_ratio,
+            web_curve=mixture.web,
+            capacity_grid=(0.0,),
+            entropy_per_fact=data.draw(entropies),
+        )
+        subset = MixtureUniverse(build_subset_universe(exp), exp.web_curve, exp.mixing_ratio)
+        grid = sorted(set(data.draw(st.lists(capacities(subset), min_size=1, max_size=8))))
+        exp = replace(exp, capacity_grid=tuple(grid))
+        with no_hang():
+            results = run_subset_experiment(exp)
+        assert [repr(res) for res in results] == [
+            repr(independent_subset_result(exp, subset, c)) for c in grid
+        ]
 
 
 class TestMixtureJson:

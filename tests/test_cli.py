@@ -283,6 +283,15 @@ class TestConfigValidation:
         assert "exposure_frequency 5e-324 is too small for mixing_ratio 0.01" in err
         assert not out.exists()
 
+    def test_bad_scalar_is_named_before_a_bad_document(self, tmp_path, capsys):
+        mixture = {**MIX_DOC["mixture"], "r": 2.0}
+        path = _write_config(tmp_path, {"mixture": mixture})
+        out = tmp_path / "a.json"
+        assert run(["allocate", "--config", path, "--capacity", "nan", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: capacity must be finite, got nan" in err and "mixing_ratio" not in err
+        assert not out.exists()
+
     def test_frequency_whose_bound_overflows_exits_2_naming_it(self, tmp_path, capsys):
         # A*alpha/t overflows, so the model size that learns the fact does too.
         mixture = {**MIX_DOC["mixture"], "knowledge": {"facts": [{"p": 1e-318, "h": 5.0}]}}
@@ -397,6 +406,17 @@ class TestSweep:
         sidecar = (tmp_path / "sweep_thresholds.json").read_text()
         assert json.loads(sidecar) == {"error": "capacity must be > 0 and finite in bits, got 0.0"}
         assert "total_capacity" not in sidecar
+
+    def test_sweep_names_the_first_grid_entry_whose_web_loss_is_infinite(
+        self, tmp_path, capsys
+    ):
+        config = {"mixture": _power_law_mixture(0.99), "grid": [0.0, 1e-320, 100.0]}
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "model_size", "--config", _write_config(tmp_path, config)]
+        assert run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: grid entry 0.0{_DIVERGES.format('loss', 'loss')}" in err
+        assert "1e-320" not in err and not out.exists()
 
 
 class TestSubsets:
@@ -1136,3 +1156,17 @@ class TestImportCost:
             assert scipy_modules == []
         if name == "estimate":
             assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+    def test_refused_scalar_loads_no_universe_or_numpy(self, tmp_path):
+        # A scalar row is checked before the mixture document is parsed.
+        config_path = tmp_path / "nan.json"
+        config_path.write_text(json.dumps({"mixture": MIX_DOC["mixture"]}))
+        argv = ["allocate", "--config", str(config_path), "--capacity", "nan",
+                "--out", str(tmp_path / "a.json")]
+        report = tmp_path / "modules.json"
+        _fresh_python(["-c", _MODULE_PROBE, str(report), *argv], tmp_path)
+        code, loaded = json.loads(report.read_text())
+        assert code == 2
+        assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+        assert {m for m in loaded if m.split(".")[0] == "mixcap"} == {
+            "mixcap", "mixcap.cli", "mixcap._json"}

@@ -172,6 +172,22 @@ class TestSweep:
                 with pytest.raises(ValueError, match="total_capacity must be finite and >= 0"):
                     SweepConfig(mixture=mix, sweep_axis=axis, grid=grid, total_capacity=capacity)
 
+    def test_first_ratio_whose_marginal_underflows_is_named(self):
+        # r*p/(1-r) underflows for the small fact at r = 1e-10 and r = 1e-5;
+        # the bracketed search solves the middle ratio first, yet the first
+        # grid entry is the one named.
+        mix = MixtureUniverse(
+            KnowledgeUniverse([0.5, 1e-320], [5.0, 5.0]), PowerLawCurve(1.0, 100.0, 0.5), 0.5
+        )
+        config = SweepConfig(mixture=mix, sweep_axis="mixing_ratio",
+                             grid=(1e-10, 1e-5, 0.5), total_capacity=100.0)
+        with pytest.raises(ValueError) as excinfo:
+            sweep(config)
+        assert str(excinfo.value) == (
+            "exposure_frequency 1e-320 is too small for mixing_ratio 1e-10: "
+            "r*p/(1-r) underflows to 0"
+        )
+
     def test_csv_shape(self):
         mix = uniform_mixture()
         rows = sweep(

@@ -214,6 +214,39 @@ class TestColumnarUniverse:
             assert 0 < len(calls) <= budget
             assert all(type(t) is float for t in calls)
 
+    @pytest.mark.parametrize("axis", ["model_size", "mixing_ratio"])
+    def test_grid_sweep_probes_m0_within_half_the_independent_budget(self, monkeypatch, axis):
+        calls = []
+        m0_map_of = allocator._m0_map
+
+        def counting_m0_map(curve):
+            m0 = m0_map_of(curve)
+
+            def counting_m0(t):
+                calls.append(t)
+                return m0(t)
+
+            return counting_m0
+
+        monkeypatch.setattr(allocator, "_m0_map", counting_m0_map)
+        p, h = self._columns(k=100_000)
+        mix = MixtureUniverse(
+            knowledge=KnowledgeUniverse(p, h, 0.5),
+            web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
+            mixing_ratio=0.1,
+        )
+        if axis == "model_size":
+            grid = tuple(np.geomspace(1.0, 5.0 * float(h.sum()), 200).tolist())
+            config = SweepConfig(mixture=mix, sweep_axis=axis, grid=grid)
+        else:
+            grid = tuple(np.geomspace(1e-3, 0.9, 200).tolist())
+            config = SweepConfig(mixture=mix, sweep_axis=axis, grid=grid,
+                                 total_capacity=0.5 * float(h.sum()))
+        rows = sweep(config)
+        # Solved apart, each point costs up to ceil(log2 K) + 1 calls.
+        assert 0 < len(calls) <= len(grid) * (math.ceil(math.log2(p.size)) + 1) // 2
+        assert any(0.0 < row.accuracy < 1.0 for row in rows)
+
     def test_solved_mixture_holds_and_pickles_no_fact_length_array(self):
         p, h = self._columns()
         mix = MixtureUniverse(
