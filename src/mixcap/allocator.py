@@ -162,25 +162,11 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     The interior m1 is capped at H_tot, so that the bits a rounded bound
     leaves past H_tot go to the web. A solve is a bisection over the sorted
     facts that evaluates m0_minus, as full_threshold_report does, only at
-    the facts it probes: O(log K) work with no fact-length array. The
-    returned learned is built from m1 on first read.
+    the facts it probes: O(log K) work with no fact-length array. It is the
+    one-case grid of _grid_allocations. The returned learned is built from
+    m1 on first read.
     """
-    _check(mixture, total_capacity)
-    count = mixture.knowledge._frontier.count
-    return _solve(mixture, total_capacity, _m0_map(mixture.web), 0, count)[0]
-
-
-def _check(mixture: MixtureUniverse, total_capacity: float) -> None:
-    """Refuse what optimal_allocation refuses, in the order it checks."""
-    if not (math.isfinite(total_capacity) and total_capacity >= 0.0):
-        raise ValueError(
-            f"total_capacity must be finite and >= 0, got {total_capacity}"
-        )
-    frontier = mixture.knowledge._frontier
-    if frontier.count:
-        # Products and quotients round monotonically, so r*p/(1-r) underflows
-        # for some fact exactly when it does for the least frequent one.
-        mixture._marginal_ratio(frontier.p_view[-1])
+    return _grid_allocations([(mixture, total_capacity)])[0]
 
 
 def _solve(mixture: MixtureUniverse, total_capacity: float, m0: Callable[[float], float],
@@ -235,7 +221,13 @@ def _grid_allocations(cases: list[tuple[MixtureUniverse, float]]) -> list[Alloca
     over the whole order finds, and the rest of the solve reads only j.
     """
     for mixture, capacity in cases:
-        _check(mixture, capacity)
+        if not (math.isfinite(capacity) and capacity >= 0.0):
+            raise ValueError(f"total_capacity must be finite and >= 0, got {capacity}")
+        frontier = mixture.knowledge._frontier
+        if frontier.count:
+            # Products and quotients round monotonically, so r*p/(1-r) underflows
+            # for some fact exactly when it does for the least frequent one.
+            mixture._marginal_ratio(frontier.p_view[-1])
     m0 = _m0_map(cases[0][0].web)
     allocations = [None] * len(cases)
     # Pending halves: cases [a, b) whose j lie in [lo, hi].

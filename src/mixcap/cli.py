@@ -98,12 +98,12 @@ def _capacity(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    """An integer; an integral float such as 1e3 counts as one."""
+    """An integer in the float range; an integral float such as 1e3 counts as one."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+    return json_number(value, key)
 
 
 def _seed(value, key: str) -> int:

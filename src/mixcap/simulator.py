@@ -6,9 +6,10 @@ exactly 0 below the lower phase boundary and exactly 1 above the upper one.
 The subset experiment builds a knowledge universe of equal-size groups whose
 sampling weights follow a power law, then reads off the threshold corpus
 frequency at each capacity as the frequency of the first group whose
-accuracy falls below the target. Fitting log threshold frequency against
-log capacity (``analysis.fit_loglog``) recovers a line of slope
--(alpha + 1), alpha being the web scaling exponent.
+accuracy falls below the target; a group's accuracy, the mean learned
+fraction of its facts, is read off the frontier boundary. Fitting log
+threshold frequency against log capacity (``analysis.fit_loglog``)
+recovers a line of slope -(alpha + 1), alpha being the web scaling exponent.
 
 Everything is a pure function of its config. A grid is solved as one
 bracketed search: the learned prefix of the knowledge frontier never shrinks
@@ -177,9 +178,9 @@ class SubsetExperiment:
     group_count groups of group_size facts each; group g has sampling weight
     proportional to g**(-powerlaw_exponent), split uniformly within the
     group (weights are normalized to sum to 1 before splitting). Every fact
-    carries entropy_per_fact bits; None (the default) stands for
-    ``corpus.RECORD_ENTROPY_BITS``, the biography-record entropy, so
-    corpus-derived universes line up with this builder.
+    carries entropy_per_fact > 0 bits, with a finite total; None (the
+    default) stands for ``corpus.RECORD_ENTROPY_BITS``, the biography-record
+    entropy, so corpus-derived universes line up with this builder.
     ``capacity_grid`` must be strictly increasing, with finite entries >= 0.
     """
 
@@ -233,6 +234,12 @@ class SubsetExperiment:
             raise ValueError(
                 f"entropy_per_fact must be finite and > 0, got {self.entropy_per_fact}"
             )
+        facts = self.group_count * self.group_size
+        if math.isinf(self.entropy_per_fact * facts):
+            raise ValueError(
+                f"entropy_per_fact {self.entropy_per_fact} times {facts} facts overflows: "
+                "the total entropy leaves the float range"
+            )
 
     @cached_property
     def weights(self) -> list[float]:
@@ -257,33 +264,31 @@ def build_subset_universe(exp: SubsetExperiment) -> KnowledgeUniverse:
 def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     """Per-capacity group accuracies and the measured threshold frequency.
 
-    Groups are already in descending-weight order; the threshold frequency
-    at a capacity is the overall corpus frequency r * p of the first group
+    A group's accuracy is fsum of its learned row over group_size, read off
+    the frontier boundary (k, f, z) as count_accuracy reads it: O(groups)
+    per point and no fact-length array. p does not increase, so the stable
+    frontier order is the identity, and no fact has entropy 0, so z is 0:
+    the first k // group_size groups are 1.0, the next holds
+    (k % group_size + f) / group_size and the rest are 0.0. The threshold
+    frequency at a capacity is the corpus frequency r * p of the first group
     whose accuracy misses the target, or None if every group clears it.
     """
     knowledge = build_subset_universe(exp)
     mixture = MixtureUniverse(
         knowledge=knowledge, web=exp.web_curve, mixing_ratio=exp.mixing_ratio
     )
+    count, size = exp.group_count, exp.group_size
     results = []
     allocations = _grid_allocations([(mixture, c) for c in exp.capacity_grid])
     for capacity, alloc in zip(exp.capacity_grid, allocations):
-        # alloc.learned, built without caching it on an allocation the grid holds.
-        learned = knowledge._frontier.fractions_at(alloc.knowledge_capacity)
-        frac = learned.reshape(exp.group_count, exp.group_size)
-        group_acc = frac.mean(axis=1)  # uniform entropy within a group
-        f_thres = None
-        for g in range(exp.group_count):
-            if group_acc[g] < exp.accuracy_target:
-                f_thres = exp.mixing_ratio * exp.weights[g] / exp.group_size
-                break
-        results.append(
-            SubsetCapacityResult(
-                capacity=capacity,
-                group_accuracies=tuple(float(a) for a in group_acc),
-                threshold_frequency=f_thres,
-            )
-        )
+        k, f, _ = knowledge._frontier.boundary(alloc.knowledge_capacity)
+        full, part = divmod(k, size)
+        group_acc = [1.0] * full
+        if full < count:
+            group_acc += [(part + f) / size] + [0.0] * (count - full - 1)
+        below = next((g for g, acc in enumerate(group_acc) if acc < exp.accuracy_target), None)
+        f_thres = None if below is None else exp.mixing_ratio * exp.weights[below] / size
+        results.append(SubsetCapacityResult(capacity, tuple(group_acc), f_thres))
     return results
 
 

@@ -466,6 +466,59 @@ class TestGridSolve:
         ]
 
 
+@st.composite
+def subset_experiments(draw):
+    """A subset experiment on either web kind whose capacities split groups.
+
+    Group sizes run from 1 to 200 facts, across the 8-lane and 128-block
+    thresholds of numpy's pairwise sum. Each capacity is the onset of a
+    drawn fact plus a drawn share of its entropy, so the boundary fact lies
+    inside a group.
+    """
+    exp = SubsetExperiment(
+        group_count=draw(st.integers(1, 8)),
+        group_size=draw(st.integers(1, 200)),
+        powerlaw_exponent=draw(st.floats(0.1, 3.0)),
+        mixing_ratio=draw(ratios),
+        web_curve=draw(web_curves()),
+        capacity_grid=(0.0,),
+        entropy_per_fact=draw(entropies),
+    )
+    frontier = build_subset_universe(exp)._frontier
+    r = exp.mixing_ratio
+    grid = set()
+    for k in draw(st.lists(st.integers(0, frontier.count - 1), min_size=1, max_size=4)):
+        onset = m0_minus(exp.web_curve, r * float(frontier.p_sorted[k]) / (1.0 - r))
+        before = float(frontier.cum_h[k - 1]) if k else 0.0
+        grid.add(onset + before + draw(st.floats(0.0, 1.0)) * exp.entropy_per_fact)
+    return replace(exp, capacity_grid=tuple(sorted(grid)))
+
+
+class TestSubsetBoundary:
+    """run_subset_experiment reads group accuracies off the frontier boundary."""
+
+    @PROPERTY_SETTINGS
+    @given(subset_experiments())
+    def test_frontier_order_is_the_identity_with_no_zero_entropy_fact(self, exp):
+        frontier = build_subset_universe(exp)._frontier
+        assert np.array_equal(frontier.order, np.arange(frontier.count))
+        assert frontier.zero_sorted.size == 0
+
+    @PROPERTY_SETTINGS
+    @given(subset_experiments())
+    def test_group_accuracy_is_the_fsum_of_its_learned_row(self, exp):
+        mixture = MixtureUniverse(build_subset_universe(exp), exp.web_curve, exp.mixing_ratio)
+        size = exp.group_size
+        with no_hang():
+            results = run_subset_experiment(exp)
+        for res in results:
+            learned = optimal_allocation(mixture, res.capacity).learned.tolist()
+            assert res.group_accuracies == tuple(
+                math.fsum(learned[g * size:(g + 1) * size]) / size
+                for g in range(exp.group_count)
+            )
+
+
 class TestMixtureJson:
     @PROPERTY_SETTINGS
     @given(mixtures())

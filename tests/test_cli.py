@@ -13,7 +13,7 @@ import pytest
 
 from mixcap.allocator import full_threshold_report, optimal_allocation
 from mixcap.analysis import estimate_threshold_popularity, AccuracyObservation
-from mixcap.cli import COMMANDS, _json_text, main
+from mixcap.cli import COMMANDS, _integer, _json_text, _seed, main
 from mixcap.corpus import RECORD_ENTROPY_BITS
 from mixcap.simulator import SubsetExperiment, build_subset_universe
 from mixcap.universe import MixtureUniverse
@@ -478,6 +478,20 @@ class TestSubsets:
         assert "exposure_frequency" not in err
         assert not out.exists()
 
+    def test_total_entropy_that_overflows_exits_2_naming_entropy_per_fact(
+        self, tmp_path, capsys
+    ):
+        config = _write_config(
+            tmp_path, {"entropy_per_fact": 1e308, "group_count": 2, "group_size": 2}
+        )
+        out = tmp_path / "subsets.csv"
+        assert run(["subsets", "--config", config, "--out", out, "--json-errors"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": (
+            "entropy_per_fact 1e+308 times 4 facts overflows: "
+            "the total entropy leaves the float range"
+        )}
+        assert not out.exists()
+
 
 def _power_law_mixture(alpha):
     return {**MIX_DOC["mixture"], "web": {"power_law": {"c": 1.0, "a": 100.0, "alpha": alpha}}}
@@ -910,6 +924,15 @@ _CONFIG_KEYS = [
     if not row.flag_only
 ]
 
+# group_count is left out: a build that got past its check would allocate
+# without bound before it failed. group_size covers the same kind and command.
+_INTEGER_KEYS = [
+    (name, row.key)
+    for name, command in COMMANDS.items()
+    for row in command.params
+    if not row.flag_only and row.kind in (_integer, _seed) and row.key != "group_count"
+]
+
 
 @pytest.fixture
 def input_files(tmp_path):
@@ -996,6 +1019,17 @@ class TestParameterTable:
         assert run(["synbio", "--count", "2.5", "--seed", 7, "--out", tmp_path / "x"]) == 2
         assert "count must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key", _INTEGER_KEYS)
+    def test_integer_past_the_float_range_exits_2_naming_key(
+        self, tmp_path, capsys, cli_inputs, name, key
+    ):
+        out = tmp_path / "out"
+        text = json.dumps({**_BASE_INVOCATIONS[name][1], key: 10**400})
+        assert cli_inputs(name, text, out) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be " in err and "internal" not in err
+        assert list(tmp_path.glob("out*")) == []
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_seed_range_names_seed(self, tmp_path, capsys, seed):
         out = tmp_path / "bios.jsonl"
@@ -1015,6 +1049,8 @@ class TestParameterTable:
             (["mixplan", "--total-tokens", 1e9, "--ratio", "inf", "--knowledge-tokens", 1e6],
              "mixing_ratio"),
             (["synbio", "--count", 3, "--seed", 1, "--format", "csv"], "format"),
+            (["mixplan", "--total-tokens", 1e9, "--ratio", 0.1, "--knowledge-tokens", 1e6,
+              "--fact-count", 10**400], "fact_count must be finite"),
         ],
     )
     def test_flag_values_exit_2_naming_key(self, tmp_path, capsys, argv, key):

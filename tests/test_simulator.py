@@ -248,6 +248,29 @@ class TestLazyLearned:
         assert alloc.learned is first
         assert len(calls) == 1
 
+    def test_subset_experiment_builds_no_learned_array(self, monkeypatch):
+        exp = SubsetExperiment(group_count=6, group_size=50, capacity_grid=(0.0,))
+        frontier = build_subset_universe(exp)._frontier
+        r = exp.mixing_ratio
+        # Capacities whose boundary fact lies inside a group, with part of it learned.
+        grid = tuple(
+            m0_minus(exp.web_curve, r * float(frontier.p_sorted[k]) / (1.0 - r))
+            + float(frontier.cum_h[k - 1]) + 0.3 * exp.entropy_per_fact
+            for k in (60, 175, 240)
+        )
+
+        def refuse(self, capacity):
+            raise AssertionError("fractions_at called")
+
+        monkeypatch.setattr(type(frontier), "fractions_at", refuse)
+        results = run_subset_experiment(SubsetExperiment(
+            group_count=6, group_size=50, capacity_grid=grid))
+        for res, k in zip(results, (60, 175, 240)):
+            full = k // 50
+            assert res.group_accuracies[:full] == (1.0,) * full
+            assert 0.0 < res.group_accuracies[full] < 1.0
+            assert res.group_accuracies[full + 1:] == (0.0,) * (5 - full)
+
 
 class TestSubsetExperiment:
     @pytest.mark.parametrize(
@@ -378,6 +401,17 @@ class TestSubsetExperiment:
     def test_entropy_per_fact_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match=r"^entropy_per_fact must be finite and > 0"):
             SubsetExperiment(entropy_per_fact=value)
+
+    def test_total_entropy_that_overflows_names_entropy_per_fact(self):
+        with pytest.raises(ValueError, match=(
+            r"^entropy_per_fact 1e\+308 times 4 facts overflows: "
+            "the total entropy leaves the float range$"
+        )):
+            SubsetExperiment(entropy_per_fact=1e308, group_count=2, group_size=2)
+        # Four quarters of the largest float sum to it exactly, so they are accepted.
+        largest = 1.7976931348623157e308
+        exp = SubsetExperiment(entropy_per_fact=largest / 4, group_count=2, group_size=2)
+        assert build_subset_universe(exp).h_tot == largest
 
 
 class TestThresholdLaw:
