@@ -178,20 +178,20 @@ def _solve(mixture: MixtureUniverse, total_capacity: float, m0: Callable[[float]
     """
     web, r = mixture.web, mixture.mixing_ratio
     frontier = mixture.knowledge._frontier
-    p, cum_h = frontier.p_view, frontier.cum_h_view
-    # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k].
+    p, cum_h, cum_h_next = frontier.p_view, frontier.cum_h_view, frontier.cum_h_next
+    # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k + 1].
     # The bound does not increase along the order and cum_h does not
     # decrease, so those facts are a prefix and bisection finds its end.
     j = bisect.bisect_left(
         range(frontier.count), True, lo, hi,
-        key=lambda k: not (total_capacity - m0(r * p[k] / (1.0 - r)) >= cum_h[k]),
+        key=lambda k: not (total_capacity - m0(r * p[k] / (1.0 - r)) >= cum_h_next[k]),
     )
     if j == frontier.count:
         # h_tot is summed apart from cum_h, so it can pass M by an ulp.
         m1 = min(frontier.h_tot, total_capacity)
     else:
         bound = total_capacity - m0(r * p[j] / (1.0 - r))
-        m1 = min(max(bound, cum_h[j - 1] if j else 0.0), frontier.h_tot)
+        m1 = min(max(bound, cum_h[j]), frontier.h_tot)
 
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)
@@ -212,7 +212,7 @@ def _grid_allocations(cases: list[tuple[MixtureUniverse, float]]) -> list[Alloca
     by the j of the solved cases on either side.
 
     This gives the allocations of independent solves. Sorted fact k passes
-    the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k] at a
+    the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a
     case if it passes at an earlier one: as full_threshold_report notes,
     every rounding is monotone and m0_minus does not increase, so the bound
     rises with M and with r. j counts the prefix of facts that pass, so it
@@ -279,7 +279,7 @@ def full_threshold_report(
         )
     if not h_tot > 0.0:
         raise ValueError("threshold formulas need a fact with target_entropy > 0")
-    p_max, p_min = float(knowledge.p.max()), float(knowledge.p.min())
+    p_max, p_min = knowledge._frontier.p_view[0], knowledge._frontier.p_view[-1]
     m_lower = m0_minus(web, mixture._marginal_ratio(p_max))
     m_upper = _least_float(
         lambda m: optimal_allocation(mixture, m).knowledge_capacity == h_tot, math.inf

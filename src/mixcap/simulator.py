@@ -196,16 +196,22 @@ class SubsetExperiment:
     entropy_per_fact: float | None = None
 
     def __post_init__(self):
-        if self.entropy_per_fact is None:
-            # Read here, so that importing this module loads no corpus.
-            from .corpus import RECORD_ENTROPY_BITS
+        # Read here, so that importing this module loads no corpus.
+        from .corpus import NAME_PRODUCT_SIZE, RECORD_ENTROPY_BITS
 
+        if self.entropy_per_fact is None:
             object.__setattr__(self, "entropy_per_fact", RECORD_ENTROPY_BITS)
         object.__setattr__(
             self, "capacity_grid", tuple(float(c) for c in self.capacity_grid)
         )
         if self.group_count < 1 or self.group_size < 1:
             raise ValueError("group_count and group_size must be >= 1")
+        facts = self.group_count * self.group_size
+        if facts > NAME_PRODUCT_SIZE:
+            raise ValueError(
+                f"group_count {self.group_count} times group_size {self.group_size} is "
+                f"{facts} facts, more than the {NAME_PRODUCT_SIZE} biographies SynBio holds"
+            )
         if self.powerlaw_exponent <= 0.0:
             raise ValueError(
                 f"powerlaw_exponent must be > 0, got {self.powerlaw_exponent}"
@@ -234,8 +240,15 @@ class SubsetExperiment:
             raise ValueError(
                 f"entropy_per_fact must be finite and > 0, got {self.entropy_per_fact}"
             )
-        facts = self.group_count * self.group_size
-        if math.isinf(self.entropy_per_fact * facts):
+        # fl(e*K) overflows exactly when the fsum behind h_tot does. The frontier
+        # sums the entropies one at a time, which can round past fl(e*K) by
+        # (K - 1)*u relative, u = 2**-53; where the factor 1 + K*2**-52 (which
+        # covers that and this check's rounding) overflows, sum them so.
+        total = self.entropy_per_fact * facts
+        if math.isfinite(total) and math.isinf(total * (1.0 + facts * 2.0**-52)):
+            with np.errstate(over="ignore"):
+                total = np.cumsum(np.full(facts, self.entropy_per_fact))[-1]
+        if math.isinf(total):
             raise ValueError(
                 f"entropy_per_fact {self.entropy_per_fact} times {facts} facts overflows: "
                 "the total entropy leaves the float range"

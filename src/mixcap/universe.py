@@ -346,7 +346,7 @@ class _FrontierCurve:
 
     Facts are ordered by exposure frequency descending (ties by original
     index ascending) and capacity is spent in that order; the boundary fact
-    is learned fractionally. Prefix sums make each loss evaluation O(log K).
+    is learned fractionally. Prefix sums led by 0.0 make each loss evaluation O(log K).
     """
 
     def __init__(self, p: np.ndarray, h: np.ndarray, c1: float, h_tot: float):
@@ -356,12 +356,22 @@ class _FrontierCurve:
         # A stable sort of -p: descending frequency, ties by index ascending.
         self.order = np.argsort(-p, kind="stable")
         self.p_sorted = p[self.order]
-        self.h_sorted = h[self.order]
-        self.cum_h = np.cumsum(self.h_sorted)
-        # Views that index to Python floats, for the O(log K) probes.
-        self.p_view, self.cum_h_view = memoryview(self.p_sorted), memoryview(self.cum_h)
-        self.cum_ph = np.cumsum(self.p_sorted * self.h_sorted)
-        self.total_ph = float(self.cum_ph[-1]) if self.count else 0.0
+        h_sorted = h[self.order]
+        self.cum_h, self.cum_ph = np.zeros(self.count + 1), np.zeros(self.count + 1)
+        # Summed one fact at a time, cum_h can round past the float range where the
+        # fsum behind h_tot does not; an infinite cum_ph fails the loss check below.
+        with np.errstate(over="ignore"):
+            np.cumsum(h_sorted, out=self.cum_h[1:])
+            np.cumsum(self.p_sorted * h_sorted, out=self.cum_ph[1:])
+        if math.isinf(self.cum_h[-1]):
+            raise ValueError(
+                f"target_entropy values summed in frequency order overflow, though their "
+                f"total {h_tot!r} is finite: the frontier's prefix sums leave the float range"
+            )
+        # Python-float views for the O(log K) probes; cum_h_next[k] is cum_h[k + 1].
+        self.p_view, self.h_view, self.order_view = map(memoryview, (self.p_sorted, h, self.order))
+        self.cum_h_view, self.cum_ph_view = memoryview(self.cum_h), memoryview(self.cum_ph)
+        self.cum_h_next, self.total_ph = self.cum_h_view[1:], self.cum_ph_view[-1]
         # The loss with nothing learned; every loss on this frontier is at most it.
         if not math.isfinite(c1 + self.total_ph):
             raise ValueError(
@@ -369,24 +379,22 @@ class _FrontierCurve:
                 "the knowledge loss with no fact learned leaves the float range"
             )
         # Sorted positions of the zero-entropy facts: any positive budget learns them.
-        self.zero_sorted = np.flatnonzero(self.h_sorted == 0.0)
+        self.zero_sorted = np.flatnonzero(h_sorted == 0.0)
 
     def loss_at(self, capacity: float) -> float:
         if capacity >= self.h_tot:
             return self.c1
-        if capacity <= 0.0:
-            return self.c1 + self.total_ph
         k, rest = self._prefix(capacity)
-        learned = float(self.cum_ph[k - 1]) if k > 0 else 0.0
+        learned = self.cum_ph_view[k]
         if k < self.count:
-            learned += float(self.p_sorted[k]) * rest
+            learned += self.p_view[k] * rest
         return self.c1 + (self.total_ph - learned)
 
     def _prefix(self, capacity: float) -> tuple[int, float]:
-        """(k, rest): the k sorted facts whose cumulative entropy fits in
-        capacity, and the bits capacity - cum_h[k - 1] left past them."""
-        k = bisect.bisect_right(self.cum_h_view, capacity)
-        return k, capacity - (self.cum_h_view[k - 1] if k > 0 else 0.0)
+        """(k, rest): the k sorted facts whose cumulative entropy fits in capacity
+        (at 0, the leading zero-entropy ones) and the bits capacity - cum_h[k] left."""
+        k = bisect.bisect_right(self.cum_h_next, capacity)
+        return k, capacity - self.cum_h_view[k]
 
     def boundary(self, capacity: float) -> tuple[int, float, int]:
         """(k, f, z): the learned layout at a capacity, in O(log K).
@@ -400,8 +408,8 @@ class _FrontierCurve:
         if not capacity > 0.0:
             return 0, 0.0, 0
         k, rest = self._prefix(capacity)
-        # cum_h[k] > capacity >= cum_h[k - 1] (or 0), so fact k has h > 0.
-        f = rest / float(self.h_sorted[k]) if k < self.count else 0.0
+        # cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0.
+        f = rest / self.h_view[self.order_view[k]] if k < self.count else 0.0
         z = self.zero_sorted.size - bisect.bisect_left(self.zero_sorted, k)
         return k, f, z
 

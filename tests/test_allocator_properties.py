@@ -130,8 +130,9 @@ def capacities(draw, mixture):
     k = draw(st.integers(0, frontier.count - 1))
     r = mixture.mixing_ratio
     onset = m0_minus(mixture.web, r * float(frontier.p_sorted[k]) / (1.0 - r))
-    before = float(frontier.cum_h[k - 1]) if k else 0.0
-    capacity = onset + before + draw(st.sampled_from([0.0, 1.0, 0.5])) * frontier.h_sorted[k]
+    before = float(frontier.cum_h[k])
+    h_k = mixture.knowledge.h[frontier.order[k]]
+    capacity = onset + before + draw(st.sampled_from([0.0, 1.0, 0.5])) * h_k
     for _ in range(draw(st.integers(-3, 3))):
         capacity = np.nextafter(capacity, math.inf)
     return max(float(capacity), 0.0)
@@ -153,25 +154,27 @@ def frontier_m0(mixture):
 def linear_scan_allocation(mixture, total):
     """(m1, m2, loss1, loss2, loss, learned, predicate) by the linear-scan solve.
 
-    predicate[k] is the float test M - m0_k >= cum_h[k] of sorted fact k.
+    predicate[k] is the float test M - m0_k >= cum_h[k + 1] of sorted fact k.
     """
     web, r = mixture.web, mixture.mixing_ratio
     frontier = mixture.knowledge._frontier
     bound = total - frontier_m0(mixture)
-    predicate = bound >= frontier.cum_h
+    predicate = bound >= frontier.cum_h[1:]
     j = int(np.count_nonzero(predicate))
     if j == len(bound):
         m1 = min(frontier.h_tot, total)
     else:
-        m1 = min(max(float(bound[j]), float(frontier.cum_h[j - 1]) if j else 0.0), frontier.h_tot)
+        m1 = min(max(float(bound[j]), float(frontier.cum_h[j])), frontier.h_tot)
     m2 = total - m1
     loss1, loss2 = frontier.loss_at(m1), eval_web_loss(web, m2)
-    learned = full_fractions(frontier, m1)
+    learned = full_fractions(mixture.knowledge, m1)
     return m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2, learned, predicate
 
 
-def full_fractions(frontier, capacity):
+def full_fractions(knowledge, capacity):
     """Learned fractions built over the whole sorted order, then scattered."""
+    frontier = knowledge._frontier
+    h_sorted = knowledge.h[frontier.order]
     n = frontier.count
     frac_sorted = np.zeros(n)
     if n == 0:
@@ -179,13 +182,13 @@ def full_fractions(frontier, capacity):
     if capacity >= frontier.h_tot:
         frac_sorted[:] = 1.0
     elif capacity > 0.0:
-        k = int(np.searchsorted(frontier.cum_h, capacity, side="right"))
+        k = int(np.searchsorted(frontier.cum_h[1:], capacity, side="right"))
         frac_sorted[:k] = 1.0
         if k < n:
-            prev = float(frontier.cum_h[k - 1]) if k > 0 else 0.0
-            if frontier.h_sorted[k] > 0.0:
-                frac_sorted[k] = (capacity - prev) / frontier.h_sorted[k]
-        frac_sorted[frontier.h_sorted == 0.0] = 1.0
+            prev = float(frontier.cum_h[k])
+            if h_sorted[k] > 0.0:
+                frac_sorted[k] = (capacity - prev) / h_sorted[k]
+        frac_sorted[h_sorted == 0.0] = 1.0
     fractions = np.empty(n)
     fractions[frontier.order] = frac_sorted
     return fractions
@@ -230,15 +233,64 @@ class TestLinearScanOracle:
             web = PowerLawCurve(floor=1.0, amplitude=1e5, exponent=0.3)
         mixture = MixtureUniverse(KnowledgeUniverse(p, h, 0.5), web, 0.05)
         frontier = mixture.knowledge._frontier
-        onsets = frontier_m0(mixture) + np.concatenate(([0.0], frontier.cum_h[:-1]))
+        onsets = frontier_m0(mixture) + frontier.cum_h[:-1]
         picks = rng.choice(frontier.count, 40, replace=False)
         totals = [0.0, frontier.h_tot, 10.0 * frontier.h_tot]
         totals += np.geomspace(1.0, 4.0 * (onsets.max() + frontier.h_tot), 60).tolist()
         for k in picks:
-            for edge in (onsets[k], onsets[k] + frontier.h_sorted[k]):
+            for edge in (onsets[k], onsets[k] + mixture.knowledge.h[frontier.order[k]]):
                 totals += [float(edge), float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, math.inf))]
         for total in totals:
             assert_matches_linear_scan(mixture, total)
+
+
+def empty_prefix_frontier(knowledge, capacity):
+    """(loss, (k, f, z)) over K-entry prefix sums that special-case the empty prefix.
+
+    The frontier formulas before the prefix sums were led by 0.0, with the
+    sorted p and h as their own arrays.
+    """
+    order = knowledge._frontier.order
+    p_sorted, h_sorted = knowledge.p[order], knowledge.h[order]
+    cum_h, cum_ph = np.cumsum(h_sorted), np.cumsum(p_sorted * h_sorted)
+    count, h_tot, c1 = order.size, knowledge.h_tot, knowledge.irreducible_loss
+    total_ph = float(cum_ph[-1]) if count else 0.0
+    if capacity >= h_tot:
+        return c1, (count, 0.0, 0)
+    if not capacity > 0.0:
+        return c1 + total_ph, (0, 0.0, 0)
+    k = int(np.searchsorted(cum_h, capacity, side="right"))
+    rest = capacity - (float(cum_h[k - 1]) if k > 0 else 0.0)
+    learned = float(cum_ph[k - 1]) if k > 0 else 0.0
+    if k < count:
+        learned += float(p_sorted[k]) * rest
+    f = rest / float(h_sorted[k]) if k < count else 0.0
+    z = int(np.count_nonzero(h_sorted[k:] == 0.0))
+    return c1 + (total_ph - learned), (k, f, z)
+
+
+class TestZeroLedFrontier:
+    @PROPERTY_SETTINGS
+    @given(cases(), st.integers(0, 8))
+    def test_loss_and_boundary_match_the_empty_prefix_formulas(self, case, zeros):
+        mixture, total = case
+        knowledge = mixture.knowledge
+        # The first `zeros` facts of the order get entropy 0, so the order leads with them.
+        h = knowledge.h.copy()
+        h[knowledge._frontier.order[:zeros]] = 0.0
+        knowledge = KnowledgeUniverse(knowledge.p, h, knowledge.irreducible_loss)
+        frontier = knowledge._frontier
+        assert frontier.cum_h.size == frontier.cum_ph.size == frontier.count + 1
+        assert frontier.cum_h[0] == frontier.cum_ph[0] == 0.0
+        # k = 0 inside the first fact, k = K at cum_h[K], and every prefix end.
+        capacities = [total, -0.0, 0.0, float(0.5 * frontier.cum_h[1]), knowledge.h_tot]
+        for edge in frontier.cum_h.tolist():
+            capacities += [edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, math.inf))]
+        for capacity in capacities:
+            loss, (k, f, z) = empty_prefix_frontier(knowledge, capacity)
+            assert frontier.loss_at(capacity).hex() == loss.hex()
+            got_k, got_f, got_z = frontier.boundary(capacity)
+            assert (got_k, got_f.hex(), got_z) == (k, f.hex(), z)
 
 
 class TestAllocationProperties:
@@ -489,7 +541,7 @@ def subset_experiments(draw):
     grid = set()
     for k in draw(st.lists(st.integers(0, frontier.count - 1), min_size=1, max_size=4)):
         onset = m0_minus(exp.web_curve, r * float(frontier.p_sorted[k]) / (1.0 - r))
-        before = float(frontier.cum_h[k - 1]) if k else 0.0
+        before = float(frontier.cum_h[k])
         grid.add(onset + before + draw(st.floats(0.0, 1.0)) * exp.entropy_per_fact)
     return replace(exp, capacity_grid=tuple(sorted(grid)))
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -492,6 +493,36 @@ class TestSubsets:
         )}
         assert not out.exists()
 
+    def test_prefix_sum_that_overflows_exits_2_naming_entropy_per_fact(self, tmp_path, capsys):
+        # 100 times the entropy is finite; the frontier's one-at-a-time sum is not.
+        config = _write_config(tmp_path, {
+            "entropy_per_fact": 1.7976931348623156e306, "group_count": 10, "group_size": 10,
+            "capacity_grid": [1e9, 1e300],
+        })
+        out = tmp_path / "subsets.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["subsets", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "entropy_per_fact 1.7976931348623156e+306 times 100 facts overflows" in err
+        assert list(tmp_path.glob("subsets*")) == []
+
+    def test_more_facts_than_synbio_holds_exits_2_at_once(self, tmp_path):
+        # In a child capped at 2 GiB of address space and 60 s, so that a
+        # build past the check fails instead of growing without bound.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        config = _write_config(tmp_path, {"group_count": 1e12, "group_size": 1})
+        result = _fresh_python(
+            ["-m", "mixcap.cli", "subsets", "--config", str(config),
+             "--out", str(tmp_path / "subsets.csv")],
+            tmp_path, check=False, timeout=60, preexec_fn=cap,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "group_count 1000000000000 times group_size 1" in result.stderr
+        assert list(tmp_path.glob("subsets*")) == []
+
 
 def _power_law_mixture(alpha):
     return {**MIX_DOC["mixture"], "web": {"power_law": {"c": 1.0, "a": 100.0, "alpha": alpha}}}
@@ -924,13 +955,11 @@ _CONFIG_KEYS = [
     if not row.flag_only
 ]
 
-# group_count is left out: a build that got past its check would allocate
-# without bound before it failed. group_size covers the same kind and command.
 _INTEGER_KEYS = [
     (name, row.key)
     for name, command in COMMANDS.items()
     for row in command.params
-    if not row.flag_only and row.kind in (_integer, _seed) and row.key != "group_count"
+    if not row.flag_only and row.kind in (_integer, _seed)
 ]
 
 
@@ -1153,12 +1182,13 @@ with open(sys.argv[1], "w") as handle:
 """
 
 
-def _fresh_python(args, cwd):
+def _fresh_python(args, cwd, check=True, **options):
     """Run python with args in a fresh interpreter that imports this checkout's mixcap."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=cwd, check=True, capture_output=True, text=True
+        [sys.executable, *args], env=env, cwd=cwd, check=check, capture_output=True, text=True,
+        **options,
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import allocation_grid_oracle
 from mixcap import corpus
-from mixcap.corpus import RECORD_ENTROPY_BITS, power_law_partition
+from mixcap.corpus import NAME_PRODUCT_SIZE, RECORD_ENTROPY_BITS, power_law_partition
 from mixcap.allocator import full_threshold_report, optimal_allocation
 from mixcap.analysis import fit_loglog
 from mixcap.simulator import (
@@ -255,7 +255,7 @@ class TestLazyLearned:
         # Capacities whose boundary fact lies inside a group, with part of it learned.
         grid = tuple(
             m0_minus(exp.web_curve, r * float(frontier.p_sorted[k]) / (1.0 - r))
-            + float(frontier.cum_h[k - 1]) + 0.3 * exp.entropy_per_fact
+            + float(frontier.cum_h[k]) + 0.3 * exp.entropy_per_fact
             for k in (60, 175, 240)
         )
 
@@ -412,6 +412,25 @@ class TestSubsetExperiment:
         largest = 1.7976931348623157e308
         exp = SubsetExperiment(entropy_per_fact=largest / 4, group_count=2, group_size=2)
         assert build_subset_universe(exp).h_tot == largest
+
+    def test_prefix_sum_that_overflows_names_entropy_per_fact(self):
+        # 100 times the entropy is finite; summed one fact at a time, as the
+        # frontier sums it, it rounds past the float range.
+        with pytest.raises(ValueError, match=(
+            r"^entropy_per_fact 1\.7976931348623156e\+306 times 100 facts overflows"
+        )):
+            SubsetExperiment(entropy_per_fact=1.7976931348623156e306, group_count=10,
+                             group_size=10, capacity_grid=(1e9, 1e300))
+
+    def test_more_facts_than_synbio_holds_are_refused_before_the_weights(self):
+        with pytest.raises(ValueError, match=(
+            r"^group_count 1000000000000 times group_size 1 is 1000000000000 facts, "
+            r"more than the 160000000 biographies SynBio holds$"
+        )):
+            SubsetExperiment(group_count=10**12, group_size=1)
+        with pytest.raises(ValueError, match="group_size 160000001 is 160000001 facts"):
+            SubsetExperiment(group_count=1, group_size=NAME_PRODUCT_SIZE + 1)
+        assert SubsetExperiment(group_count=1, group_size=NAME_PRODUCT_SIZE).weights == [1.0]
 
 
 class TestThresholdLaw:

@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -657,6 +659,44 @@ class TestKnowledgeFrontier:
                 knowledge_frontier(ku, 1.0)
             else:
                 optimal_allocation(mix, 1.0)
+
+    def test_prefix_sum_that_overflows_names_target_entropy(self):
+        # 100 times the entropy is finite, so fsum's h_tot is; the sum one
+        # fact at a time rounds past the float range.
+        ku = KnowledgeUniverse(np.full(100, 0.01), np.full(100, 1.7976931348623156e306))
+        assert math.isfinite(ku.h_tot)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^target_entropy values summed in frequency "
+                                                 r"order overflow"):
+                knowledge_frontier(ku, 1.0)
+
+    def test_zero_led_prefix_sums(self):
+        ku = KnowledgeUniverse([0.125, 0.5, 0.25], [4.0, 2.0, 1.0])
+        frontier = ku._frontier
+        assert frontier.cum_h.tolist() == [0.0, 2.0, 3.0, 7.0]
+        assert frontier.cum_ph.tolist() == [0.0, 1.0, 1.25, 1.75]
+        assert not hasattr(frontier, "h_sorted")
+        assert KnowledgeUniverse([], [])._frontier.cum_h.tolist() == [0.0]
+
+    def test_frontier_holds_32_bytes_per_fact(self):
+        n = 100_000
+        rng = np.random.default_rng(41)
+        raw = rng.pareto(1.5, n) + 1.0
+        ku = KnowledgeUniverse(raw / raw.sum() * (1 - 1e-9), rng.uniform(1.0, 60.0, n))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            frontier = ku._frontier
+            held, peak = (b - before for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert frontier.count == n
+        # order, p_sorted, cum_h and cum_ph; the slack covers the views and small arrays.
+        assert held <= 32 * n + 16_384
+        # The build's peak, with its temporaries (-p, sorted h, p * h), is 48.
+        assert peak <= 48 * n + 16_384
 
 
 class TestSerialization:
