@@ -29,6 +29,7 @@ from .universe import (
     MixtureUniverse,
     PowerLawCurve,
     _m0_map,
+    _marginal_ratio,
     eval_web_loss,
     m0_minus,
     web_marginal,
@@ -166,17 +167,16 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     one-case grid of _grid_allocations. The returned learned is built from
     m1 on first read.
     """
-    return _grid_allocations([(mixture, total_capacity)])[0]
+    return _grid_allocations(mixture, [(mixture.mixing_ratio, total_capacity)])[0]
 
 
-def _solve(mixture: MixtureUniverse, total_capacity: float, m0: Callable[[float], float],
-           lo: int, hi: int) -> tuple[Allocation, int]:
-    """The allocation of a checked case and j, its learned-prefix length.
+def _solve(mixture: MixtureUniverse, r: float, total_capacity: float,
+           m0: Callable[[float], float], lo: int, hi: int) -> tuple[Allocation, int]:
+    """The allocation of a checked (r, M) case on mixture and j, its learned-prefix length.
 
     m0 is _m0_map(mixture.web). The caller knows that j lies in [lo, hi],
     so the bisection probes only facts in range(lo, hi).
     """
-    web, r = mixture.web, mixture.mixing_ratio
     frontier = mixture.knowledge._frontier
     p, cum_h, cum_h_next = frontier.p_view, frontier.cum_h_view, frontier.cum_h_next
     # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k + 1].
@@ -195,21 +195,21 @@ def _solve(mixture: MixtureUniverse, total_capacity: float, m0: Callable[[float]
 
     m2 = total_capacity - m1
     loss1 = frontier.loss_at(m1)
-    loss2 = eval_web_loss(web, m2)
+    loss2 = eval_web_loss(mixture.web, m2)
     loss = r * loss1 + (1.0 - r) * loss2
     return Allocation(m1, m2, loss1, loss2, loss, mixture.knowledge), j
 
 
-def _grid_allocations(cases: list[tuple[MixtureUniverse, float]]) -> list[Allocation]:
-    """optimal_allocation at every (mixture, capacity) case of a grid, in order.
+def _grid_allocations(mixture: MixtureUniverse,
+                      cases: list[tuple[float, float]]) -> list[Allocation]:
+    """optimal_allocation at every (mixing ratio r, capacity M) case of a grid, in order.
 
-    The cases, at least one, share one knowledge universe and one web, and neither the
-    capacity M nor the mixing ratio r decreases along them, as on a sweep's
-    strictly increasing grid of either axis. Every case is checked first,
-    in grid order, so the first bad case raises what optimal_allocation
-    would. Then one bracketed search solves them: the middle case over the
-    whole order, then each half with its learned-prefix lengths j bracketed
-    by the j of the solved cases on either side.
+    Each case is solved at its r on mixture's knowledge universe and web. Neither M
+    nor r decreases along the cases, at least one, as on a sweep's strictly
+    increasing grid of either axis. Every case is checked first, in grid order, so
+    the first bad case raises what optimal_allocation would. Then one bracketed search
+    solves them: the middle case over the whole order, then each half with its
+    learned-prefix lengths j bracketed by the j of the solved cases on either side.
 
     This gives the allocations of independent solves. Sorted fact k passes
     the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a
@@ -220,22 +220,22 @@ def _grid_allocations(cases: list[tuple[MixtureUniverse, float]]) -> list[Alloca
     its j in [j_left, j_right], where a bisection finds the j a bisection
     over the whole order finds, and the rest of the solve reads only j.
     """
-    for mixture, capacity in cases:
+    frontier = mixture.knowledge._frontier
+    for r, capacity in cases:
         if not (math.isfinite(capacity) and capacity >= 0.0):
             raise ValueError(f"total_capacity must be finite and >= 0, got {capacity}")
-        frontier = mixture.knowledge._frontier
         if frontier.count:
             # Products and quotients round monotonically, so r*p/(1-r) underflows
             # for some fact exactly when it does for the least frequent one.
-            mixture._marginal_ratio(frontier.p_view[-1])
-    m0 = _m0_map(cases[0][0].web)
+            _marginal_ratio(r, frontier.p_view[-1])
+    m0 = _m0_map(mixture.web)
     allocations = [None] * len(cases)
     # Pending halves: cases [a, b) whose j lie in [lo, hi].
-    stack = [(0, len(cases), 0, cases[0][0].knowledge._frontier.count)]
+    stack = [(0, len(cases), 0, frontier.count)]
     while stack:
         a, b, lo, hi = stack.pop()
         mid = (a + b) // 2
-        allocations[mid], j = _solve(*cases[mid], m0, lo, hi)
+        allocations[mid], j = _solve(mixture, *cases[mid], m0, lo, hi)
         if a < mid:
             stack.append((a, mid, lo, j))
         if mid + 1 < b:
@@ -248,12 +248,12 @@ def full_threshold_report(
 ) -> ThresholdReport:
     """All phase-transition thresholds of a mixture.
 
-    Write m1(M, r) for the solve's knowledge_capacity at capacity M and
-    mixing ratio r. It does not decrease in M or in r: each fact's bound
-    fl(M - m0_minus(fl(r*p/(1-r)))) rises with both, as every rounding is
-    monotone and m0_minus does not increase, and higher bounds only move
-    the solve's learned prefix and its boundary share forward. So each
-    bound but m_lower is the least float at which the solve passes its
+    Write m1(M, r) for the knowledge_capacity that _grid_allocations gives
+    the case (r, M) on this mixture. It does not decrease in M or in r: each
+    fact's bound fl(M - m0_minus(fl(r*p/(1-r)))) rises with both, as every
+    rounding is monotone and m0_minus does not increase, and higher bounds
+    only move the solve's learned prefix and its boundary share forward. So
+    each bound but m_lower is the least float at which the solve passes its
     test (_least_float), and the test holds at every float above it.
 
     Model size: m_lower = m0_minus(r*p_max/(1-r)), the m0 the solve
@@ -280,7 +280,7 @@ def full_threshold_report(
     if not h_tot > 0.0:
         raise ValueError("threshold formulas need a fact with target_entropy > 0")
     p_max, p_min = knowledge._frontier.p_view[0], knowledge._frontier.p_view[-1]
-    m_lower = m0_minus(web, mixture._marginal_ratio(p_max))
+    m_lower = m0_minus(web, _marginal_ratio(mixture.mixing_ratio, p_max))
     m_upper = _least_float(
         lambda m: optimal_allocation(mixture, m).knowledge_capacity == h_tot, math.inf
     )
@@ -303,9 +303,8 @@ def full_threshold_report(
 
         def m1(r: float) -> float:
             try:
-                mix = replace(mixture, mixing_ratio=r)
-                return optimal_allocation(mix, total_capacity).knowledge_capacity
-            except ValueError:  # r is 0, or the solve refuses it: some r*p/(1-r) underflows
+                return _grid_allocations(mixture, [(r, total_capacity)])[0].knowledge_capacity
+            except ValueError:  # some r*p/(1-r) underflows, as it does at r = 0
                 return -math.inf
 
         def least_ratio(test: Callable[[float], bool]) -> float:

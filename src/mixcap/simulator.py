@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -152,12 +152,9 @@ def count_accuracy(allocation: Allocation) -> float:
 def sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate the optimal allocation at every grid point, in grid order."""
     if config.sweep_axis == "model_size":
-        cases = [(config.mixture, value) for value in config.grid]
+        cases = [(config.mixture.mixing_ratio, value) for value in config.grid]
     else:
-        # The same KnowledgeUniverse object, so its sorted frontier is reused.
-        capacity = config.total_capacity
-        cases = [(replace(config.mixture, mixing_ratio=value), capacity)
-                 for value in config.grid]
+        cases = [(value, config.total_capacity) for value in config.grid]
     return [
         SweepRow(
             axis_value=value,
@@ -167,7 +164,7 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
             web_loss=alloc.web_loss,
             mixture_loss=alloc.mixture_loss,
         )
-        for value, alloc in zip(config.grid, _grid_allocations(cases))
+        for value, alloc in zip(config.grid, _grid_allocations(config.mixture, cases))
     ]
 
 
@@ -292,7 +289,7 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     )
     count, size = exp.group_count, exp.group_size
     results = []
-    allocations = _grid_allocations([(mixture, c) for c in exp.capacity_grid])
+    allocations = _grid_allocations(mixture, [(exp.mixing_ratio, c) for c in exp.capacity_grid])
     for capacity, alloc in zip(exp.capacity_grid, allocations):
         k, f, _ = knowledge._frontier.boundary(alloc.knowledge_capacity)
         full, part = divmod(k, size)

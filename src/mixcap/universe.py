@@ -226,18 +226,18 @@ class MixtureUniverse:
                 f"mixing_ratio must be in (0, 1), got {self.mixing_ratio}"
             )
 
-    def _marginal_ratio(self, p: float) -> float:
-        """Threshold t = r*p/(1-r) that the web marginal is compared against.
 
-        A frequency so small that t underflows to 0 is refused: no web
-        capacity is worth it.
-        """
-        r = self.mixing_ratio
-        t = r * p / (1.0 - r)
-        if t == 0.0:
-            raise ValueError(f"exposure_frequency {p} is too small for "
-                             f"mixing_ratio {r}: r*p/(1-r) underflows to 0")
-        return t
+def _marginal_ratio(r: float, p: float) -> float:
+    """Threshold t = r*p/(1-r) that the web marginal is compared against.
+
+    A frequency so small that t underflows to 0 is refused, as is r = 0:
+    no web capacity is worth it.
+    """
+    t = r * p / (1.0 - r)
+    if t == 0.0:
+        raise ValueError(f"exposure_frequency {p} is too small for "
+                         f"mixing_ratio {r}: r*p/(1-r) underflows to 0")
+    return t
 
 
 def eval_web_loss(curve: WebLossCurve, capacity: float) -> float:
