@@ -544,8 +544,10 @@ def render_exposure(record: BiographyRecord, seed: int) -> str:
     ``permutation(5)`` drive them: ``PCG64(seed)`` (seeded through
     SeedSequence) supplies the 32-bit halves of its outputs, low half first,
     to the written-out draws of _render_draws. Values appear verbatim, so
-    evaluation spans are recoverable from the text.
+    evaluation spans are recoverable from the text. ``seed`` is an int or a
+    numpy integer in [0, 2**64).
     """
+    _check_int("seed", int(seed) if isinstance(seed, np.integer) else seed, 64)
     # One block of 6 outputs covers the draws unless the shuffle rejects 4 times.
     picks, order = _render_draws(_halves(np.random.PCG64(seed), 6))
     fields = {**record.attribute_values, "name": record.full_name, "pronoun": record.pronoun}

@@ -244,6 +244,7 @@ class TestBatchedSeeding:
         for call in (
             lambda: generate_synbio(2, seed),
             lambda: render_exposures(records, seed),
+            lambda: render_exposure(records[0], seed),
             lambda: ckm_augment(records, 0.5, seed),
             lambda: subsample_corpus(records, 0.5, seed),
             lambda: subsample_corpus(records, 1.0, seed),
