@@ -504,6 +504,23 @@ class TestThresholdMixingRatio:
         report = full_threshold_report(MixtureUniverse(knowledge, web, 0.5), 5.0)
         assert report.mixing_ratio_upper == 1.0
 
+    def test_band_ends_at_zero_below_the_least_accepted_ratio(self):
+        # The web is flat past 96 bits, so at every r the solve accepts the web
+        # keeps at most 96: at 126 = 96 + H_tot both facts are learned, at 100
+        # the first fact gets 4 bits. Below that least ratio r*p/(1-r) underflows
+        # and the solve refuses it, so the band reaches 0.
+        web = TabulatedCurve(((0, 64), (32, 40), (96, 24)))
+        mix = MixtureUniverse(KnowledgeUniverse([0.5, 0.25], [10.0, 20.0]), web, 0.5)
+        report = full_threshold_report(mix, 126.0)
+        assert (report.mixing_ratio_lower, report.mixing_ratio_upper) == (0.0, 0.0)
+        report = full_threshold_report(mix, 100.0)
+        assert (report.mixing_ratio_lower, report.mixing_ratio_upper) == (0.0, 0.5)
+        assert report.single_fact_frequency_upper == 0.125
+        # At p = 0.75 the least float ratio is accepted, so the probe below it is r = 0.
+        mix = MixtureUniverse(KnowledgeUniverse([0.75], [10.0]), web, 0.5)
+        report = full_threshold_report(mix, 126.0)
+        assert (report.mixing_ratio_lower, report.mixing_ratio_upper) == (0.0, 0.0)
+
     def test_capacity_whose_marginal_overflows_is_refused(self):
         # g(1e-250) = 50 * 1e375 passes the float range; no inf/inf band is built.
         with pytest.raises(ValueError, match="capacity 1e-250 bits leaves the web marginal inf"):
