@@ -220,10 +220,10 @@ def _grid_allocations(mixture: MixtureUniverse,
     its j in [j_left, j_right], where a bisection finds the j a bisection
     over the whole order finds, and the rest of the solve reads only j.
     """
-    frontier = mixture.knowledge._frontier
     for r, capacity in cases:
         if not (math.isfinite(capacity) and capacity >= 0.0):
             raise ValueError(f"total_capacity must be finite and >= 0, got {capacity}")
+        frontier = mixture.knowledge._frontier
         if frontier.count:
             # Products and quotients round monotonically, so r*p/(1-r) underflows
             # for some fact exactly when it does for the least frequent one.

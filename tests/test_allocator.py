@@ -505,10 +505,10 @@ class TestThresholdMixingRatio:
         assert report.mixing_ratio_upper == 1.0
 
     def test_band_ends_at_zero_below_the_least_accepted_ratio(self):
-        # The web is flat past 96 bits, so at every r the solve accepts the web
-        # keeps at most 96: at 126 = 96 + H_tot both facts are learned, at 100
-        # the first fact gets 4 bits. Below that least ratio r*p/(1-r) underflows
-        # and the solve refuses it, so the band reaches 0.
+        # The web is flat past 96 bits, so any r > 0 leaves it at most 96: at
+        # every ratio the solve accepts, 126 = 96 + H_tot learns both facts and
+        # 100 gives the first fact at least 4 bits. Below the least such ratio
+        # r*p/(1-r) underflows and the solve refuses it, so the band reaches 0.
         web = TabulatedCurve(((0, 64), (32, 40), (96, 24)))
         mix = MixtureUniverse(KnowledgeUniverse([0.5, 0.25], [10.0, 20.0]), web, 0.5)
         report = full_threshold_report(mix, 126.0)
