@@ -547,9 +547,7 @@ def render_exposure(record: BiographyRecord, seed: int) -> str:
     evaluation spans are recoverable from the text. ``seed`` is an int or a
     numpy integer in [0, 2**64).
     """
-    # Called once per record, so an in-range Python int skips the full check.
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        _check_int("seed", int(seed) if isinstance(seed, np.integer) else seed, 64)
+    _check_int("seed", int(seed) if isinstance(seed, np.integer) else seed, 64)
     # One block of 6 outputs covers the draws unless the shuffle rejects 4 times.
     picks, order = _render_draws(_halves(np.random.PCG64(seed), 6))
     fields = {**record.attribute_values, "name": record.full_name, "pronoun": record.pronoun}
