@@ -28,7 +28,7 @@ from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
-    _m0_map,
+    _m0_terms,
     _marginal_ratio,
     eval_web_loss,
     m0_minus,
@@ -170,36 +170,6 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     return _grid_allocations(mixture, [(mixture.mixing_ratio, total_capacity)])[0]
 
 
-def _solve(mixture: MixtureUniverse, r: float, total_capacity: float,
-           m0: Callable[[float], float], lo: int, hi: int) -> tuple[Allocation, int]:
-    """The allocation of a checked (r, M) case on mixture and j, its learned-prefix length.
-
-    m0 is _m0_map(mixture.web). The caller knows that j lies in [lo, hi],
-    so the bisection probes only facts in range(lo, hi).
-    """
-    frontier = mixture.knowledge._frontier
-    p, cum_h, cum_h_next = frontier.p_view, frontier.cum_h_view, frontier.cum_h_next
-    # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k + 1].
-    # The bound does not increase along the order and cum_h does not
-    # decrease, so those facts are a prefix and bisection finds its end.
-    j = bisect.bisect_left(
-        range(frontier.count), True, lo, hi,
-        key=lambda k: not (total_capacity - m0(r * p[k] / (1.0 - r)) >= cum_h_next[k]),
-    )
-    if j == frontier.count:
-        # h_tot is summed apart from cum_h, so it can pass M by an ulp.
-        m1 = min(frontier.h_tot, total_capacity)
-    else:
-        bound = total_capacity - m0(r * p[j] / (1.0 - r))
-        m1 = min(max(bound, cum_h[j]), frontier.h_tot)
-
-    m2 = total_capacity - m1
-    loss1 = frontier.loss_at(m1)
-    loss2 = eval_web_loss(mixture.web, m2)
-    loss = r * loss1 + (1.0 - r) * loss2
-    return Allocation(m1, m2, loss1, loss2, loss, mixture.knowledge), j
-
-
 def _grid_allocations(mixture: MixtureUniverse,
                       cases: list[tuple[float, float]]) -> list[Allocation]:
     """optimal_allocation at every (mixing ratio r, capacity M) case of a grid, in order.
@@ -210,6 +180,9 @@ def _grid_allocations(mixture: MixtureUniverse,
     the first bad case raises what optimal_allocation would. Then one bracketed search
     solves them: the middle case over the whole order, then each half with its
     learned-prefix lengths j bracketed by the j of the solved cases on either side.
+    The frontier, the universe and the web's m0_minus terms are read once per grid,
+    and each probe evaluates m0_minus inline with m0_minus's own expressions, so no
+    Python function is called per probe.
 
     This gives the allocations of independent solves. Sorted fact k passes
     the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a
@@ -228,14 +201,41 @@ def _grid_allocations(mixture: MixtureUniverse,
             # Products and quotients round monotonically, so r*p/(1-r) underflows
             # for some fact exactly when it does for the least frequent one.
             _marginal_ratio(r, frontier.p_view[-1])
-    m0 = _m0_map(mixture.web)
+    knowledge, web, count, h_tot = mixture.knowledge, mixture.web, frontier.count, frontier.h_tot
+    p, cum_h, cum_h_next = frontier.p_view, frontier.cum_h_view, frontier.cum_h_next
+    scale, power, slopes, caps = _m0_terms(web)
     allocations = [None] * len(cases)
     # Pending halves: cases [a, b) whose j lie in [lo, hi].
-    stack = [(0, len(cases), 0, frontier.count)]
+    stack = [(0, len(cases), 0, count)]
     while stack:
         a, b, lo, hi = stack.pop()
         mid = (a + b) // 2
-        allocations[mid], j = _solve(mixture, *cases[mid], m0, lo, hi)
+        r, capacity = cases[mid]
+        q = 1.0 - r
+        # j = the number of facts whose bound M - m0_minus(t_k) reaches cum_h[k + 1].
+        # The bound does not increase along the order and cum_h does not
+        # decrease, so those facts are a prefix and bisection finds its end.
+        j, top = lo, hi
+        while j < top:
+            k = (j + top) // 2
+            t = r * p[k] / q
+            if capacity - ((scale / t) ** power if slopes is None
+                           else caps[bisect.bisect_left(slopes, -t)]) >= cum_h_next[k]:
+                j = k + 1
+            else:
+                top = k
+        if j == count:
+            # h_tot is summed apart from cum_h, so it can pass M by an ulp.
+            m1 = min(h_tot, capacity)
+        else:
+            t = r * p[j] / q
+            bound = capacity - ((scale / t) ** power if slopes is None
+                                else caps[bisect.bisect_left(slopes, -t)])
+            m1 = min(max(bound, cum_h[j]), h_tot)
+        m2 = capacity - m1
+        loss1 = frontier.loss_at(m1)
+        loss2 = eval_web_loss(web, m2)
+        allocations[mid] = Allocation(m1, m2, loss1, loss2, r * loss1 + q * loss2, knowledge)
         if a < mid:
             stack.append((a, mid, lo, j))
         if mid + 1 < b:

@@ -155,15 +155,10 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
         cases = [(config.mixture.mixing_ratio, value) for value in config.grid]
     else:
         cases = [(value, config.total_capacity) for value in config.grid]
+    knowledge = config.mixture.knowledge
     return [
-        SweepRow(
-            axis_value=value,
-            accuracy=accuracy(alloc, config.mixture.knowledge),
-            accuracy_count=count_accuracy(alloc),
-            knowledge_loss=alloc.knowledge_loss,
-            web_loss=alloc.web_loss,
-            mixture_loss=alloc.mixture_loss,
-        )
+        SweepRow(value, accuracy(alloc, knowledge), count_accuracy(alloc),
+                 alloc.knowledge_loss, alloc.web_loss, alloc.mixture_loss)
         for value, alloc in zip(config.grid, _grid_allocations(config.mixture, cases))
     ]
 

@@ -25,7 +25,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Literal, Union
+from typing import Literal, Union
 
 import numpy as np
 
@@ -294,23 +294,24 @@ def m0_minus(curve: WebLossCurve, t: float) -> float:
     """
     if not t > 0.0:
         raise ValueError(f"marginal threshold t must be > 0, got {t}")
-    return _m0_map(curve)(t)
+    scale, power, slopes, caps = _m0_terms(curve)
+    return (scale / t) ** power if slopes is None else caps[bisect.bisect_left(slopes, -t)]
 
 
-def _m0_map(curve: WebLossCurve) -> Callable[[float], float]:
-    """t -> m0_minus(curve, t), for t > 0, unchecked.
+def _m0_terms(curve: WebLossCurve) -> tuple:
+    """(scale, power, slopes, caps), in which m0_minus(curve, t) for t > 0 is
+    (scale / t) ** power on a power law (slopes and caps None) and
+    caps[bisect_left(slopes, -t)] on a tabulated curve (scale and power None).
 
     A power law goes through Python's ** (the C library's pow), which gives
-    +inf when A*alpha/t overflows: no finite web capacity is enough.
+    +inf when A*alpha/t overflows: no finite web capacity is enough. On a
+    tabulated curve the marginals -slope are non-increasing by convexity, so
+    the slopes are searched ascending: k = number of segments with marginal
+    > t, and the answer is the breakpoint that ends that run of segments.
     """
     if isinstance(curve, PowerLawCurve):
-        scale, power = curve.amplitude * curve.exponent, 1.0 / (curve.exponent + 1.0)
-        return lambda t: (scale / t) ** power
-    # The marginals -slope are non-increasing by convexity, so the slopes
-    # are searched ascending. k = number of segments with marginal > t;
-    # the answer is the breakpoint that ends that run of segments.
-    slopes, caps = curve._slopes, curve._capacities
-    return lambda t: caps[bisect.bisect_left(slopes, -t)]
+        return curve.amplitude * curve.exponent, 1.0 / (curve.exponent + 1.0), None, None
+    return None, None, curve._slopes, curve._capacities
 
 
 def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
@@ -384,17 +385,12 @@ class _FrontierCurve:
     def loss_at(self, capacity: float) -> float:
         if capacity >= self.h_tot:
             return self.c1
-        k, rest = self._prefix(capacity)
+        # The first k sorted facts are those whose cumulative entropy fits in capacity.
+        k = bisect.bisect_right(self.cum_h_next, capacity)
         learned = self.cum_ph_view[k]
         if k < self.count:
-            learned += self.p_view[k] * rest
+            learned += self.p_view[k] * (capacity - self.cum_h_view[k])
         return self.c1 + (self.total_ph - learned)
-
-    def _prefix(self, capacity: float) -> tuple[int, float]:
-        """(k, rest): the k sorted facts whose cumulative entropy fits in capacity
-        (at 0, the leading zero-entropy ones) and the bits capacity - cum_h[k] left."""
-        k = bisect.bisect_right(self.cum_h_next, capacity)
-        return k, capacity - self.cum_h_view[k]
 
     def boundary(self, capacity: float) -> tuple[int, float, int]:
         """(k, f, z): the learned layout at a capacity, in O(log K).
@@ -407,9 +403,11 @@ class _FrontierCurve:
             return self.count, 0.0, 0
         if not capacity > 0.0:
             return 0, 0.0, 0
-        k, rest = self._prefix(capacity)
-        # cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0.
-        f = rest / self.h_view[self.order_view[k]] if k < self.count else 0.0
+        k = bisect.bisect_right(self.cum_h_next, capacity)
+        f = 0.0
+        if k < self.count:
+            # cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0.
+            f = (capacity - self.cum_h_view[k]) / self.h_view[self.order_view[k]]
         z = self.zero_sorted.size - bisect.bisect_left(self.zero_sorted, k)
         return k, f, z
 

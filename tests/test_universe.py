@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-import mixcap.allocator as allocator
 import mixcap.universe as universe
 
 from helpers import (
@@ -186,26 +185,34 @@ class TestColumnarUniverse:
         knowledge_frontier(mix.knowledge, 1.0)
         assert len(built) == 1
 
+    @staticmethod
+    def _count_p_reads(monkeypatch, knowledge):
+        """The values that solves read off knowledge's sorted p, in read order.
+
+        A solve reads p at each bisection probe and at its boundary fact,
+        where it evaluates m0, and at most once more in loss_at. The case
+        check's read of the least frequent fact (index -1) is left out.
+        """
+        frontier, reads = knowledge._frontier, []
+        view = frontier.p_view
+
+        class CountingView:
+            def __getitem__(self, k):
+                if k != -1:
+                    reads.append(view[k])
+                return view[k]
+
+        monkeypatch.setattr(frontier, "p_view", CountingView())
+        return reads
+
     def test_mixing_ratio_sweep_probes_m0_logarithmically(self, monkeypatch):
-        calls = []
-        m0_map_of = allocator._m0_map
-
-        def counting_m0_map(curve):
-            m0 = m0_map_of(curve)
-
-            def counting_m0(t):
-                calls.append(t)
-                return m0(t)
-
-            return counting_m0
-
-        monkeypatch.setattr(allocator, "_m0_map", counting_m0_map)
         p, h = self._columns(k=100_000)
         mix = MixtureUniverse(
             knowledge=KnowledgeUniverse(p, h, 0.5),
             web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
             mixing_ratio=0.1,
         )
+        calls = self._count_p_reads(monkeypatch, mix.knowledge)
         ratios = tuple(np.geomspace(1e-3, 0.9, 20).tolist())
         capacity = 0.5 * float(h.sum())
         budget = 2 * math.ceil(math.log2(p.size)) + 2
@@ -218,25 +225,13 @@ class TestColumnarUniverse:
 
     @pytest.mark.parametrize("axis", ["model_size", "mixing_ratio"])
     def test_grid_sweep_probes_m0_within_half_the_independent_budget(self, monkeypatch, axis):
-        calls = []
-        m0_map_of = allocator._m0_map
-
-        def counting_m0_map(curve):
-            m0 = m0_map_of(curve)
-
-            def counting_m0(t):
-                calls.append(t)
-                return m0(t)
-
-            return counting_m0
-
-        monkeypatch.setattr(allocator, "_m0_map", counting_m0_map)
         p, h = self._columns(k=100_000)
         mix = MixtureUniverse(
             knowledge=KnowledgeUniverse(p, h, 0.5),
             web=PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.4),
             mixing_ratio=0.1,
         )
+        calls = self._count_p_reads(monkeypatch, mix.knowledge)
         if axis == "model_size":
             grid = tuple(np.geomspace(1.0, 5.0 * float(h.sum()), 200).tolist())
             config = SweepConfig(mixture=mix, sweep_axis=axis, grid=grid)
@@ -245,7 +240,7 @@ class TestColumnarUniverse:
             config = SweepConfig(mixture=mix, sweep_axis=axis, grid=grid,
                                  total_capacity=0.5 * float(h.sum()))
         rows = sweep(config)
-        # Solved apart, each point costs up to ceil(log2 K) + 1 calls.
+        # Solved apart, each point costs up to ceil(log2 K) + 1 m0 calls.
         assert 0 < len(calls) <= len(grid) * (math.ceil(math.log2(p.size)) + 1) // 2
         assert any(0.0 < row.accuracy < 1.0 for row in rows)
 
