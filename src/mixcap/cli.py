@@ -13,9 +13,18 @@ loads only those and pays for no module, numpy or scipy it never calls.
 Run as the program (argv None), main caps the OpenBLAS that numpy and scipy
 load at one thread unless OPENBLAS_NUM_THREADS is set, so no command starts
 a BLAS worker pool it never uses; called with an argv, and on import, it
-leaves the environment alone.
+leaves the environment alone. Run as the program, main also turns the cyclic
+garbage collector off before a handler imports anything, and on the way out
+freezes the heap and turns the collector back on. So no collection rescans
+numpy's freshly imported objects while they load, and the collection at
+interpreter shutdown skips them. This is safe because a command makes no
+cyclic garbage that grows with its input: reference counting frees all it
+makes but the argument parser and the closures of each indented JSON
+encoder, a fixed few hundred objects. Called with an argv, main leaves the
+collector alone.
 
-Exit codes: 0 success, 2 usage or validation failure, 1 internal error.
+Exit codes: 0 success, 2 usage or validation failure or a path that cannot
+be read or written, 1 internal error.
 With --json-errors a machine-readable {"error": ...} object goes to stderr,
 for argparse usage errors as well.
 """
@@ -23,6 +32,7 @@ for argparse usage errors as well.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -298,7 +308,7 @@ def cmd_synbio(p) -> None:
     _write_out(p, f"synbio.{p.format}", text)
     if p.render_out:
         rendered = corpus.render_exposures(records, p.seed)
-        _atomic_write(Path(p.render_out), "\n".join(rendered) + "\n")
+        _atomic_write(Path(p.render_out), "".join(t + "\n" for t in rendered))
 
 
 def _read_records(path: str) -> list:
@@ -512,13 +522,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        # Run as the program: no result goes through BLAS, so the OpenBLAS
-        # that numpy and scipy load starts no worker pool. It reads the
-        # variable once, when it loads, and no handler has imported numpy
-        # yet. A value the user set is kept.
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-        argv = sys.argv[1:]
+    if argv is not None:
+        return _run(argv)
+    # Run as the program: no result goes through BLAS, so the OpenBLAS
+    # that numpy and scipy load starts no worker pool. It reads the
+    # variable once, when it loads, and no handler has imported numpy
+    # yet. A value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # No cycle a command makes grows with its input (see the module
+    # docstring), so the collector can stay off: it then rescans no module a
+    # handler imports. Frozen on the way out, also on SystemExit, the heap
+    # is skipped by the collection at interpreter shutdown.
+    gc.disable()
+    try:
+        return _run(sys.argv[1:])
+    finally:
+        gc.freeze()
+        gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
@@ -530,7 +553,7 @@ def main(argv=None) -> int:
     try:
         COMMANDS[args.command].handler(_params(args, _load_config(args)))
         return 0
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # OSError: a path the user named
         code, message, text = 2, str(exc), f"error: {exc}"
     except Exception as exc:  # internal failure
         code, message, text = 1, f"internal: {exc}", f"internal error: {exc}"

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: determinism, validation exits, overrides."""
 
+import gc
 import hashlib
 import json
 import math
@@ -626,6 +627,12 @@ class TestSynbio:
         name = json.loads(out.read_text().split("\n")[0])["name"]
         assert name in lines[0]
 
+    def test_zero_records_give_two_empty_files(self, tmp_path):
+        out, rendered = tmp_path / "r.jsonl", tmp_path / "r.txt"
+        assert run(["synbio", "--count", 0, "--seed", 3, "--out", out,
+                    "--render-out", rendered]) == 0
+        assert out.read_bytes() == rendered.read_bytes() == b""
+
 
 class TestMixplan:
     def test_epochs(self, tmp_path):
@@ -765,6 +772,37 @@ class TestRecordsFile:
         err = capsys.readouterr().err
         assert f"error: {records} line 3: {message}" in err
         assert not out.exists()
+
+
+class TestPathErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synbio", "--count", 3, "--seed", 1, "--out", "{dir}"],
+            ["subsample", "--records", "{dir}", "--keep-ratio", 0.5, "--seed", 1],
+            ["allocate", "--config", "{dir}", "--capacity", 10],
+        ],
+        ids=["out", "records", "config"],
+    )
+    def test_directory_exits_2_naming_it(self, tmp_path, capsys, argv):
+        target = tmp_path / "dir"
+        target.mkdir()
+        argv = [target if a == "{dir}" else a for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", tmp_path / "out"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err and "internal" not in err
+        # No output and no temporary file beside it or inside the directory.
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+    def test_out_under_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        parent = tmp_path / "file"
+        parent.write_text("")
+        assert run(["synbio", "--count", 3, "--seed", 1, "--out", parent / "bios.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert str(parent) in err and "internal" not in err
+        assert list(tmp_path.iterdir()) == [parent]
 
 
 class TestEstimateAndFit:
@@ -1236,3 +1274,110 @@ class TestImportCost:
         assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
         assert {m for m in loaded if m.split(".")[0] == "mixcap"} == {
             "mixcap", "mixcap.cli", "mixcap._json"}
+
+
+# Runs argv[1:] through the program entry, cli.main with no argv, and prints
+# the exit code, whether the collector is on and how many objects are frozen.
+_PROGRAM_GC = """
+import gc, json, sys
+from mixcap import cli
+
+sys.argv = ["mixcap", *sys.argv[1:]]
+try:
+    code = cli.main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+def _two_sizes(tmp_path, name):
+    """name's argv at a small and a large input: 10 and 1,000 records, or 2 and 200 points."""
+    if name == "synbio":
+        return [["synbio", "--count", count, "--seed", 3, "--out", tmp_path / "s.jsonl",
+                 "--render-out", tmp_path / "s.txt"] for count in (10, 1000)]
+    argvs = []
+    if name == "sweep":
+        for points in (2, 200):
+            config = tmp_path / f"sweep{points}.json"
+            grid = [10.0 ** (3 * i / (points - 1)) for i in range(points)]
+            config.write_text(json.dumps({"mixture": MIX_DOC["mixture"], "axis": "model_size",
+                                          "grid": grid}))
+            argvs.append(["sweep", "--config", config, "--out", tmp_path / "sweep.csv"])
+        return argvs
+    flags = {
+        "ckm": ["--ckm-ratio", 0.3, "--seed", 2],
+        "subsample": ["--keep-ratio", 0.5, "--seed", 2],
+        "mixplan": ["--total-tokens", 1e9, "--ratio", 0.1, "--knowledge-tokens", 1e6, "--seed", 2],
+    }[name]
+    for count in (10, 1000):
+        records = tmp_path / f"records{count}.jsonl"
+        assert run(["synbio", "--count", count, "--seed", 5, "--out", records]) == 0
+        argvs.append([name, "--records", records, *flags, "--out", tmp_path / "out"])
+    return argvs
+
+
+class TestGarbageCollector:
+    """Run as the program, main runs with the collector off and freezes the heap at exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["allocate"], 0),
+            (["allocate", "--capacity", "nan"], 2),
+            (["allocate", "--no-such-flag", "--json-errors"], 2),
+            (["allocate", "--no-such-flag"], SystemExit),
+        ],
+        ids=["success", "refused-value", "usage-json", "usage"],
+    )
+    def test_in_process_main_leaves_the_collector_alone(
+        self, tmp_path, capsys, config_path, argv, code, enabled
+    ):
+        argv = [*argv, "--config", config_path, "--out", tmp_path / "a.json"]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            if code is SystemExit:
+                with pytest.raises(SystemExit):
+                    run(argv)
+            else:
+                assert run(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "extra, code", [([], 0), (["--no-such-flag"], 2)], ids=["success", "usage"]
+    )
+    def test_program_entry_freezes_the_heap_and_turns_the_collector_on(
+        self, tmp_path, config_path, extra, code
+    ):
+        argv = ["allocate", "--config", str(config_path), "--out", str(tmp_path / "a.json")]
+        proc = _fresh_python(["-c", _PROGRAM_GC, *argv, *extra], tmp_path)
+        exit_code, enabled, frozen = json.loads(proc.stdout)
+        assert (exit_code, enabled) == (code, True) and frozen > 0
+
+    def test_program_usage_error_exits_2(self, tmp_path):
+        proc = _fresh_python(["-m", "mixcap.cli", "allocate", "--no-such-flag"], tmp_path,
+                             check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: mixcap") and "--no-such-flag" in proc.stderr
+
+    @pytest.mark.parametrize("name", ["synbio", "ckm", "subsample", "mixplan", "sweep"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path, capsys, name):
+        small, large = _two_sizes(tmp_path, name)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert run(small) == 0  # the first run imports the command's modules
+            gc.collect()
+            counts = []
+            for argv in (small, large):
+                assert run(argv) == 0
+                counts.append(gc.collect())
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert counts[0] == counts[1]
