@@ -16,13 +16,18 @@ inversion of a fitted log-log law propagates uncertainty with the delta
 method. Fitters are unit-agnostic.
 Fits run on Python floats, as all of mixcap but its fact and record columns
 does, so no SIMD dispatch reaches them: logarithms go through math.log, sums
-and means through math.fsum and the t-quantile through scipy.special.stdtrit.
+and means through math.fsum. The t quantile is correctly rounded, so an
+interval's bits are the same in every environment: a table holds it for up
+to 764 degrees of freedom and an exactly summed series past that. The module
+loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -153,15 +158,53 @@ def _check_points(points, model: str, needs) -> tuple[list[float], list[float]]:
     return [a for a, _ in pts], [b for _, b in pts]
 
 
+# The Cornish-Fisher series of the 0.975 quantile of Student's t (Abramowitz and
+# Stegun 26.7.5): t = sum over k of g_k(z) / dof**k, with z = Phi^-1(0.975) at
+# the binary 0.975. Each g_k(z) is written to 40 decimal places;
+# tools/t_quantile_table.py checks them against mpmath.
+_T975_SERIES = (
+    "1.9599639845400538556044306498266431772895",
+    "2.3722712302985615856795983712240713406799",
+    "2.8224986157396096023274265384624034389607",
+    "2.5558496795077205819906747491249046995486",
+    "1.5895340533938212774577427933095560854052",
+    "0.7328982119816045028578101573563987706679",
+)
+
+
+@functools.cache
+def _t_table() -> tuple[float, ...]:
+    """The correctly rounded 0.975 quantiles for dof 1..N0, read once."""
+    from importlib import resources
+
+    with resources.files("mixcap.data").joinpath("t_quantile_975.json").open() as fh:
+        return tuple(json.load(fh))
+
+
+def _t_series_975(dof: int) -> float:
+    """The Cornish-Fisher series at dof, summed exactly and rounded once."""
+    from fractions import Fraction
+
+    t = Fraction(0)
+    for g in reversed(_T975_SERIES):
+        t = t / dof + Fraction(g)
+    return float(t)
+
+
 def _t_quantile_975(dof: int) -> float:
-    """The 0.975 quantile of Student's t with dof degrees of freedom.
+    """The 0.975 quantile of Student's t with dof degrees of freedom, correctly rounded.
 
-    stdtrit, which scipy.stats.t.ppf calls, is imported here: only a t-interval
-    loads scipy, and it loads scipy.special without scipy.stats.
+    The probability is the binary double 0.975. For dof up to the table's
+    length, 764, the value is read from the table; past it, the series
+    through dof**-5 rounds to the same float (it misrounds at 453 dofs up to
+    764 and at none from there to 100,000). tools/t_quantile_table.py writes
+    the table, and its --check mode verifies every dof up to 100,000 and at
+    1e6, 1e7, 1e9 and 1e12 against mpmath.
     """
-    from scipy.special import stdtrit
-
-    return float(stdtrit(dof, 0.975))
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    table = _t_table()
+    return table[dof - 1] if dof <= len(table) else _t_series_975(dof)
 
 
 def _fit_line(

@@ -51,16 +51,23 @@ OUT_DIR_ENV = "MIXCAP_OUT_DIR"
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it to path.
+
+    The temporary file is removed on any failure, and an OSError is raised
+    again naming path alone, not the temporary file that is by then gone.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_out(p, default_name: str, text: str) -> Path:

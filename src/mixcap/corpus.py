@@ -284,6 +284,10 @@ _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 _DRAW_BLOCK = 1 << 14
 _FLIP_BLOCK = 1 << 9  # PCG64 outputs per block of ckm flips, two flips each
+# ckm_augment emits at most 2**32 tuples, the record bound of render_exposures;
+# a tuple holds at least its four tags' tokens: "Bio:", "N", "B" and "O".
+_CKM_MAX_TUPLES = 2**32
+_CKM_TAG_TOKENS = 4
 
 
 def _check_int(name: str, value, bits: int) -> None:
@@ -681,7 +685,9 @@ def ckm_augment(
 
     Each emission is "Bio: N {name} B {birth date} O {employer}" with the
     birth-date and employer fields flipped with probability 1/2, cycling over
-    the records until the compact token budget is met. The flips are the
+    the records until the compact token budget is met. A budget that could
+    take more than 2**32 emissions of the fewest tokens one can hold (its
+    four tags) is refused up front, naming ckm_ratio. The flips are the
     ``Generator.integers(0, 2)`` draws of ``PCG64(SeedSequence(seed,
     spawn_key=(11, 0)))``, read off its raw outputs. The original token count
     is measured from one deterministic rendering pass over the records
@@ -694,6 +700,12 @@ def ckm_augment(
     original_tokens = sum(map(whitespace_tokens,
                               render_exposures(records, seed, _CKM_RENDER_TAG)))
     target = ckm_ratio * original_tokens
+    if target / _CKM_TAG_TOKENS > _CKM_MAX_TUPLES:
+        raise ValueError(
+            f"ckm_ratio {ckm_ratio!r} times {original_tokens} original tokens asks for "
+            f"{target:.4g} compact tokens: up to {target / _CKM_TAG_TOKENS:.4g} tuples of at "
+            f"least {_CKM_TAG_TOKENS} tokens, past the 2**32 that ckm emits at most"
+        )
     texts: list[str] = []
     compact_tokens = 0
     if target > 0.0:

@@ -2,10 +2,11 @@
 
 import math
 import re
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
 
 from mixcap.analysis import (
     AccuracyObservation,
@@ -296,9 +297,85 @@ class TestFloatRange:
         assert 0.0 < lo <= est <= hi < math.inf
 
 
+# P, the binary double 0.975, as an exact rational.
+_P = Fraction(0.975)
+
+
+def _cdf_exceeds_p_even(dof: int, t: Fraction) -> bool:
+    """Whether F(t) > P exactly, for Student's t with even dof, at t > 0.
+
+    For even dof, 2F(t) - 1 = sqrt(1 - c) * S(c) with c = dof / (dof + t**2) and
+    S(c) = sum over k < dof/2 of ((2k-1)!!/(2k)!!) c**k (Abramowitz and Stegun
+    26.7.3), so F(t) > P exactly when (1 - c) * S(c)**2 > (2P - 1)**2. With
+    t**2 = A/B, c = X/Y for X = dof*B and Y = X + A, and (2k-1)!!/(2k)!! =
+    C(2k, k) / 4**k, S(c) * (4Y)**(n-1) is the integer
+    T = sum over k < n of C(2k, k) * X**k * (4Y)**(n-1-k), n = dof/2; the test is
+    then A * T**2 * v**2 > u**2 * Y * (4Y)**(2n-2) for 2P - 1 = u/v.
+    """
+    assert dof % 2 == 0 and t > 0
+    a, b = (t * t).as_integer_ratio()
+    x, y = dof * b, dof * b + a
+    n, four_y = dof // 2, 4 * y
+    total, binom, x_k = 1, 1, 1  # Horner in 4Y: total = sum of C(2k, k) X**k (4Y)**(j-k)
+    for k in range(1, n):
+        binom = binom * 2 * (2 * k - 1) // k
+        x_k *= x
+        total = total * four_y + binom * x_k
+    u, v = (2 * _P - 1).as_integer_ratio()
+    return a * total**2 * v**2 > u**2 * y * four_y ** (2 * n - 2)
+
+
+def _mpmath_cdf_exceeds_p(dof: int, t: Fraction) -> bool:
+    """Whether F(t) > P for Student's t at t > 0, at 50 digits with mpmath."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t.numerator) / t.denominator
+        y = t * t / (dof + t * t)
+        excess = mpmath.betainc(0.5, mpmath.mpf(dof) / 2, 0, y, regularized=True) / 2 - (
+            mpmath.mpf(0.975) - 0.5)
+        assert abs(excess) > mpmath.mpf(10) ** -40, (dof, t)
+        return excess > 0
+
+
+def _half_ulp_neighbours(x: float) -> tuple[Fraction, Fraction]:
+    """The exact midpoints between x and the floats below and above it."""
+    return tuple((Fraction(x) + Fraction(math.nextafter(x, to))) / 2 for to in (0.0, math.inf))
+
+
 class TestTQuantile:
-    def test_equals_scipy_quantile_exactly(self):
-        # stdtrit is what scipy.stats.t.ppf calls; the oracle pins that it
-        # stays bit-identical on every dof a fit of up to 2002 points uses.
-        for dof in [*range(1, 2001), 10**6, 10**9]:
-            assert _t_quantile_975(dof) == float(stats.t.ppf(0.975, dof)), dof
+    """_t_quantile_975 is the correctly rounded 0.975 quantile at the binary 0.975."""
+
+    def test_even_dof_is_correctly_rounded(self):
+        # The two half-ulp neighbours of the result bracket P exactly: every
+        # even dof to 200, both sides of the table's end at 764, and 2000.
+        for dof in [*range(2, 201, 2), 764, 766, 2000]:
+            below, above = _half_ulp_neighbours(_t_quantile_975(dof))
+            assert not _cdf_exceeds_p_even(dof, below), dof
+            assert _cdf_exceeds_p_even(dof, above), dof
+
+    def test_exact_oracle_agrees_with_mpmath(self):
+        for dof in (2, 4, 10, 100):
+            for t in map(Fraction, (0.5, 1.9, 2.1, 4.3, 4.4)):
+                assert _cdf_exceeds_p_even(dof, t) == _mpmath_cdf_exceeds_p(dof, t), (dof, t)
+
+    def test_matches_mpmath_at_every_dof_to_2000(self):
+        # Every dof of the table (it ends at 764) and of the series past it
+        # to 2000, and a few large ones.
+        for dof in [*range(1, 2001), 10**4 + 1, 10**6 + 1, 10**9 + 1]:
+            below, above = _half_ulp_neighbours(_t_quantile_975(dof))
+            assert not _mpmath_cdf_exceeds_p(dof, below), dof
+            assert _mpmath_cdf_exceeds_p(dof, above), dof
+
+    def test_known_values(self):
+        # Correctly rounded: scipy 1.17.1's stdtrit(6, 0.975) is 21 ulps above.
+        assert _t_quantile_975(1) == 12.706204736174694
+        assert _t_quantile_975(6) == 2.4469118511449692
+        assert 1.959963984540054 < _t_quantile_975(10**12) < _t_quantile_975(10**6)
+
+    def test_decreases_across_the_end_of_the_table(self):
+        values = [_t_quantile_975(dof) for dof in range(1, 2001)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("dof", [0, -1])
+    def test_refuses_dof_below_one(self, dof):
+        with pytest.raises(ValueError, match="dof must be >= 1"):
+            _t_quantile_975(dof)

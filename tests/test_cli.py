@@ -14,9 +14,16 @@ from pathlib import Path
 import pytest
 
 from mixcap.allocator import full_threshold_report, optimal_allocation
-from mixcap.analysis import estimate_threshold_popularity, AccuracyObservation
-from mixcap.cli import COMMANDS, _integer, _json_text, _seed, main
-from mixcap.corpus import RECORD_ENTROPY_BITS
+from mixcap.analysis import (
+    AccuracyObservation,
+    estimate_threshold_popularity,
+    fit_loglog,
+    invert_size,
+    loglog_predict,
+    read_points_csv,
+)
+from mixcap.cli import COMMANDS, _integer, _json_text, _read_records, _seed, main
+from mixcap.corpus import RECORD_ENTROPY_BITS, ckm_augment
 from mixcap.simulator import SubsetExperiment, build_subset_universe
 from mixcap.universe import MixtureUniverse
 
@@ -727,6 +734,32 @@ class TestSubsampleAndCkm:
         assert summary["realized_ratio"] >= 0.3
         assert out.read_text().startswith("Bio: N ")
 
+    @pytest.mark.parametrize("ratio, code", [
+        ("just past the bound", 2), (1e9, 2), (1e300, 2), (3.0, 0)])
+    def test_ckm_ratio_past_the_tuple_bound_exits_2_at_once(self, tmp_path, ratio, code):
+        # In a child capped at 2 GiB of address space and 60 s, so that a
+        # ratio past the check fails instead of growing without bound.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        records = tmp_path / "recs.jsonl"
+        assert run(["synbio", "--count", 20, "--seed", 5, "--out", records]) == 0
+        if ratio == "just past the bound":  # where 2**32 four-token tuples meet the budget
+            original = ckm_augment(_read_records(str(records)), 0.0, 2)[1]
+            ratio = 4 * 2**32 / original * (1 + 1e-9)
+        out = tmp_path / "ckm.txt"
+        result = _fresh_python(
+            ["-m", "mixcap.cli", "ckm", "--records", str(records), "--ckm-ratio", repr(ratio),
+             "--seed", "2", "--out", str(out)],
+            tmp_path, check=False, timeout=60, preexec_fn=cap,
+        )
+        assert result.returncode == code, result.stderr
+        if code == 2:
+            assert result.stderr.startswith(f"error: ckm_ratio {ratio!r} times ")
+            assert "internal" not in result.stderr and not out.exists()
+        else:
+            assert json.loads(result.stdout)["realized_ratio"] >= 3.0
+
 
 _NOT_A_RECORD = 'a record must be a JSON object with "name", "attrs" (an object) and "pronoun", got '
 
@@ -795,6 +828,14 @@ class TestPathErrors:
         assert err.startswith("error: ") and str(target) in err and "internal" not in err
         # No output and no temporary file beside it or inside the directory.
         assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+    def test_directory_as_out_names_no_temporary_file(self, tmp_path, capsys):
+        target = tmp_path / "outdir"
+        target.mkdir()
+        assert run(["synbio", "--count", 3, "--seed", 1, "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+        assert ".tmp" not in err
 
     def test_out_under_a_file_exits_2_naming_it(self, tmp_path, capsys):
         parent = tmp_path / "file"
@@ -1202,7 +1243,8 @@ _COMMAND_MODULES = {
     "subsample": _CORPUS,
     "ckm": _CORPUS,
     "estimate": {"mixcap.analysis"},
-    "fit": {"mixcap.analysis"},
+    # The t quantile's table is read through the data package.
+    "fit": {"mixcap.analysis", "mixcap.data"},
 }
 
 # Runs in a fresh interpreter: runs argv[2:] through mixcap.cli.main and
@@ -1217,6 +1259,25 @@ code = mixcap.cli.main(sys.argv[2:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("mixcap", "numpy", "scipy"))
 with open(sys.argv[1], "w") as handle:
     json.dump([code, loaded], handle)
+"""
+
+
+# Runs in a fresh interpreter in which importing scipy or numpy fails: runs
+# each fit argv of the JSON object argv[1] with --out {model}.json, fits the
+# points file argv[2] with fit_loglog, and prints the exit codes and the reprs
+# of a prediction and an inversion.
+_NO_SCIPY_FITS = """
+import json, sys
+
+sys.modules["scipy"] = None
+sys.modules["numpy"] = None
+from mixcap import analysis, cli
+
+codes = [cli.main([*argv, "--out", f"{model}.json"])
+         for model, argv in json.loads(sys.argv[1]).items()]
+fit = analysis.fit_loglog(analysis.read_points_csv(sys.argv[2]))
+print(json.dumps([codes, repr(analysis.loglog_predict(fit, 3.0)),
+                  repr(analysis.invert_size(fit, 10.0))]))
 """
 
 
@@ -1252,14 +1313,32 @@ class TestImportCost:
         assert code == 0
         mixcap_modules = {m for m in loaded if m.split(".")[0] == "mixcap"}
         assert mixcap_modules == {"mixcap", "mixcap.cli", "mixcap._json", *_COMMAND_MODULES[name]}
-        scipy_modules = [m for m in loaded if m.split(".")[0] == "scipy"]
-        if name == "fit":
-            assert "scipy.special" in scipy_modules
-            assert not [m for m in scipy_modules if m.split(".")[:2] == ["scipy", "stats"]]
-        else:
-            assert scipy_modules == []
-        if name == "estimate":
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+        if name in ("estimate", "fit"):
             assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+    def test_fits_need_no_scipy_or_numpy(self, tmp_path):
+        # In a fresh interpreter where importing scipy or numpy fails, the
+        # three fit commands, loglog_predict and invert_size give the bytes
+        # of a normal run. The 800-point fit takes the t quantile past its
+        # table (dof 798), the 4-point fits from it.
+        ratios = tmp_path / "ratios.csv"
+        ratios.write_text("x,y\n0.1,50\n0.2,20\n0.4,9\n0.8,4\n")
+        points = tmp_path / "points.csv"
+        points.write_text("x,y\n" + "".join(f"{i},{i * i * (1 + math.sin(i) / 10)}\n"
+                                             for i in range(1, 801)))
+        argvs = {model: ["fit", "--points", str(path), "--model", model]
+                 for model, path in (("loglog", points), ("exp", ratios), ("power", ratios))}
+        (tmp_path / "child").mkdir()
+        result = _fresh_python(
+            ["-c", _NO_SCIPY_FITS, json.dumps(argvs), str(points)], tmp_path / "child")
+        fit = fit_loglog(read_points_csv(points))
+        assert json.loads(result.stdout) == [
+            [0, 0, 0], repr(loglog_predict(fit, 3.0)), repr(invert_size(fit, 10.0))]
+        for model, argv in argvs.items():
+            out = tmp_path / f"{model}.json"
+            assert run([*argv, "--out", out]) == 0
+            assert (tmp_path / "child" / f"{model}.json").read_bytes() == out.read_bytes()
 
     def test_refused_scalar_loads_no_universe_or_numpy(self, tmp_path):
         # A scalar row is checked before the mixture document is parsed.
