@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Allocation:
     """An optimal capacity split, the losses it achieves and its universe.
 
@@ -59,13 +59,18 @@ class Allocation:
     m1 + m2 is within half an ulp of M, and m1 is non-decreasing in M. The
     float sum m1 + m2 can round to a neighbour of M at a rounding tie; no
     m1 that keeps the monotonicity avoids every such tie. knowledge is the
-    universe the split was solved on. learned, the per-fact learned
-    fraction in original fact order as a read-only float64 array, is built
-    from m1 on that universe's frontier on first read, so a caller that
-    never reads it never pays for a fact-length array. Equality compares
-    the scalar fields and the universe, hashing reads the scalar fields and
-    the universe's O(1) hash, and pickling carries the universe, so a list
-    of allocations from one universe pickles it once. Instances are
+    universe the split was solved on. Two values are derived from m1 on
+    that universe's frontier on first read, so a caller that never reads
+    them never pays for them: frontier_index, the number of sorted facts
+    whose cumulative entropy fits in m1 (the boundary fact's sorted
+    position when one is fractional), and learned, the per-fact learned
+    fraction in original fact order as a read-only float64 array. A solve
+    fills frontier_index from its own search; an allocation built by hand,
+    replaced or unpickled searches for it. Equality compares the scalar
+    fields and the universe, hashing reads the scalar fields and the
+    universe's O(1) hash, and pickling carries the universe, so a list of
+    allocations from one universe pickles it once. Neither derived value
+    takes part in equality, hashing, repr or pickling. Instances are
     immutable.
     """
 
@@ -76,12 +81,28 @@ class Allocation:
     mixture_loss: float
     knowledge: KnowledgeUniverse = field(repr=False)
 
+    def __init__(self, knowledge_capacity: float, web_capacity: float, knowledge_loss: float,
+                 web_loss: float, mixture_loss: float, knowledge: KnowledgeUniverse):
+        # Fills the instance dict in place: the generated frozen __init__ calls
+        # object.__setattr__ once per field, which costs more than a solve.
+        values = self.__dict__
+        values["knowledge_capacity"] = knowledge_capacity
+        values["web_capacity"] = web_capacity
+        values["knowledge_loss"] = knowledge_loss
+        values["web_loss"] = web_loss
+        values["mixture_loss"] = mixture_loss
+        values["knowledge"] = knowledge
+
+    @cached_property
+    def frontier_index(self) -> int:
+        return self.knowledge._frontier.index(self.knowledge_capacity)
+
     @cached_property
     def learned(self) -> np.ndarray:
-        return self.knowledge._frontier.fractions_at(self.knowledge_capacity)
+        return self.knowledge._frontier.fractions_at(self.knowledge_capacity, self.frontier_index)
 
     def __reduce__(self):
-        # Rebuilt through __init__, so a learned already built is not pickled.
+        # Rebuilt through __init__, so neither derived value is pickled.
         return Allocation, tuple(getattr(self, f.name) for f in fields(self))
 
     def to_dict(self) -> dict:
@@ -182,7 +203,11 @@ def _grid_allocations(mixture: MixtureUniverse,
     learned-prefix lengths j bracketed by the j of the solved cases on either side.
     The frontier, the universe and the web's m0_minus terms are read once per grid,
     and each probe evaluates m0_minus inline with m0_minus's own expressions, so no
-    Python function is called per probe.
+    Python function is called per probe. The frontier index of m1 is searched from
+    the case's j: the j facts fit in m1 unless m1 is capped at an h_tot below
+    cum_h[j], and sorted fact j does not fit unless cum_h[j + 1] == cum_h[j], so
+    one probe usually finds it. The knowledge loss is read at that index, and the
+    allocation keeps it as its frontier_index.
 
     This gives the allocations of independent solves. Sorted fact k passes
     the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a
@@ -232,10 +257,14 @@ def _grid_allocations(mixture: MixtureUniverse,
             bound = capacity - ((scale / t) ** power if slopes is None
                                 else caps[bisect.bisect_left(slopes, -t)])
             m1 = min(max(bound, cum_h[j]), h_tot)
+        # The j passing facts fit in m1, unless m1 was capped at an h_tot below cum_h[j].
+        k = frontier.index(m1, j if m1 >= cum_h[j] else 0)
         m2 = capacity - m1
-        loss1 = frontier.loss_at(m1)
+        loss1 = frontier.loss_at(m1, k)
         loss2 = eval_web_loss(web, m2)
-        allocations[mid] = Allocation(m1, m2, loss1, loss2, r * loss1 + q * loss2, knowledge)
+        allocation = Allocation(m1, m2, loss1, loss2, r * loss1 + q * loss2, knowledge)
+        allocation.__dict__["frontier_index"] = k
+        allocations[mid] = allocation
         if a < mid:
             stack.append((a, mid, lo, j))
         if mid + 1 < b:

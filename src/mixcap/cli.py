@@ -32,6 +32,7 @@ for argparse usage errors as well.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
@@ -54,15 +55,19 @@ def _atomic_write(path: Path, text: str) -> None:
     """Write text to a temporary file beside path, then rename it to path.
 
     The temporary file is removed on any failure, and an OSError is raised
-    again naming path alone, not the temporary file that is by then gone.
+    again naming path alone, not the temporary file that is by then gone. A
+    file where path's directory goes is reported as opening path reports
+    it, Not a directory, not as mkdir's File exists on that file.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
+    except FileExistsError:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path)) from None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:

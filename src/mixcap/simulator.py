@@ -108,7 +108,7 @@ class SweepConfig:
             raise ValueError(f"total_capacity must be finite and >= 0, got {capacity}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepRow:
     axis_value: float
     accuracy: float
@@ -116,6 +116,17 @@ class SweepRow:
     knowledge_loss: float
     web_loss: float
     mixture_loss: float
+
+    def __init__(self, axis_value: float, accuracy: float, accuracy_count: float,
+                 knowledge_loss: float, web_loss: float, mixture_loss: float):
+        # Fills the instance dict in place, as Allocation's __init__ does.
+        values = self.__dict__
+        values["axis_value"] = axis_value
+        values["accuracy"] = accuracy
+        values["accuracy_count"] = accuracy_count
+        values["knowledge_loss"] = knowledge_loss
+        values["web_loss"] = web_loss
+        values["mixture_loss"] = mixture_loss
 
 
 def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
@@ -139,13 +150,16 @@ def count_accuracy(allocation: Allocation) -> float:
     array: the k learned prefix facts, the z zero-entropy facts after them
     and the boundary fraction f that the allocation's universe gives at m1
     (_FrontierCurve.boundary) make (k + z + f) / n, the same correctly
-    rounded sum. Secondary metric kept alongside the entropy-weighted
-    accuracy for comparison with studies that count memorized items.
+    rounded sum. The boundary is laid out at the allocation's
+    frontier_index, which a solve fills from its own search, so scoring a
+    solved point searches nothing. Secondary metric kept alongside the
+    entropy-weighted accuracy for comparison with studies that count
+    memorized items.
     """
     frontier = allocation.knowledge._frontier
     if not frontier.count:
         return 1.0
-    k, f, z = frontier.boundary(allocation.knowledge_capacity)
+    k, f, z = frontier.boundary(allocation.knowledge_capacity, allocation.frontier_index)
     return ((k + z) + f) / frontier.count
 
 
@@ -286,7 +300,7 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     results = []
     allocations = _grid_allocations(mixture, [(exp.mixing_ratio, c) for c in exp.capacity_grid])
     for capacity, alloc in zip(exp.capacity_grid, allocations):
-        k, f, _ = knowledge._frontier.boundary(alloc.knowledge_capacity)
+        k, f, _ = knowledge._frontier.boundary(alloc.knowledge_capacity, alloc.frontier_index)
         full, part = divmod(k, size)
         group_acc = [1.0] * full
         if full < count:

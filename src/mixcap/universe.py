@@ -347,7 +347,8 @@ class _FrontierCurve:
 
     Facts are ordered by exposure frequency descending (ties by original
     index ascending) and capacity is spent in that order; the boundary fact
-    is learned fractionally. Prefix sums led by 0.0 make each loss evaluation O(log K).
+    is learned fractionally. Prefix sums led by 0.0 make index, the one search,
+    O(log K); the loss and the learned layout at a capacity read its answer.
     """
 
     def __init__(self, p: np.ndarray, h: np.ndarray, c1: float, h_tot: float):
@@ -382,18 +383,28 @@ class _FrontierCurve:
         # Sorted positions of the zero-entropy facts: any positive budget learns them.
         self.zero_sorted = np.flatnonzero(h_sorted == 0.0)
 
-    def loss_at(self, capacity: float) -> float:
+    def index(self, capacity: float, lo: int = 0) -> int:
+        """The number of sorted facts whose cumulative entropy fits in capacity.
+
+        That is the count of k with cum_h[k + 1] <= capacity, found by
+        bisection in O(log K). lo is a count known to fit (cum_h[lo] <=
+        capacity); when sorted fact lo does not fit, one probe answers lo.
+        """
+        if lo == self.count or self.cum_h_next[lo] > capacity:
+            return lo
+        return bisect.bisect_right(self.cum_h_next, capacity, lo + 1)
+
+    def loss_at(self, capacity: float, k: int) -> float:
+        """The knowledge loss at capacity, k being index(capacity)."""
         if capacity >= self.h_tot:
             return self.c1
-        # The first k sorted facts are those whose cumulative entropy fits in capacity.
-        k = bisect.bisect_right(self.cum_h_next, capacity)
         learned = self.cum_ph_view[k]
         if k < self.count:
             learned += self.p_view[k] * (capacity - self.cum_h_view[k])
         return self.c1 + (self.total_ph - learned)
 
-    def boundary(self, capacity: float) -> tuple[int, float, int]:
-        """(k, f, z): the learned layout at a capacity, in O(log K).
+    def boundary(self, capacity: float, k: int) -> tuple[int, float, int]:
+        """(k, f, z): the learned layout at a capacity, k being index(capacity).
 
         The first k sorted facts are fully learned, sorted fact k (if k < K)
         holds the fraction f, and the z zero-entropy facts at sorted
@@ -403,7 +414,6 @@ class _FrontierCurve:
             return self.count, 0.0, 0
         if not capacity > 0.0:
             return 0, 0.0, 0
-        k = bisect.bisect_right(self.cum_h_next, capacity)
         f = 0.0
         if k < self.count:
             # cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0.
@@ -411,14 +421,14 @@ class _FrontierCurve:
         z = self.zero_sorted.size - bisect.bisect_left(self.zero_sorted, k)
         return k, f, z
 
-    def fractions_at(self, capacity: float) -> np.ndarray:
+    def fractions_at(self, capacity: float, k: int) -> np.ndarray:
         """Learned fraction of every fact in original order, laid out by
-        boundary, as a new read-only float64 array.
+        boundary (k being index(capacity)), as a new read-only float64 array.
 
         Only the learned prefix, the boundary fact and the zero-entropy
         facts after it are written through the sort order; the rest stay 0.
         """
-        k, f, z = self.boundary(capacity)
+        k, f, z = self.boundary(capacity, k)
         fractions = np.zeros(self.count)
         fractions[self.order[:k]] = 1.0
         if f:
@@ -443,7 +453,8 @@ def knowledge_frontier(
     if not capacity >= 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     frontier = knowledge._frontier
-    return frontier.loss_at(capacity), frontier.fractions_at(capacity)
+    k = frontier.index(capacity)
+    return frontier.loss_at(capacity, k), frontier.fractions_at(capacity, k)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixcap.allocator import Allocation, optimal_allocation
+from mixcap.allocator import Allocation, _grid_allocations, optimal_allocation
 from mixcap.simulator import (
     SubsetCapacityResult,
     SubsetExperiment,
@@ -166,7 +166,8 @@ def linear_scan_allocation(mixture, total):
     else:
         m1 = min(max(float(bound[j]), float(frontier.cum_h[j])), frontier.h_tot)
     m2 = total - m1
-    loss1, loss2 = frontier.loss_at(m1), eval_web_loss(web, m2)
+    k = int(np.searchsorted(frontier.cum_h[1:], m1, side="right"))
+    loss1, loss2 = frontier.loss_at(m1, k), eval_web_loss(web, m2)
     learned = full_fractions(mixture.knowledge, m1)
     return m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2, learned, predicate
 
@@ -288,8 +289,10 @@ class TestZeroLedFrontier:
             capacities += [edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, math.inf))]
         for capacity in capacities:
             loss, (k, f, z) = empty_prefix_frontier(knowledge, capacity)
-            assert frontier.loss_at(capacity).hex() == loss.hex()
-            got_k, got_f, got_z = frontier.boundary(capacity)
+            index = frontier.index(capacity)
+            assert index == int(np.searchsorted(frontier.cum_h[1:], capacity, side="right"))
+            assert frontier.loss_at(capacity, index).hex() == loss.hex()
+            got_k, got_f, got_z = frontier.boundary(capacity, index)
             assert (got_k, got_f.hex(), got_z) == (k, f.hex(), z)
 
 
@@ -422,7 +425,8 @@ class TestLazyLearned:
             lazy = optimal_allocation(mixture, total)
         knowledge = mixture.knowledge
         frontier = knowledge._frontier
-        assert lazy.learned.tobytes() == frontier.fractions_at(lazy.knowledge_capacity).tobytes()
+        m1 = lazy.knowledge_capacity
+        assert lazy.learned.tobytes() == frontier.fractions_at(m1, frontier.index(m1)).tobytes()
         # The same split on an equal universe built apart, with its own frontier.
         rebuilt = KnowledgeUniverse(knowledge.p, knowledge.h, knowledge.irreducible_loss)
         explicit = Allocation(*_scalars(lazy), rebuilt)
@@ -516,6 +520,109 @@ class TestGridSolve:
         assert [repr(res) for res in results] == [
             repr(independent_subset_result(exp, subset, c)) for c in grid
         ]
+
+
+
+def grid_allocations(mixture, capacity, sizes, mixing):
+    """The grid allocations of both sweep axes, each with the mixture it was solved on."""
+    by_size = _grid_allocations(mixture, [(mixture.mixing_ratio, m) for m in sizes])
+    by_ratio = _grid_allocations(mixture, [(r, capacity) for r in mixing])
+    return [(mixture, a) for a in by_size] + [
+        (replace(mixture, mixing_ratio=r), a) for r, a in zip(mixing, by_ratio)]
+
+
+def assert_index_of_a_fresh_search(mixture, alloc):
+    """The solve's frontier index is the one a search of m1 from scratch finds.
+
+    The allocation is compared with one built by hand from its scalars on an
+    equal universe built apart, whose index is searched on first read, and
+    with the empty-prefix formulas, which search cum_h with numpy.
+    """
+    knowledge, m1 = mixture.knowledge, alloc.knowledge_capacity
+    rebuilt = KnowledgeUniverse(knowledge.p, knowledge.h, knowledge.irreducible_loss)
+    explicit = Allocation(*_scalars(alloc), rebuilt)
+    assert "frontier_index" in vars(alloc) and "frontier_index" not in vars(explicit)
+    fresh = int(np.searchsorted(rebuilt._frontier.cum_h[1:], m1, side="right"))
+    assert alloc.frontier_index == explicit.frontier_index == fresh
+    loss, (k, f, z) = empty_prefix_frontier(rebuilt, m1)
+    assert alloc.knowledge_loss.hex() == rebuilt._frontier.loss_at(m1, fresh).hex() == loss.hex()
+    count = ((k + z) + f) / rebuilt.fact_count if rebuilt.fact_count else 1.0
+    assert count_accuracy(alloc) == count_accuracy(explicit) == count
+    assert alloc.learned.tobytes() == explicit.learned.tobytes()
+    assert alloc.learned.tobytes() == full_fractions(rebuilt, m1).tobytes()
+
+
+class TestFrontierIndex:
+    """Each solved case keeps the frontier index its own search found."""
+
+    @PROPERTY_SETTINGS
+    @given(grid_cases())
+    def test_grid_allocations_match_fresh_searches(self, case):
+        with no_hang():
+            solved = grid_allocations(*case)
+        for mixture, alloc in solved:
+            assert_index_of_a_fresh_search(mixture, alloc)
+
+    # Sorted facts (p, h) = (0.4, 0), (0.3, 2), (0.2, 0), (0.1, 4) at r = 1/2 on a web
+    # whose m0_minus is 2 for the first two and 6 for the last two: facts pass from
+    # M = 2, 4, 8 and 12, and cum_h is 0, 0, 2, 2, 6.
+    ZEROS = MixtureUniverse(
+        KnowledgeUniverse([0.4, 0.3, 0.2, 0.1], [0.0, 2.0, 0.0, 4.0]),
+        TabulatedCurve(points=((0.0, 4.0), (2.0, 2.0), (6.0, 1.0), (14.0, 0.5))),
+        0.5,
+    )
+
+    @pytest.mark.parametrize("capacity, m1, index, count", [
+        # m1 = 0 behind the leading zero-entropy fact: index 1, nothing learned.
+        (1.0, 0.0, 1, 0.0),
+        # Boundary fact 1 half learned; the zero-entropy fact after it counts.
+        (3.0, 1.0, 1, 2.5 / 4),
+        # The solve stops at the zero-entropy fact 2, whose cum_h[3] = m1: the
+        # search runs past the solve's prefix end to fact 3.
+        (5.0, 2.0, 3, 3 / 4),
+        # Boundary fact 3 half learned, behind zero-entropy facts 0 and 2.
+        (10.0, 4.0, 3, 3.5 / 4),
+        (12.0, 6.0, 4, 1.0),
+    ])
+    def test_zero_entropy_facts_at_and_before_the_boundary(self, capacity, m1, index, count):
+        alloc = optimal_allocation(self.ZEROS, capacity)
+        assert (alloc.knowledge_capacity, alloc.frontier_index) == (m1, index)
+        assert count_accuracy(alloc) == count
+        assert_index_of_a_fresh_search(self.ZEROS, alloc)
+
+    def test_zero_entropy_grids_match_fresh_searches(self):
+        sizes = tuple(x / 4 for x in range(0, 61))
+        for mixture, alloc in grid_allocations(self.ZEROS, 10.0, sizes, (0.1, 0.3, 0.5, 0.9)):
+            assert_index_of_a_fresh_search(mixture, alloc)
+
+    # m0_minus is 0 for every fact (each r*p/(1-r) reaches the web's one marginal
+    # 0.1), so at any capacity past cum_h[-1] every fact passes: j == count.
+    WEB = TabulatedCurve(points=((0.0, 0.1), (1.0, 0.0)))
+
+    def test_every_fact_passing_below_h_tot(self):
+        # Summed one at a time the tiny entropies vanish; their exact sum does not.
+        mixture = MixtureUniverse(KnowledgeUniverse([0.5, 0.3, 0.2], [1.0, 1e-16, 1e-16]),
+                                  self.WEB, 0.5)
+        frontier = mixture.knowledge._frontier
+        assert frontier.cum_h[-1] == 1.0 < mixture.knowledge.h_tot
+        alloc = optimal_allocation(mixture, 1.0)
+        assert (alloc.knowledge_capacity, alloc.frontier_index) == (1.0, 3)
+        assert count_accuracy(alloc) == 1.0 and accuracy(alloc, mixture.knowledge) < 1.0
+        for mixture, alloc in grid_allocations(mixture, 1.0, (0.5, 1.0, 2.0), (0.25, 0.5, 0.75)):
+            assert_index_of_a_fresh_search(mixture, alloc)
+
+    def test_every_fact_passing_above_h_tot(self):
+        # Summed one at a time the entropies round up past their exact sum, so
+        # m1 = h_tot holds two of the three cumulative entropies, not three.
+        mixture = MixtureUniverse(KnowledgeUniverse([0.5, 0.3, 0.2], [1.0, 1.5e-16, 1.5e-16]),
+                                  self.WEB, 0.5)
+        frontier, h_tot = mixture.knowledge._frontier, mixture.knowledge.h_tot
+        assert frontier.cum_h[-2] == h_tot < frontier.cum_h[-1]
+        alloc = optimal_allocation(mixture, 2.0)
+        assert (alloc.knowledge_capacity, alloc.frontier_index) == (h_tot, 2)
+        assert count_accuracy(alloc) == 1.0
+        for mixture, alloc in grid_allocations(mixture, 2.0, (0.5, 1.0, 2.0), (0.25, 0.5, 0.75)):
+            assert_index_of_a_fresh_search(mixture, alloc)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: determinism, validation exits, overrides."""
 
+import errno
 import gc
 import hashlib
 import json
@@ -844,6 +845,18 @@ class TestPathErrors:
         err = capsys.readouterr().err
         assert str(parent) in err and "internal" not in err
         assert list(tmp_path.iterdir()) == [parent]
+
+    @pytest.mark.parametrize("below", ["x", "a/x"])
+    def test_file_in_the_way_of_out_says_not_a_directory(self, tmp_path, capsys, below):
+        # mkdir of the file's own path says File exists and names the file;
+        # the message names the output and says why it cannot be written.
+        parent = tmp_path / "points.csv"
+        parent.write_text("")
+        target = parent / below
+        assert run(["synbio", "--count", 3, "--seed", 1, "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.ENOTDIR}] Not a directory: {str(target)!r}\n"
+        assert list(tmp_path.iterdir()) == [parent] and parent.read_text() == ""
 
 
 class TestEstimateAndFit:

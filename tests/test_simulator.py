@@ -1,6 +1,9 @@
 """Sweeps, the subset experiment, and the threshold-frequency law."""
 
+import inspect
 import math
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from mixcap.analysis import fit_loglog
 from mixcap.simulator import (
     SubsetExperiment,
     SweepConfig,
+    SweepRow,
     THRESHOLD_LAW_REFERENCE,
     accuracy,
     build_subset_universe,
@@ -217,7 +221,7 @@ class TestLazyLearned:
                        for i in (0, -1))
         capacities = tuple(np.geomspace(0.5 * first, 2.0 * (last + frontier.h_tot), 25).tolist())
 
-        def refuse(self, capacity):
+        def refuse(self, capacity, k):
             raise AssertionError("fractions_at called")
 
         monkeypatch.setattr(type(frontier), "fractions_at", refuse)
@@ -236,9 +240,9 @@ class TestLazyLearned:
         build = frontier_type.fractions_at
         calls = []
 
-        def counted(self, capacity):
+        def counted(self, capacity, k):
             calls.append(capacity)
-            return build(self, capacity)
+            return build(self, capacity, k)
 
         monkeypatch.setattr(frontier_type, "fractions_at", counted)
         alloc = optimal_allocation(mix, 0.5 * mix.knowledge.h_tot + 1e4)
@@ -259,7 +263,7 @@ class TestLazyLearned:
             for k in (60, 175, 240)
         )
 
-        def refuse(self, capacity):
+        def refuse(self, capacity, k):
             raise AssertionError("fractions_at called")
 
         monkeypatch.setattr(type(frontier), "fractions_at", refuse)
@@ -270,6 +274,78 @@ class TestLazyLearned:
             assert res.group_accuracies[:full] == (1.0,) * full
             assert 0.0 < res.group_accuracies[full] < 1.0
             assert res.group_accuracies[full + 1:] == (0.0,) * (5 - full)
+
+
+ALLOCATION_FIELDS = ["knowledge_capacity", "web_capacity", "knowledge_loss", "web_loss",
+                     "mixture_loss", "knowledge"]
+SWEEP_ROW_FIELDS = ["axis_value", "accuracy", "accuracy_count", "knowledge_loss", "web_loss",
+                    "mixture_loss"]
+
+
+class TestRecords:
+    """Allocation and SweepRow, built by their own __init__, stay frozen dataclasses."""
+
+    @staticmethod
+    def records():
+        mix = hetero_mixture()
+        frontier, r = mix.knowledge._frontier, mix.mixing_ratio
+        # Past the onset of sorted fact 1000, so its boundary lies deep in the order.
+        onset = m0_minus(mix.web, r * float(frontier.p_sorted[1000]) / (1.0 - r))
+        alloc = optimal_allocation(mix, onset + float(frontier.cum_h[1000]) + 10.0)
+        row = sweep(SweepConfig(mixture=mix, sweep_axis="model_size",
+                                grid=(alloc.knowledge_capacity + alloc.web_capacity,)))[0]
+        return alloc, row
+
+    def test_fields_and_signature(self):
+        alloc, row = self.records()
+        for record, names in ((alloc, ALLOCATION_FIELDS), (row, SWEEP_ROW_FIELDS)):
+            assert [f.name for f in fields(record)] == names
+            assert list(inspect.signature(type(record)).parameters) == names
+            hidden = ["knowledge"] if record is alloc else []
+            assert [f.name for f in fields(record) if not f.repr] == hidden
+            assert type(record)(*(getattr(record, n) for n in names)) == record
+            assert type(record)(**{n: getattr(record, n) for n in names}) == record
+
+    @pytest.mark.parametrize("name", ["knowledge_capacity", "accuracy", "learned", "extra"])
+    def test_setting_or_deleting_an_attribute_raises(self, name):
+        for record in self.records():
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, 1.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, name)
+
+    def test_sweep_row_repr(self):
+        # Allocation's repr is checked in test_allocator.py, TestAllocationValue.
+        assert repr(SweepRow(1.0, 0.5, 0.25, 2.0, 3.0, 2.75)) == (
+            "SweepRow(axis_value=1.0, accuracy=0.5, accuracy_count=0.25, knowledge_loss=2.0, "
+            "web_loss=3.0, mixture_loss=2.75)"
+        )
+
+    def test_replace_and_pickle(self):
+        for record in self.records():
+            again = pickle.loads(pickle.dumps(record))
+            assert again == record and hash(again) == hash(record) and again is not record
+            assert repr(again) == repr(record) and repr(replace(record)) == repr(record)
+            name = fields(record)[1].name
+            moved = replace(record, **{name: 7.0})
+            assert getattr(moved, name) == 7.0 and moved != record
+
+    def test_replaced_or_unpickled_allocation_searches_its_own_index(self):
+        alloc, _ = self.records()
+        frontier, m1 = alloc.knowledge._frontier, alloc.knowledge_capacity
+        assert vars(alloc)["frontier_index"] == frontier.index(m1) > 0
+        alloc.learned
+        data = pickle.dumps(alloc)
+        assert b"frontier_index" not in data and b"learned" not in data
+        for copy in (replace(alloc), pickle.loads(data)):
+            assert "frontier_index" not in vars(copy) and "learned" not in vars(copy)
+            assert copy == alloc and copy.frontier_index == alloc.frontier_index
+            assert copy.learned.tobytes() == alloc.learned.tobytes()
+        # A replaced m1 gets the index of its own m1, not the solve's.
+        moved = replace(alloc, knowledge_capacity=0.0)
+        assert moved.frontier_index == frontier.index(0.0) == 0
+        assert count_accuracy(moved) == 0.0 and not moved.learned.any()
+        assert moved != alloc and repr(moved).startswith("Allocation(knowledge_capacity=0.0,")
 
 
 class TestSubsetExperiment:
