@@ -64,9 +64,10 @@ class Allocation:
     them never pays for them: frontier_index, the number of sorted facts
     whose cumulative entropy fits in m1 (the boundary fact's sorted
     position when one is fractional), and learned, the per-fact learned
-    fraction in original fact order as a read-only float64 array. A solve
-    fills frontier_index from its own search; an allocation built by hand,
-    replaced or unpickled searches for it. Equality compares the scalar
+    fraction in original fact order as a read-only float64 array.
+    optimal_allocation, the one function here that builds an Allocation,
+    fills frontier_index from its solve's own search; an allocation built
+    by hand, replaced or unpickled searches for it. Equality compares the scalar
     fields and the universe, hashing reads the scalar fields and the
     universe's O(1) hash, and pickling carries the universe, so a list of
     allocations from one universe pickles it once. Neither derived value
@@ -185,20 +186,31 @@ def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Alloc
     leaves past H_tot go to the web. A solve is a bisection over the sorted
     facts that evaluates m0_minus, as full_threshold_report does, only at
     the facts it probes: O(log K) work with no fact-length array. It is the
-    one-case grid of _grid_allocations. The returned learned is built from
-    m1 on first read.
+    one-case grid of _grid_solve, and the only place that wraps a solve in an
+    Allocation; its frontier_index is the solve's own. The returned learned
+    is built from m1 on first read.
     """
-    return _grid_allocations(mixture, [(mixture.mixing_ratio, total_capacity)])[0]
+    cases = [(mixture.mixing_ratio, total_capacity)]
+    m1, m2, loss1, loss2, loss, k = _grid_solve(mixture, cases)[0]
+    allocation = Allocation(m1, m2, loss1, loss2, loss, mixture.knowledge)
+    allocation.__dict__["frontier_index"] = k
+    return allocation
 
 
-def _grid_allocations(mixture: MixtureUniverse,
-                      cases: list[tuple[float, float]]) -> list[Allocation]:
-    """optimal_allocation at every (mixing ratio r, capacity M) case of a grid, in order.
+def _grid_solve(
+    mixture: MixtureUniverse, cases: list[tuple[float, float]]
+) -> list[tuple[float, float, float, float, float, int]]:
+    """The optimal split at every (mixing ratio r, capacity M) case of a grid, in order.
 
-    Each case is solved at its r on mixture's knowledge universe and web. Neither M
-    nor r decreases along the cases, at least one, as on a sweep's strictly
-    increasing grid of either axis. Every case is checked first, in grid order, so
-    the first bad case raises what optimal_allocation would. Then one bracketed search
+    Each case gives the tuple (m1, m2, loss1, loss2, mixture_loss, frontier_index):
+    the five scalar fields of optimal_allocation's Allocation at that r and M on
+    mixture's knowledge universe and web, and the frontier index of m1. Neither M nor
+    r decreases along the cases, at least one, as on a sweep's strictly increasing
+    grid of either axis. The cases are checked first, in grid order, so the first bad
+    case raises what optimal_allocation would: every M is checked, and r*p/(1-r) of
+    the least frequent fact only at the first case. Products and quotients round
+    monotonically, so that t underflows for some fact and case exactly when it does
+    for the least frequent fact at the least r. Then one bracketed search
     solves them: the middle case over the whole order, then each half with its
     learned-prefix lengths j bracketed by the j of the solved cases on either side.
     The frontier, the universe and the web's m0_minus terms are read once per grid,
@@ -207,9 +219,9 @@ def _grid_allocations(mixture: MixtureUniverse,
     the case's j: the j facts fit in m1 unless m1 is capped at an h_tot below
     cum_h[j], and sorted fact j does not fit unless cum_h[j + 1] == cum_h[j], so
     one probe usually finds it. The knowledge loss is read at that index, and the
-    allocation keeps it as its frontier_index.
+    case's tuple keeps it.
 
-    This gives the allocations of independent solves. Sorted fact k passes
+    This gives the splits of independent solves. Sorted fact k passes
     the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a
     case if it passes at an earlier one: as full_threshold_report notes,
     every rounding is monotone and m0_minus does not increase, so the bound
@@ -218,18 +230,18 @@ def _grid_allocations(mixture: MixtureUniverse,
     its j in [j_left, j_right], where a bisection finds the j a bisection
     over the whole order finds, and the rest of the solve reads only j.
     """
+    frontier = mixture.knowledge._frontier
+    ratio_checked = not frontier.count
     for r, capacity in cases:
         if not (math.isfinite(capacity) and capacity >= 0.0):
             raise ValueError(f"total_capacity must be finite and >= 0, got {capacity}")
-        frontier = mixture.knowledge._frontier
-        if frontier.count:
-            # Products and quotients round monotonically, so r*p/(1-r) underflows
-            # for some fact exactly when it does for the least frequent one.
+        if not ratio_checked:
             _marginal_ratio(r, frontier.p_view[-1])
-    knowledge, web, count, h_tot = mixture.knowledge, mixture.web, frontier.count, frontier.h_tot
+            ratio_checked = True
+    web, count, h_tot = mixture.web, frontier.count, frontier.h_tot
     p, cum_h, cum_h_next = frontier.p_view, frontier.cum_h_view, frontier.cum_h_next
     scale, power, slopes, caps = _m0_terms(web)
-    allocations = [None] * len(cases)
+    solved = [None] * len(cases)
     # Pending halves: cases [a, b) whose j lie in [lo, hi].
     stack = [(0, len(cases), 0, count)]
     while stack:
@@ -262,14 +274,12 @@ def _grid_allocations(mixture: MixtureUniverse,
         m2 = capacity - m1
         loss1 = frontier.loss_at(m1, k)
         loss2 = eval_web_loss(web, m2)
-        allocation = Allocation(m1, m2, loss1, loss2, r * loss1 + q * loss2, knowledge)
-        allocation.__dict__["frontier_index"] = k
-        allocations[mid] = allocation
+        solved[mid] = (m1, m2, loss1, loss2, r * loss1 + q * loss2, k)
         if a < mid:
             stack.append((a, mid, lo, j))
         if mid + 1 < b:
             stack.append((mid + 1, b, j, hi))
-    return allocations
+    return solved
 
 
 def full_threshold_report(
@@ -277,7 +287,7 @@ def full_threshold_report(
 ) -> ThresholdReport:
     """All phase-transition thresholds of a mixture.
 
-    Write m1(M, r) for the knowledge_capacity that _grid_allocations gives
+    Write m1(M, r) for the knowledge capacity that _grid_solve gives
     the case (r, M) on this mixture. It does not decrease in M or in r: each
     fact's bound fl(M - m0_minus(fl(r*p/(1-r)))) rises with both, as every
     rounding is monotone and m0_minus does not increase, and higher bounds
@@ -311,7 +321,7 @@ def full_threshold_report(
     p_max, p_min = knowledge._frontier.p_view[0], knowledge._frontier.p_view[-1]
     m_lower = m0_minus(web, _marginal_ratio(mixture.mixing_ratio, p_max))
     m_upper = _least_float(
-        lambda m: optimal_allocation(mixture, m).knowledge_capacity == h_tot, math.inf
+        lambda m: _grid_solve(mixture, [(mixture.mixing_ratio, m)])[0][0] == h_tot, math.inf
     )
     if math.isinf(m_upper):
         raise ValueError(
@@ -332,7 +342,7 @@ def full_threshold_report(
 
         def m1(r: float) -> float:
             try:
-                return _grid_allocations(mixture, [(r, total_capacity)])[0].knowledge_capacity
+                return _grid_solve(mixture, [(r, total_capacity)])[0][0]
             except ValueError:  # some r*p/(1-r) underflows, as it does at r = 0
                 return -math.inf
 

@@ -28,12 +28,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocator import Allocation, _grid_allocations
+from .allocator import Allocation, _grid_solve
 from .universe import (
     KnowledgeUniverse,
     MixtureUniverse,
     PowerLawCurve,
     WebLossCurve,
+    _FrontierCurve,
 )
 
 __all__ = [
@@ -137,9 +138,13 @@ def accuracy(allocation: Allocation, knowledge: KnowledgeUniverse) -> float:
     learned fraction. At m1 >= H_tot, where every fact is learned, it is
     exactly 1.0; that covers a universe with no entropy to learn. A solve
     caps m1 at H_tot, so the division never reads above 1; an Allocation
-    built by hand may still carry a larger m1.
+    built by hand may still carry a larger m1. sweep scores its points with
+    the same expression (_accuracy).
     """
-    m1, h_tot = allocation.knowledge_capacity, knowledge.h_tot
+    return _accuracy(allocation.knowledge_capacity, knowledge.h_tot)
+
+
+def _accuracy(m1: float, h_tot: float) -> float:
     return 1.0 if m1 >= h_tot else m1 / h_tot
 
 
@@ -151,29 +156,41 @@ def count_accuracy(allocation: Allocation) -> float:
     and the boundary fraction f that the allocation's universe gives at m1
     (_FrontierCurve.boundary) make (k + z + f) / n, the same correctly
     rounded sum. The boundary is laid out at the allocation's
-    frontier_index, which a solve fills from its own search, so scoring a
-    solved point searches nothing. Secondary metric kept alongside the
-    entropy-weighted accuracy for comparison with studies that count
-    memorized items.
+    frontier_index, which optimal_allocation fills from its solve's own
+    search, so scoring a solved point searches nothing. sweep scores its
+    points with the same expression (_count_accuracy). Secondary metric kept
+    alongside the entropy-weighted accuracy for comparison with studies that
+    count memorized items.
     """
-    frontier = allocation.knowledge._frontier
+    return _count_accuracy(
+        allocation.knowledge._frontier, allocation.knowledge_capacity, allocation.frontier_index
+    )
+
+
+def _count_accuracy(frontier: _FrontierCurve, m1: float, k: int) -> float:
     if not frontier.count:
         return 1.0
-    k, f, z = frontier.boundary(allocation.knowledge_capacity, allocation.frontier_index)
+    k, f, z = frontier.boundary(m1, k)
     return ((k + z) + f) / frontier.count
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate the optimal allocation at every grid point, in grid order."""
+    """Evaluate the optimal allocation at every grid point, in grid order.
+
+    Each row is read straight off the grid solve's per-case scalars (m1, the
+    three losses and the frontier index), scored with the expressions of
+    accuracy and count_accuracy, so no Allocation is built.
+    """
     if config.sweep_axis == "model_size":
         cases = [(config.mixture.mixing_ratio, value) for value in config.grid]
     else:
         cases = [(value, config.total_capacity) for value in config.grid]
     knowledge = config.mixture.knowledge
+    frontier, h_tot = knowledge._frontier, knowledge.h_tot
+    solved = _grid_solve(config.mixture, cases)
     return [
-        SweepRow(value, accuracy(alloc, knowledge), count_accuracy(alloc),
-                 alloc.knowledge_loss, alloc.web_loss, alloc.mixture_loss)
-        for value, alloc in zip(config.grid, _grid_allocations(config.mixture, cases))
+        SweepRow(value, _accuracy(m1, h_tot), _count_accuracy(frontier, m1, k), loss1, loss2, loss)
+        for value, (m1, _, loss1, loss2, loss, k) in zip(config.grid, solved)
     ]
 
 
@@ -290,17 +307,19 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     the first k // group_size groups are 1.0, the next holds
     (k % group_size + f) / group_size and the rest are 0.0. The threshold
     frequency at a capacity is the corpus frequency r * p of the first group
-    whose accuracy misses the target, or None if every group clears it.
+    whose accuracy misses the target, or None if every group clears it. Each
+    capacity reads only m1 and its frontier index off the grid solve, so no
+    Allocation is built.
     """
     knowledge = build_subset_universe(exp)
     mixture = MixtureUniverse(
         knowledge=knowledge, web=exp.web_curve, mixing_ratio=exp.mixing_ratio
     )
-    count, size = exp.group_count, exp.group_size
+    count, size, frontier = exp.group_count, exp.group_size, knowledge._frontier
     results = []
-    allocations = _grid_allocations(mixture, [(exp.mixing_ratio, c) for c in exp.capacity_grid])
-    for capacity, alloc in zip(exp.capacity_grid, allocations):
-        k, f, _ = knowledge._frontier.boundary(alloc.knowledge_capacity, alloc.frontier_index)
+    solved = _grid_solve(mixture, [(exp.mixing_ratio, c) for c in exp.capacity_grid])
+    for capacity, (m1, *_, k) in zip(exp.capacity_grid, solved):
+        k, f, _ = frontier.boundary(m1, k)
         full, part = divmod(k, size)
         group_acc = [1.0] * full
         if full < count:

@@ -381,7 +381,9 @@ class _FrontierCurve:
                 "the knowledge loss with no fact learned leaves the float range"
             )
         # Sorted positions of the zero-entropy facts: any positive budget learns them.
+        # boundary bisects the view, whose items are Python ints, not numpy scalars.
         self.zero_sorted = np.flatnonzero(h_sorted == 0.0)
+        self.zero_view = memoryview(self.zero_sorted)
 
     def index(self, capacity: float, lo: int = 0) -> int:
         """The number of sorted facts whose cumulative entropy fits in capacity.
@@ -418,7 +420,7 @@ class _FrontierCurve:
         if k < self.count:
             # cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0.
             f = (capacity - self.cum_h_view[k]) / self.h_view[self.order_view[k]]
-        z = self.zero_sorted.size - bisect.bisect_left(self.zero_sorted, k)
+        z = len(self.zero_view) - bisect.bisect_left(self.zero_view, k)
         return k, f, z
 
     def fractions_at(self, capacity: float, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixcap.allocator import Allocation, _grid_allocations, optimal_allocation
+from mixcap.allocator import Allocation, _grid_solve, optimal_allocation
 from mixcap.simulator import (
     SubsetCapacityResult,
     SubsetExperiment,
@@ -295,6 +295,26 @@ class TestZeroLedFrontier:
             got_k, got_f, got_z = frontier.boundary(capacity, index)
             assert (got_k, got_f.hex(), got_z) == (k, f.hex(), z)
 
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=40))
+    def test_boundary_counts_zero_entropy_facts_as_searchsorted_does(self, facts):
+        # Integer weights tie often, so the stable order interleaves the zero-entropy
+        # facts with the rest; each fact with entropy has 1 or 2 bits.
+        weights = np.array([w for w, _ in facts], dtype=float)
+        h = np.array([0.0 if zero else 1.0 + i % 2 for i, (_, zero) in enumerate(facts)])
+        frontier = KnowledgeUniverse(weights / weights.sum(), h)._frontier
+        zero_sorted = np.flatnonzero(h[frontier.order] == 0.0)
+        assert frontier.zero_sorted.tolist() == zero_sorted.tolist()
+        capacities = (0.5 * (frontier.cum_h[:-1] + frontier.cum_h[1:])).tolist()
+        capacities += frontier.cum_h.tolist()
+        for capacity in capacities:
+            if not 0.0 < capacity < frontier.h_tot:
+                continue
+            index = frontier.index(capacity)
+            k, _, z = frontier.boundary(capacity, index)
+            assert k == index
+            assert z == zero_sorted.size - int(np.searchsorted(zero_sorted, index, side="left"))
+
 
 class TestAllocationProperties:
     @PROPERTY_SETTINGS
@@ -522,13 +542,49 @@ class TestGridSolve:
         ]
 
 
+class TestGridValidationOrder:
+    """A grid names its first bad case, with r*p/(1-r) checked at the first case only.
+
+    A mixing-ratio sweep whose least ratio underflows is
+    tests/test_simulator.py::TestSweep::test_first_ratio_whose_marginal_underflows_is_named.
+    """
+
+    MIXTURE = MixtureUniverse(
+        KnowledgeUniverse([0.5, 1e-300], [5.0, 5.0]), PowerLawCurve(1.0, 100.0, 0.5), 0.5
+    )
+
+    def message(self, call):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        return str(excinfo.value)
+
+    def test_bad_capacity_at_the_first_case_comes_before_its_ratio(self):
+        got = self.message(lambda: _grid_solve(self.MIXTURE, [(1e-30, math.nan), (0.5, 1.0)]))
+        assert got == "total_capacity must be finite and >= 0, got nan"
+        alone = replace(self.MIXTURE, mixing_ratio=1e-30)
+        assert got == self.message(lambda: optimal_allocation(alone, math.nan))
+
+    def test_nan_capacity_at_a_later_case_is_named(self):
+        for cases in ([(0.5, 1.0), (0.5, math.nan)], [(1e-5, 1.0), (0.5, 2.0), (0.5, math.nan)]):
+            got = self.message(lambda: _grid_solve(self.MIXTURE, cases))
+            assert got == "total_capacity must be finite and >= 0, got nan"
+
+
+def solved_allocation(mixture, solved):
+    """An Allocation of one grid-solve tuple, with the solve's frontier index filled."""
+    *scalars, k = solved
+    alloc = Allocation(*scalars, mixture.knowledge)
+    alloc.__dict__["frontier_index"] = k
+    return alloc
+
 
 def grid_allocations(mixture, capacity, sizes, mixing):
     """The grid allocations of both sweep axes, each with the mixture it was solved on."""
-    by_size = _grid_allocations(mixture, [(mixture.mixing_ratio, m) for m in sizes])
-    by_ratio = _grid_allocations(mixture, [(r, capacity) for r in mixing])
-    return [(mixture, a) for a in by_size] + [
-        (replace(mixture, mixing_ratio=r), a) for r, a in zip(mixing, by_ratio)]
+    by_size = _grid_solve(mixture, [(mixture.mixing_ratio, m) for m in sizes])
+    by_ratio = _grid_solve(mixture, [(r, capacity) for r in mixing])
+    return [(mixture, solved_allocation(mixture, t)) for t in by_size] + [
+        (replace(mixture, mixing_ratio=r), solved_allocation(mixture, t))
+        for r, t in zip(mixing, by_ratio)]
 
 
 def assert_index_of_a_fresh_search(mixture, alloc):
