@@ -61,10 +61,10 @@ class Allocation:
     m1 that keeps the monotonicity avoids every such tie. knowledge is the
     universe the split was solved on. Two values are derived from m1 on
     that universe's frontier on first read, so a caller that never reads
-    them never pays for them: frontier_index, the number of sorted facts
-    whose cumulative entropy fits in m1 (the boundary fact's sorted
-    position when one is fractional), and learned, the per-fact learned
-    fraction in original fact order as a read-only float64 array.
+    them never pays for them: frontier_index, the number of sorted facts,
+    zero-entropy ones first, whose cumulative entropy fits in m1 (the
+    boundary fact's sorted position when one is fractional), and learned,
+    the per-fact learned fraction in fact order as a read-only float64 array.
     optimal_allocation, the one function here that builds an Allocation,
     fills frontier_index from its solve's own search; an allocation built
     by hand, replaced or unpickled searches for it. Equality compares the scalar
@@ -121,14 +121,14 @@ class Allocation:
 class ThresholdReport:
     """Phase-transition thresholds for a mixture configuration.
 
-    model_size_lower is the capacity at or below which nothing from the
-    knowledge domain is learned; model_size_upper the least capacity at or
-    above which everything is. The mixing-ratio and single-fact-frequency fields
-    are the analogous bounds at a fixed capacity and are None when no
-    capacity was supplied. Asymptotic fields carry the single-value power-law
-    forms of the same thresholds (unspecified proportionality constants in
-    the underlying scaling relations mean the exact bound pairs are the
-    authoritative numbers; consumers choose).
+    model_size_lower is the greatest capacity at which nothing from the
+    knowledge domain is learned (set by its most frequent fact with entropy);
+    model_size_upper the least one at or above which everything is. The
+    mixing-ratio and single-fact-frequency fields are the analogous bounds at a
+    fixed capacity and are None when no capacity was supplied. Asymptotic fields
+    carry the single-value power-law forms of the same thresholds (unspecified
+    proportionality constants in the underlying scaling relations mean the exact
+    bound pairs are the authoritative numbers; consumers choose).
     """
 
     model_size_lower: float
@@ -170,9 +170,9 @@ class ThresholdReport:
 def optimal_allocation(mixture: MixtureUniverse, total_capacity: float) -> Allocation:
     """Split total_capacity between the knowledge and web domains optimally.
 
-    The knowledge frontier spends capacity on facts in decreasing exposure
-    frequency, so the optimum is an exact fractional knapsack (marginal
-    matching). Sorted fact k, with marginal ratio t_k = r*p_k/(1-r), is
+    The knowledge frontier learns zero-entropy facts free and spends capacity
+    on the rest in decreasing exposure frequency, so the optimum is an exact
+    fractional knapsack. Sorted fact k, with t_k = r*p_k/(1-r), is
     worth learning while the web keeps at least m0_minus(t_k) bits, so the
     knowledge domain may grow to M - m0_minus(t_k) while it learns fact k.
     That bound shrinks along the order while the cumulative entropy grows,
@@ -210,8 +210,8 @@ def _grid_solve(
     case raises what optimal_allocation would: every M is checked, and r*p/(1-r) of
     the least frequent fact only at the first case. Products and quotients round
     monotonically, so that t underflows for some fact and case exactly when it does
-    for the least frequent fact at the least r. Then one bracketed search
-    solves them: the middle case over the whole order, then each half with its
+    for the least frequent fact at the least r. Then one bracketed search solves
+    them: the middle case over the facts with entropy, then each half with its
     learned-prefix lengths j bracketed by the j of the solved cases on either side.
     The frontier, the universe and the web's m0_minus terms are read once per grid,
     and each probe evaluates m0_minus inline with m0_minus's own expressions, so no
@@ -221,14 +221,14 @@ def _grid_solve(
     one probe usually finds it. The knowledge loss is read at that index, and the
     case's tuple keeps it.
 
-    This gives the splits of independent solves. Sorted fact k passes
-    the solve's test fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a
-    case if it passes at an earlier one: as full_threshold_report notes,
-    every rounding is monotone and m0_minus does not increase, so the bound
-    rises with M and with r. j counts the prefix of facts that pass, so it
-    does not decrease along the cases; a case between two solved ones has
-    its j in [j_left, j_right], where a bisection finds the j a bisection
-    over the whole order finds, and the rest of the solve reads only j.
+    This gives the splits of independent solves. Sorted fact k passes the solve's test
+    fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a case if it passes at an
+    earlier one: as full_threshold_report notes, every rounding is monotone and
+    m0_minus does not increase, so the bound rises with M and with r. j counts the
+    zero-entropy facts, which lead the order, and the prefix of facts after them that
+    pass, so it does not decrease along the cases; a case between two solved ones has
+    its j in [j_left, j_right], where a bisection finds the j a bisection over the
+    whole order finds, and the rest of the solve reads only j.
     """
     frontier = mixture.knowledge._frontier
     ratio_checked = not frontier.count
@@ -236,14 +236,14 @@ def _grid_solve(
         if not (math.isfinite(capacity) and capacity >= 0.0):
             raise ValueError(f"total_capacity must be finite and >= 0, got {capacity}")
         if not ratio_checked:
-            _marginal_ratio(r, frontier.p_view[-1])
+            _marginal_ratio(r, frontier.p_min)
             ratio_checked = True
     web, count, h_tot = mixture.web, frontier.count, frontier.h_tot
     p, cum_h, cum_h_next = frontier.p_view, frontier.cum_h_view, frontier.cum_h_next
     scale, power, slopes, caps = _m0_terms(web)
     solved = [None] * len(cases)
-    # Pending halves: cases [a, b) whose j lie in [lo, hi].
-    stack = [(0, len(cases), 0, count)]
+    # Pending halves: cases [a, b) whose j lie in [lo, hi]; any m1 > 0 learns the zeros.
+    stack = [(0, len(cases), frontier.zeros, count)]
     while stack:
         a, b, lo, hi = stack.pop()
         mid = (a + b) // 2
@@ -295,11 +295,11 @@ def full_threshold_report(
     each bound but m_lower is the least float at which the solve passes its
     test (_least_float), and the test holds at every float above it.
 
-    Model size: m_lower = m0_minus(r*p_max/(1-r)), the m0 the solve
-    compares its most frequent fact against, so m1 is 0 at and below it;
-    for a power-law web it is also the nominal threshold m_asymptotic, with
-    exponent alpha + 1. m_upper is the least M with m1 == H_tot; one that
-    overflows is refused, naming exposure_frequency.
+    p_max and p_min are the extreme frequencies of the facts with entropy.
+    Model size: m_lower = m0_minus(r*p_max/(1-r)), so m1 is 0 at and below
+    it and positive above; for a power-law web it is also the nominal
+    threshold m_asymptotic, with exponent alpha + 1. m_upper is the least M
+    with m1 == H_tot; one that overflows is refused, naming exposure_frequency.
 
     Mixing ratio, at capacity M (None without one): r_lower is the least
     float ratio with m1 > 0, r_upper the least with m1 == H_tot. Each is 1
@@ -311,14 +311,14 @@ def full_threshold_report(
     f_lower; f_asymptotic is g, the small-r limit. Facts whose entropies
     are all 0 are learned at every M and r, so they are refused.
     """
-    knowledge, web, h_tot = mixture.knowledge, mixture.web, mixture.knowledge.h_tot
-    if not knowledge.fact_count:
+    frontier, web, h_tot = mixture.knowledge._frontier, mixture.web, mixture.knowledge.h_tot
+    if not frontier.count:
         raise ValueError(
             "threshold formulas need at least one fact; the knowledge domain has no facts"
         )
     if not h_tot > 0.0:
         raise ValueError("threshold formulas need a fact with target_entropy > 0")
-    p_max, p_min = knowledge._frontier.p_view[0], knowledge._frontier.p_view[-1]
+    p_max, p_min = frontier.p_view[frontier.zeros], frontier.p_view[-1]
     m_lower = m0_minus(web, _marginal_ratio(mixture.mixing_ratio, p_max))
     m_upper = _least_float(
         lambda m: _grid_solve(mixture, [(mixture.mixing_ratio, m)])[0][0] == h_tot, math.inf

@@ -152,10 +152,10 @@ def count_accuracy(allocation: Allocation) -> float:
     """Plain fraction of facts learned, weighting every fact equally.
 
     This is fsum(learned) / n, 1.0 when there are no facts, and it reads no
-    array: the k learned prefix facts, the z zero-entropy facts after them
-    and the boundary fraction f that the allocation's universe gives at m1
-    (_FrontierCurve.boundary) make (k + z + f) / n, the same correctly
-    rounded sum. The boundary is laid out at the allocation's
+    array: the k learned prefix facts (the zero-entropy facts among them
+    once m1 > 0) and the boundary fraction f that the allocation's universe
+    gives at m1 (_FrontierCurve.boundary) make (k + f) / n, the same
+    correctly rounded sum. The boundary is laid out at the allocation's
     frontier_index, which optimal_allocation fills from its solve's own
     search, so scoring a solved point searches nothing. sweep scores its
     points with the same expression (_count_accuracy). Secondary metric kept
@@ -170,8 +170,8 @@ def count_accuracy(allocation: Allocation) -> float:
 def _count_accuracy(frontier: _FrontierCurve, m1: float, k: int) -> float:
     if not frontier.count:
         return 1.0
-    k, f, z = frontier.boundary(m1, k)
-    return ((k + z) + f) / frontier.count
+    k, f = frontier.boundary(m1, k)
+    return (k + f) / frontier.count
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
@@ -301,10 +301,10 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     """Per-capacity group accuracies and the measured threshold frequency.
 
     A group's accuracy is fsum of its learned row over group_size, read off
-    the frontier boundary (k, f, z) as count_accuracy reads it: O(groups)
-    per point and no fact-length array. p does not increase, so the stable
-    frontier order is the identity, and no fact has entropy 0, so z is 0:
-    the first k // group_size groups are 1.0, the next holds
+    the frontier boundary (k, f) as count_accuracy reads it: O(groups)
+    per point and no fact-length array. No fact has entropy 0 and p does
+    not increase, so the stable frontier order is the identity: the first
+    k // group_size groups are 1.0, the next holds
     (k % group_size + f) / group_size and the rest are 0.0. The threshold
     frequency at a capacity is the corpus frequency r * p of the first group
     whose accuracy misses the target, or None if every group clears it. Each
@@ -319,7 +319,7 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     results = []
     solved = _grid_solve(mixture, [(exp.mixing_ratio, c) for c in exp.capacity_grid])
     for capacity, (m1, *_, k) in zip(exp.capacity_grid, solved):
-        k, f, _ = frontier.boundary(m1, k)
+        k, f = frontier.boundary(m1, k)
         full, part = divmod(k, size)
         group_acc = [1.0] * full
         if full < count:

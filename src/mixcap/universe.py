@@ -345,9 +345,10 @@ def warmup_loss(knowledge: KnowledgeUniverse, capacity: float) -> float:
 class _FrontierCurve:
     """Prepared greedy frontier of a knowledge universe.
 
-    Facts are ordered by exposure frequency descending (ties by original
-    index ascending) and capacity is spent in that order; the boundary fact
-    is learned fractionally. Prefix sums led by 0.0 make index, the one search,
+    The zeros facts with zero entropy cost nothing and come first, by index;
+    the rest follow by exposure frequency descending (ties by index), and
+    capacity is spent in that order; the boundary fact is learned
+    fractionally. Prefix sums led by 0.0 make index, the one search,
     O(log K); the loss and the learned layout at a capacity read its answer.
     """
 
@@ -355,10 +356,15 @@ class _FrontierCurve:
         self.c1 = c1
         self.count = p.size
         self.h_tot = h_tot
-        # A stable sort of -p: descending frequency, ties by index ascending.
-        self.order = np.argsort(-p, kind="stable")
+        self.p_min = float(p.min(initial=1.0))  # of all facts, checked for underflow
+        # A stable sort of -p with the zero-entropy facts keyed -inf, freed before the sums.
+        zero, key = h == 0.0, -p
+        key[zero] = -np.inf
+        self.order, self.zeros = np.argsort(key, kind="stable"), int(np.count_nonzero(zero))
+        del zero, key
         self.p_sorted = p[self.order]
         h_sorted = h[self.order]
+        h_sorted[:self.zeros] = 0.0  # +0.0, so that no -0.0 entropy reaches a sum
         self.cum_h, self.cum_ph = np.zeros(self.count + 1), np.zeros(self.count + 1)
         # Summed one fact at a time, cum_h can round past the float range where the
         # fsum behind h_tot does not; an infinite cum_ph fails the loss check below.
@@ -380,10 +386,6 @@ class _FrontierCurve:
                 f"irreducible_loss {c1!r} plus sum(p * h) {self.total_ph!r} overflows: "
                 "the knowledge loss with no fact learned leaves the float range"
             )
-        # Sorted positions of the zero-entropy facts: any positive budget learns them.
-        # boundary bisects the view, whose items are Python ints, not numpy scalars.
-        self.zero_sorted = np.flatnonzero(h_sorted == 0.0)
-        self.zero_view = memoryview(self.zero_sorted)
 
     def index(self, capacity: float, lo: int = 0) -> int:
         """The number of sorted facts whose cumulative entropy fits in capacity.
@@ -405,38 +407,35 @@ class _FrontierCurve:
             learned += self.p_view[k] * (capacity - self.cum_h_view[k])
         return self.c1 + (self.total_ph - learned)
 
-    def boundary(self, capacity: float, k: int) -> tuple[int, float, int]:
-        """(k, f, z): the learned layout at a capacity, k being index(capacity).
+    def boundary(self, capacity: float, k: int) -> tuple[int, float]:
+        """(k, f): the learned layout at a capacity, k being index(capacity).
 
-        The first k sorted facts are fully learned, sorted fact k (if k < K)
-        holds the fraction f, and the z zero-entropy facts at sorted
-        positions >= k are fully learned too; every other fact is 0.
+        The first k sorted facts, led by the zero-entropy ones once capacity
+        > 0, are fully learned and sorted fact k (if k < K) holds the
+        fraction f; every other fact is 0.
         """
         if capacity >= self.h_tot:
-            return self.count, 0.0, 0
+            return self.count, 0.0
         if not capacity > 0.0:
-            return 0, 0.0, 0
+            return 0, 0.0
         f = 0.0
         if k < self.count:
             # cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0.
             f = (capacity - self.cum_h_view[k]) / self.h_view[self.order_view[k]]
-        z = len(self.zero_view) - bisect.bisect_left(self.zero_view, k)
-        return k, f, z
+        return k, f
 
     def fractions_at(self, capacity: float, k: int) -> np.ndarray:
         """Learned fraction of every fact in original order, laid out by
         boundary (k being index(capacity)), as a new read-only float64 array.
 
-        Only the learned prefix, the boundary fact and the zero-entropy
-        facts after it are written through the sort order; the rest stay 0.
+        Only the learned prefix and the boundary fact are written through
+        the sort order; the rest stay 0.
         """
-        k, f, z = self.boundary(capacity, k)
+        k, f = self.boundary(capacity, k)
         fractions = np.zeros(self.count)
         fractions[self.order[:k]] = 1.0
         if f:
             fractions[self.order[k]] = f
-        if z:
-            fractions[self.order[self.zero_sorted[-z:]]] = 1.0
         fractions.flags.writeable = False
         return fractions
 
@@ -446,11 +445,11 @@ def knowledge_frontier(
 ) -> tuple[float, np.ndarray]:
     """Best loss over the knowledge domain alone, plus per-fact learned fractions.
 
-    Capacity is spent greedily on the most frequently exposed facts first
-    (ties broken by original fact index, for determinism); the fact at the
-    boundary is learned fractionally. With uniform frequencies this matches
-    warmup_loss exactly. The fractions come in original fact order as a
-    read-only float64 array, the type of Allocation.learned.
+    Any positive capacity learns the zero-entropy facts and is spent greedily
+    on the most frequently exposed other facts first (ties broken by fact
+    index, for determinism), the boundary fact learned fractionally. With
+    uniform frequencies this matches warmup_loss exactly. The fractions come
+    in fact order as a read-only float64 array, the type of Allocation.learned.
     """
     if not capacity >= 0.0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")

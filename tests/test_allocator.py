@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 from helpers import allocation_grid_oracle, make_mixture
 from test_allocator_properties import PROPERTY_SETTINGS, log_uniform, mixtures, no_hang
@@ -20,6 +20,7 @@ from mixcap.allocator import (
     full_threshold_report,
     optimal_allocation,
 )
+from mixcap.simulator import SweepConfig, sweep
 from mixcap.universe import (
     KnowledgeUniverse,
     MixtureUniverse,
@@ -364,6 +365,37 @@ class TestThresholdModelSize:
         assert report.single_fact_frequency_upper == report.mixing_ratio_upper * 0.1
         assert report.mixing_ratio_asymptotic == web_marginal(mix.web, 10.0, "left") / 0.5
 
+    def test_extremes_read_the_facts_with_entropy(self):
+        # The most frequent fact has no entropy and costs nothing, so m1 stays 0
+        # up to the m0 of the second fact (131.04), not of the first (44.81).
+        web = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.5)
+        mix = MixtureUniverse(KnowledgeUniverse([0.5, 0.1], [0.0, 1.0]), web, 0.25)
+        report = full_threshold_report(mix, 200.0)
+        m_lower = report.model_size_lower
+        assert m_lower == m0_minus(web, 0.25 * 0.1 / 0.75) == pytest.approx(131.037, abs=1e-3)
+        assert report.model_size_asymptotic == m_lower
+        assert optimal_allocation(mix, m_lower).knowledge_capacity == 0.0
+        assert optimal_allocation(mix, math.nextafter(m_lower, math.inf)).knowledge_capacity > 0.0
+        assert report.single_fact_frequency_lower == report.mixing_ratio_lower * 0.1
+        assert report.single_fact_frequency_upper == report.mixing_ratio_upper * 0.1
+        assert report.mixing_ratio_asymptotic == web_marginal(web, 200.0, "left") / 0.1
+        # The least frequent fact has no entropy: f_upper reads the least one with entropy.
+        mix = MixtureUniverse(KnowledgeUniverse([0.5, 0.1], [1.0, 0.0]), web, 0.25)
+        report = full_threshold_report(mix, 200.0)
+        assert report.model_size_lower == m0_minus(web, 0.25 * 0.5 / 0.75)
+        assert report.single_fact_frequency_upper == report.mixing_ratio_upper * 0.5
+
+    def test_negative_zero_entropy_gives_positive_zero_m1(self):
+        # A -0.0 entropy is a zero-entropy fact; the frontier's zero prefix sums
+        # to +0.0, so m1 and the sweep's accuracy read +0.0 until fact 1 is learned.
+        web = PowerLawCurve(floor=1.0, amplitude=100.0, exponent=0.5)
+        mix = MixtureUniverse(KnowledgeUniverse([0.5, 0.1], [-0.0, 1.0]), web, 0.25)
+        grid = (10.0, 60.0, 131.0, 132.0, 200.0)
+        assert [optimal_allocation(mix, m).knowledge_capacity.hex() for m in grid] == [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.ed0532ebef500p-1", "0x1.0000000000000p+0"]
+        rows = sweep(SweepConfig(mix, "model_size", grid))
+        assert [row.accuracy.hex() for row in rows[:3]] == ["0x0.0p+0"] * 3
+
     def test_empty_domain_rejected_as_empty(self):
         mix = MixtureUniverse(
             knowledge=KnowledgeUniverse([], []),
@@ -589,6 +621,25 @@ class TestThresholdBandProperties:
         assert lower.knowledge_capacity == 0.0 and not lower.learned.any()
         assert upper.knowledge_capacity == h_tot and (upper.learned == 1.0).all()
         assert below.knowledge_capacity < h_tot
+
+    @PROPERTY_SETTINGS
+    @given(mixtures(), st.data())
+    def test_model_size_lower_is_tight_with_zero_entropy_facts(self, mix, data):
+        # Some facts lose their entropy, often the most frequent one; one keeps it.
+        knowledge = mix.knowledge
+        count = knowledge.fact_count
+        picks = data.draw(st.lists(st.integers(0, count - 1), max_size=count - 1, unique=True))
+        if count > 1 and data.draw(st.booleans()):
+            top = int(np.argmax(knowledge.p))
+            picks = [top] + [i for i in picks if i != top][:count - 2]
+        h = knowledge.h.copy()
+        h[picks] = 0.0
+        mix = replace(mix, knowledge=KnowledgeUniverse(knowledge.p, h, knowledge.irreducible_loss))
+        m_lower = full_threshold_report(mix).model_size_lower
+        with no_hang():
+            at = optimal_allocation(mix, m_lower)
+            above = optimal_allocation(mix, math.nextafter(m_lower, math.inf))
+        assert at.knowledge_capacity == 0.0 < above.knowledge_capacity
 
     @PROPERTY_SETTINGS
     @given(mixtures(), log_uniform(0.3, 3))

@@ -5,7 +5,8 @@ solver that never returns fails the test instead of stalling the suite.
 The oracle tests keep the linear-scan form of the solve (count every fact
 whose bound reaches its cumulative entropy, then write every learned
 fraction through the sort order) and require the bisection to match it bit
-for bit.
+for bit. The oracles build their own greedy order from p and h, so they do
+not depend on how the frontier lays out its facts.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mixcap.allocator import Allocation, _grid_solve, optimal_allocation
+from mixcap.allocator import Allocation, _grid_solve, full_threshold_report, optimal_allocation
 from mixcap.simulator import (
     SubsetCapacityResult,
     SubsetExperiment,
@@ -114,11 +115,20 @@ def mixtures(draw):
     )
 
 
+def greedy_order(knowledge):
+    """The facts with entropy, by descending p with ties by index, and their
+    cumulative entropies led by 0.0; zero-entropy facts cost nothing and are left out."""
+    p, h = knowledge.p, knowledge.h
+    order = np.flatnonzero(h != 0.0)
+    order = order[np.argsort(-p[order], kind="stable")]
+    return order, np.concatenate(([0.0], np.cumsum(h[order])))
+
+
 @st.composite
 def capacities(draw, mixture):
     """0, a multiple of the total entropy, or a few ulps from a fact's phase transition.
 
-    Fact k of the frontier order starts to be learned at m0_minus(r*p_k/(1-r))
+    Fact k of the greedy order starts to be learned at m0_minus(r*p_k/(1-r))
     plus the entropy of the facts before it, and is whole h_k bits later.
     """
     kind = draw(st.sampled_from(["zero", "scale", "boundary"]))
@@ -126,12 +136,14 @@ def capacities(draw, mixture):
         return 0.0
     if kind == "scale":
         return mixture.knowledge.h_tot * draw(log_uniform(-6, 3))
-    frontier = mixture.knowledge._frontier
-    k = draw(st.integers(0, frontier.count - 1))
+    order, cum_h = greedy_order(mixture.knowledge)
+    if not order.size:
+        return 0.0
+    k = draw(st.integers(0, order.size - 1))
     r = mixture.mixing_ratio
-    onset = m0_minus(mixture.web, r * float(frontier.p_sorted[k]) / (1.0 - r))
-    before = float(frontier.cum_h[k])
-    h_k = mixture.knowledge.h[frontier.order[k]]
+    onset = m0_minus(mixture.web, r * float(mixture.knowledge.p[order[k]]) / (1.0 - r))
+    before = float(cum_h[k])
+    h_k = mixture.knowledge.h[order[k]]
     capacity = onset + before + draw(st.sampled_from([0.0, 1.0, 0.5])) * h_k
     for _ in range(draw(st.integers(-3, 3))):
         capacity = np.nextafter(capacity, math.inf)
@@ -145,54 +157,65 @@ def cases(draw):
 
 
 def frontier_m0(mixture):
-    """m0_minus(r*p_k/(1-r)) of every fact in frontier order, one scalar call each."""
-    r = mixture.mixing_ratio
-    return np.array([m0_minus(mixture.web, r * p / (1.0 - r))
-                     for p in mixture.knowledge._frontier.p_sorted.tolist()])
+    """m0_minus(r*p_k/(1-r)) of every fact with entropy in greedy order, one scalar call each."""
+    r, p = mixture.mixing_ratio, mixture.knowledge.p
+    order, _ = greedy_order(mixture.knowledge)
+    return np.array([m0_minus(mixture.web, r * pk / (1.0 - r)) for pk in p[order].tolist()])
 
 
 def linear_scan_allocation(mixture, total):
     """(m1, m2, loss1, loss2, loss, learned, predicate) by the linear-scan solve.
 
-    predicate[k] is the float test M - m0_k >= cum_h[k + 1] of sorted fact k.
+    predicate[k] is the float test M - m0_k >= cum_h[k + 1] of fact k of the
+    greedy order.
     """
-    web, r = mixture.web, mixture.mixing_ratio
-    frontier = mixture.knowledge._frontier
+    web, r, knowledge = mixture.web, mixture.mixing_ratio, mixture.knowledge
+    _, cum_h = greedy_order(knowledge)
     bound = total - frontier_m0(mixture)
-    predicate = bound >= frontier.cum_h[1:]
+    predicate = bound >= cum_h[1:]
     j = int(np.count_nonzero(predicate))
     if j == len(bound):
-        m1 = min(frontier.h_tot, total)
+        m1 = min(knowledge.h_tot, total)
     else:
-        m1 = min(max(float(bound[j]), float(frontier.cum_h[j])), frontier.h_tot)
+        m1 = min(max(float(bound[j]), float(cum_h[j])), knowledge.h_tot)
     m2 = total - m1
-    k = int(np.searchsorted(frontier.cum_h[1:], m1, side="right"))
-    loss1, loss2 = frontier.loss_at(m1, k), eval_web_loss(web, m2)
-    learned = full_fractions(mixture.knowledge, m1)
+    loss1, _, _, learned = greedy_frontier(knowledge, m1)
+    loss2 = eval_web_loss(web, m2)
     return m1, m2, loss1, loss2, r * loss1 + (1.0 - r) * loss2, learned, predicate
 
 
-def full_fractions(knowledge, capacity):
-    """Learned fractions built over the whole sorted order, then scattered."""
-    frontier = knowledge._frontier
-    h_sorted = knowledge.h[frontier.order]
-    n = frontier.count
-    frac_sorted = np.zeros(n)
-    if n == 0:
-        return frac_sorted
-    if capacity >= frontier.h_tot:
-        frac_sorted[:] = 1.0
-    elif capacity > 0.0:
-        k = int(np.searchsorted(frontier.cum_h[1:], capacity, side="right"))
-        frac_sorted[:k] = 1.0
-        if k < n:
-            prev = float(frontier.cum_h[k])
-            if h_sorted[k] > 0.0:
-                frac_sorted[k] = (capacity - prev) / h_sorted[k]
-        frac_sorted[h_sorted == 0.0] = 1.0
-    fractions = np.empty(n)
-    fractions[frontier.order] = frac_sorted
-    return fractions
+def greedy_frontier(knowledge, capacity):
+    """(loss, k, f, learned) at a capacity, over K-entry prefix sums that
+    special-case the empty prefix.
+
+    Zero-entropy facts are learned whole at any capacity > 0; the facts with
+    entropy are learned in greedy order, with their sorted p and h as their
+    own arrays. k counts the facts learned whole, f is the boundary fact's
+    share, and learned holds every fact's fraction in original order.
+    """
+    p, h = knowledge.p, knowledge.h
+    count, h_tot, c1 = p.size, knowledge.h_tot, knowledge.irreducible_loss
+    order, _ = greedy_order(knowledge)
+    p_sorted, h_sorted = p[order], h[order]
+    cum_h, cum_ph = np.cumsum(h_sorted), np.cumsum(p_sorted * h_sorted)
+    total_ph = float(cum_ph[-1]) if order.size else 0.0
+    learned = np.zeros(count)
+    if capacity >= h_tot:
+        learned[:] = 1.0
+        return c1, count, 0.0, learned
+    if not capacity > 0.0:
+        return c1 + total_ph, 0, 0.0, learned
+    k = int(np.searchsorted(cum_h, capacity, side="right"))
+    rest = capacity - (float(cum_h[k - 1]) if k > 0 else 0.0)
+    gained = float(cum_ph[k - 1]) if k > 0 else 0.0
+    f = 0.0
+    if k < order.size:
+        gained += float(p_sorted[k]) * rest
+        f = rest / float(h_sorted[k])
+        learned[order[k]] = f
+    learned[order[:k]] = 1.0
+    learned[h == 0.0] = 1.0
+    return c1 + (total_ph - gained), count - order.size + k, f, learned
 
 
 def assert_matches_linear_scan(mixture, total):
@@ -233,41 +256,17 @@ class TestLinearScanOracle:
         else:
             web = PowerLawCurve(floor=1.0, amplitude=1e5, exponent=0.3)
         mixture = MixtureUniverse(KnowledgeUniverse(p, h, 0.5), web, 0.05)
-        frontier = mixture.knowledge._frontier
-        onsets = frontier_m0(mixture) + frontier.cum_h[:-1]
-        picks = rng.choice(frontier.count, 40, replace=False)
-        totals = [0.0, frontier.h_tot, 10.0 * frontier.h_tot]
-        totals += np.geomspace(1.0, 4.0 * (onsets.max() + frontier.h_tot), 60).tolist()
+        h_tot = mixture.knowledge.h_tot
+        order, cum_h = greedy_order(mixture.knowledge)
+        onsets = frontier_m0(mixture) + cum_h[:-1]
+        picks = rng.choice(order.size, 40, replace=False)
+        totals = [0.0, h_tot, 10.0 * h_tot]
+        totals += np.geomspace(1.0, 4.0 * (onsets.max() + h_tot), 60).tolist()
         for k in picks:
-            for edge in (onsets[k], onsets[k] + mixture.knowledge.h[frontier.order[k]]):
+            for edge in (onsets[k], onsets[k] + h[order[k]]):
                 totals += [float(edge), float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, math.inf))]
         for total in totals:
             assert_matches_linear_scan(mixture, total)
-
-
-def empty_prefix_frontier(knowledge, capacity):
-    """(loss, (k, f, z)) over K-entry prefix sums that special-case the empty prefix.
-
-    The frontier formulas before the prefix sums were led by 0.0, with the
-    sorted p and h as their own arrays.
-    """
-    order = knowledge._frontier.order
-    p_sorted, h_sorted = knowledge.p[order], knowledge.h[order]
-    cum_h, cum_ph = np.cumsum(h_sorted), np.cumsum(p_sorted * h_sorted)
-    count, h_tot, c1 = order.size, knowledge.h_tot, knowledge.irreducible_loss
-    total_ph = float(cum_ph[-1]) if count else 0.0
-    if capacity >= h_tot:
-        return c1, (count, 0.0, 0)
-    if not capacity > 0.0:
-        return c1 + total_ph, (0, 0.0, 0)
-    k = int(np.searchsorted(cum_h, capacity, side="right"))
-    rest = capacity - (float(cum_h[k - 1]) if k > 0 else 0.0)
-    learned = float(cum_ph[k - 1]) if k > 0 else 0.0
-    if k < count:
-        learned += float(p_sorted[k]) * rest
-    f = rest / float(h_sorted[k]) if k < count else 0.0
-    z = int(np.count_nonzero(h_sorted[k:] == 0.0))
-    return c1 + (total_ph - learned), (k, f, z)
 
 
 class TestZeroLedFrontier:
@@ -276,44 +275,41 @@ class TestZeroLedFrontier:
     def test_loss_and_boundary_match_the_empty_prefix_formulas(self, case, zeros):
         mixture, total = case
         knowledge = mixture.knowledge
-        # The first `zeros` facts of the order get entropy 0, so the order leads with them.
+        # The `zeros` most frequent facts get entropy 0.
         h = knowledge.h.copy()
-        h[knowledge._frontier.order[:zeros]] = 0.0
+        h[np.argsort(-knowledge.p, kind="stable")[:zeros]] = 0.0
         knowledge = KnowledgeUniverse(knowledge.p, h, knowledge.irreducible_loss)
         frontier = knowledge._frontier
         assert frontier.cum_h.size == frontier.cum_ph.size == frontier.count + 1
         assert frontier.cum_h[0] == frontier.cum_ph[0] == 0.0
-        # k = 0 inside the first fact, k = K at cum_h[K], and every prefix end.
-        capacities = [total, -0.0, 0.0, float(0.5 * frontier.cum_h[1]), knowledge.h_tot]
+        _, cum_h = greedy_order(knowledge)
+        # Inside every fact with entropy, k = K at cum_h[K], and every prefix end.
+        capacities = [total, -0.0, 0.0, knowledge.h_tot] + (0.5 * cum_h[1:]).tolist()
         for edge in frontier.cum_h.tolist():
             capacities += [edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, math.inf))]
         for capacity in capacities:
-            loss, (k, f, z) = empty_prefix_frontier(knowledge, capacity)
+            loss, k, f, _ = greedy_frontier(knowledge, capacity)
             index = frontier.index(capacity)
             assert index == int(np.searchsorted(frontier.cum_h[1:], capacity, side="right"))
+            assert index == frontier.zeros + int(np.searchsorted(cum_h[1:], capacity, "right"))
             assert frontier.loss_at(capacity, index).hex() == loss.hex()
-            got_k, got_f, got_z = frontier.boundary(capacity, index)
-            assert (got_k, got_f.hex(), got_z) == (k, f.hex(), z)
+            got_k, got_f = frontier.boundary(capacity, index)
+            assert (got_k, got_f.hex()) == (k, f.hex())
 
     @PROPERTY_SETTINGS
-    @given(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=40))
-    def test_boundary_counts_zero_entropy_facts_as_searchsorted_does(self, facts):
-        # Integer weights tie often, so the stable order interleaves the zero-entropy
-        # facts with the rest; each fact with entropy has 1 or 2 bits.
+    @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from([0.0, -0.0, 1.0, 2.0])),
+                    min_size=1, max_size=40))
+    def test_zero_entropy_facts_lead_the_order_by_index(self, facts):
+        # Integer weights tie often; -0.0 entropies are zero-entropy facts too.
         weights = np.array([w for w, _ in facts], dtype=float)
-        h = np.array([0.0 if zero else 1.0 + i % 2 for i, (_, zero) in enumerate(facts)])
-        frontier = KnowledgeUniverse(weights / weights.sum(), h)._frontier
-        zero_sorted = np.flatnonzero(h[frontier.order] == 0.0)
-        assert frontier.zero_sorted.tolist() == zero_sorted.tolist()
-        capacities = (0.5 * (frontier.cum_h[:-1] + frontier.cum_h[1:])).tolist()
-        capacities += frontier.cum_h.tolist()
-        for capacity in capacities:
-            if not 0.0 < capacity < frontier.h_tot:
-                continue
-            index = frontier.index(capacity)
-            k, _, z = frontier.boundary(capacity, index)
-            assert k == index
-            assert z == zero_sorted.size - int(np.searchsorted(zero_sorted, index, side="left"))
+        p, h = weights / weights.sum(), np.array([e for _, e in facts])
+        frontier = KnowledgeUniverse(p, h)._frontier
+        order = np.lexsort((np.arange(h.size), np.where(h == 0, 0.0, -p), h != 0))
+        assert frontier.order.tolist() == order.tolist()
+        assert frontier.zeros == np.count_nonzero(h == 0.0)
+        # The zero prefix of the sums is +0.0, whatever the sign of its entropies.
+        prefix = frontier.cum_h[:frontier.zeros + 1].tolist()
+        assert [v.hex() for v in prefix] == ["0x0.0p+0"] * (frontier.zeros + 1)
 
 
 class TestAllocationProperties:
@@ -592,7 +588,7 @@ def assert_index_of_a_fresh_search(mixture, alloc):
 
     The allocation is compared with one built by hand from its scalars on an
     equal universe built apart, whose index is searched on first read, and
-    with the empty-prefix formulas, which search cum_h with numpy.
+    with the empty-prefix formulas, which build their own greedy order.
     """
     knowledge, m1 = mixture.knowledge, alloc.knowledge_capacity
     rebuilt = KnowledgeUniverse(knowledge.p, knowledge.h, knowledge.irreducible_loss)
@@ -600,12 +596,11 @@ def assert_index_of_a_fresh_search(mixture, alloc):
     assert "frontier_index" in vars(alloc) and "frontier_index" not in vars(explicit)
     fresh = int(np.searchsorted(rebuilt._frontier.cum_h[1:], m1, side="right"))
     assert alloc.frontier_index == explicit.frontier_index == fresh
-    loss, (k, f, z) = empty_prefix_frontier(rebuilt, m1)
+    loss, k, f, learned = greedy_frontier(rebuilt, m1)
     assert alloc.knowledge_loss.hex() == rebuilt._frontier.loss_at(m1, fresh).hex() == loss.hex()
-    count = ((k + z) + f) / rebuilt.fact_count if rebuilt.fact_count else 1.0
+    count = (k + f) / rebuilt.fact_count if rebuilt.fact_count else 1.0
     assert count_accuracy(alloc) == count_accuracy(explicit) == count
-    assert alloc.learned.tobytes() == explicit.learned.tobytes()
-    assert alloc.learned.tobytes() == full_fractions(rebuilt, m1).tobytes()
+    assert alloc.learned.tobytes() == explicit.learned.tobytes() == learned.tobytes()
 
 
 class TestFrontierIndex:
@@ -619,9 +614,10 @@ class TestFrontierIndex:
         for mixture, alloc in solved:
             assert_index_of_a_fresh_search(mixture, alloc)
 
-    # Sorted facts (p, h) = (0.4, 0), (0.3, 2), (0.2, 0), (0.1, 4) at r = 1/2 on a web
-    # whose m0_minus is 2 for the first two and 6 for the last two: facts pass from
-    # M = 2, 4, 8 and 12, and cum_h is 0, 0, 2, 2, 6.
+    # Facts (p, h) = (0.4, 0), (0.3, 2), (0.2, 0), (0.1, 4) at r = 1/2 on a web whose
+    # m0_minus is 2 for the first two and 6 for the last two. The zero-entropy facts 0
+    # and 2 lead the order, then facts 1 and 3, which pass from M = 4 and 12: cum_h is
+    # 0, 0, 0, 2, 6.
     ZEROS = MixtureUniverse(
         KnowledgeUniverse([0.4, 0.3, 0.2, 0.1], [0.0, 2.0, 0.0, 4.0]),
         TabulatedCurve(points=((0.0, 4.0), (2.0, 2.0), (6.0, 1.0), (14.0, 0.5))),
@@ -629,14 +625,13 @@ class TestFrontierIndex:
     )
 
     @pytest.mark.parametrize("capacity, m1, index, count", [
-        # m1 = 0 behind the leading zero-entropy fact: index 1, nothing learned.
-        (1.0, 0.0, 1, 0.0),
-        # Boundary fact 1 half learned; the zero-entropy fact after it counts.
-        (3.0, 1.0, 1, 2.5 / 4),
-        # The solve stops at the zero-entropy fact 2, whose cum_h[3] = m1: the
-        # search runs past the solve's prefix end to fact 3.
+        # m1 = 0 behind the two leading zero-entropy facts: index 2, nothing learned.
+        (1.0, 0.0, 2, 0.0),
+        # Boundary fact 1 half learned, behind both zero-entropy facts.
+        (3.0, 1.0, 2, 2.5 / 4),
+        # Fact 1 whole at m1 = cum_h[3]; fact 3 fails, so the solve stops there.
         (5.0, 2.0, 3, 3 / 4),
-        # Boundary fact 3 half learned, behind zero-entropy facts 0 and 2.
+        # Boundary fact 3 half learned.
         (10.0, 4.0, 3, 3.5 / 4),
         (12.0, 6.0, 4, 1.0),
     ])
@@ -665,6 +660,19 @@ class TestFrontierIndex:
         assert (alloc.knowledge_capacity, alloc.frontier_index) == (1.0, 3)
         assert count_accuracy(alloc) == 1.0 and accuracy(alloc, mixture.knowledge) < 1.0
         for mixture, alloc in grid_allocations(mixture, 1.0, (0.5, 1.0, 2.0), (0.25, 0.5, 0.75)):
+            assert_index_of_a_fresh_search(mixture, alloc)
+
+    def test_zero_entropy_fact_that_fails_below_h_tot(self):
+        # As above, but a zero-entropy fact 3 that would pass only from M = 3. It
+        # costs nothing, so m1 reaches h_tot once facts 0 to 2 pass, at M = 2.
+        web = TabulatedCurve(points=((0.0, 0.3), (1.0, 0.1), (2.0, 0.05)))
+        knowledge = KnowledgeUniverse([0.5, 0.3, 0.19, 0.01], [1.0, 1e-16, 1e-16, 0.0])
+        mixture = MixtureUniverse(knowledge, web, 0.5)
+        assert knowledge._frontier.cum_h[-1] == 1.0 < knowledge.h_tot
+        m1 = [optimal_allocation(mixture, m).knowledge_capacity for m in (1.0, 1.5, 2.0, 2.5)]
+        assert m1 == [1.0, 1.0, knowledge.h_tot, knowledge.h_tot]
+        assert full_threshold_report(mixture).model_size_upper == 2.0
+        for mixture, alloc in grid_allocations(mixture, 2.0, (1.0, 2.0, 3.0), (0.25, 0.5, 0.75)):
             assert_index_of_a_fresh_search(mixture, alloc)
 
     def test_every_fact_passing_above_h_tot(self):
@@ -717,7 +725,7 @@ class TestSubsetBoundary:
     def test_frontier_order_is_the_identity_with_no_zero_entropy_fact(self, exp):
         frontier = build_subset_universe(exp)._frontier
         assert np.array_equal(frontier.order, np.arange(frontier.count))
-        assert frontier.zero_sorted.size == 0
+        assert frontier.zeros == 0
 
     @PROPERTY_SETTINGS
     @given(subset_experiments())

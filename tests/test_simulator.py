@@ -341,9 +341,10 @@ class TestRecords:
             assert "frontier_index" not in vars(copy) and "learned" not in vars(copy)
             assert copy == alloc and copy.frontier_index == alloc.frontier_index
             assert copy.learned.tobytes() == alloc.learned.tobytes()
-        # A replaced m1 gets the index of its own m1, not the solve's.
+        # A replaced m1 gets the index of its own m1, not the solve's: at 0.0 that
+        # is the 20 zero-entropy facts that lead the order, none of them learned.
         moved = replace(alloc, knowledge_capacity=0.0)
-        assert moved.frontier_index == frontier.index(0.0) == 0
+        assert moved.frontier_index == frontier.index(0.0) == frontier.zeros == 20
         assert count_accuracy(moved) == 0.0 and not moved.learned.any()
         assert moved != alloc and repr(moved).startswith("Allocation(knowledge_capacity=0.0,")
 
