@@ -63,7 +63,8 @@ class Allocation:
     that universe's frontier on first read, so a caller that never reads
     them never pays for them: frontier_index, the number of sorted facts,
     zero-entropy ones first, whose cumulative entropy fits in m1 (the
-    boundary fact's sorted position when one is fractional), and learned,
+    boundary fact's sorted position when one is fractional, and the fact
+    count K once m1 reaches H_tot), and learned,
     the per-fact learned fraction in fact order as a read-only float64 array.
     optimal_allocation, the one function here that builds an Allocation,
     fills frontier_index from its solve's own search; an allocation built
@@ -216,10 +217,9 @@ def _grid_solve(
     The frontier, the universe and the web's m0_minus terms are read once per grid,
     and each probe evaluates m0_minus inline with m0_minus's own expressions, so no
     Python function is called per probe. The frontier index of m1 is searched from
-    the case's j: the j facts fit in m1 unless m1 is capped at an h_tot below
-    cum_h[j], and sorted fact j does not fit unless cum_h[j + 1] == cum_h[j], so
-    one probe usually finds it. The knowledge loss is read at that index, and the
-    case's tuple keeps it.
+    the case's j: the j facts fit in m1, as no prefix sum passes h_tot, and sorted
+    fact j does not fit unless cum_h[j + 1] == cum_h[j], so one probe usually finds
+    it. The knowledge loss is read at that index, and the case's tuple keeps it.
 
     This gives the splits of independent solves. Sorted fact k passes the solve's test
     fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a case if it passes at an
@@ -261,16 +261,14 @@ def _grid_solve(
                 j = k + 1
             else:
                 top = k
-        if j == count:
-            # h_tot is summed apart from cum_h, so it can pass M by an ulp.
-            m1 = min(h_tot, capacity)
-        else:
+        bound = capacity
+        if j < count:
             t = r * p[j] / q
-            bound = capacity - ((scale / t) ** power if slopes is None
-                                else caps[bisect.bisect_left(slopes, -t)])
-            m1 = min(max(bound, cum_h[j]), h_tot)
-        # The j passing facts fit in m1, unless m1 was capped at an h_tot below cum_h[j].
-        k = frontier.index(m1, j if m1 >= cum_h[j] else 0)
+            bound -= ((scale / t) ** power if slopes is None
+                      else caps[bisect.bisect_left(slopes, -t)])
+        # cum_h[j] <= h_tot, so the j passing facts fit in m1.
+        m1 = min(h_tot, max(bound, cum_h[j]))
+        k = frontier.index(m1, j)
         m2 = capacity - m1
         loss1 = frontier.loss_at(m1, k)
         loss2 = eval_web_loss(web, m2)

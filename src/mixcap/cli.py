@@ -567,8 +567,9 @@ def _run(argv) -> int:
         return 0
     except (ValueError, OSError, KeyError) as exc:  # OSError: a path the user named
         code, message, text = 2, str(exc), f"error: {exc}"
-    except Exception as exc:  # internal failure
-        code, message, text = 1, f"internal: {exc}", f"internal error: {exc}"
+    except Exception as exc:  # internal failure; MemoryError() has no message, so name its type
+        detail = str(exc) or type(exc).__name__
+        code, message, text = 1, f"internal: {detail}", f"internal error: {detail}"
     sys.stderr.write((json.dumps({"error": message}) if args.json_errors else text) + "\n")
     return code
 

@@ -201,9 +201,10 @@ class SubsetExperiment:
     group_count groups of group_size facts each; group g has sampling weight
     proportional to g**(-powerlaw_exponent), split uniformly within the
     group (weights are normalized to sum to 1 before splitting). Every fact
-    carries entropy_per_fact > 0 bits, with a finite total; None (the
-    default) stands for ``corpus.RECORD_ENTROPY_BITS``, the biography-record
-    entropy, so corpus-derived universes line up with this builder.
+    carries entropy_per_fact > 0 bits, and only a total over all facts that
+    overflows is refused; None (the default) stands for
+    ``corpus.RECORD_ENTROPY_BITS``, the biography-record entropy, so
+    corpus-derived universes line up with this builder.
     ``capacity_grid`` must be strictly increasing, with finite entries >= 0.
     """
 
@@ -263,15 +264,8 @@ class SubsetExperiment:
             raise ValueError(
                 f"entropy_per_fact must be finite and > 0, got {self.entropy_per_fact}"
             )
-        # fl(e*K) overflows exactly when the fsum behind h_tot does. The frontier
-        # sums the entropies one at a time, which can round past fl(e*K) by
-        # (K - 1)*u relative, u = 2**-53; where the factor 1 + K*2**-52 (which
-        # covers that and this check's rounding) overflows, sum them so.
-        total = self.entropy_per_fact * facts
-        if math.isfinite(total) and math.isinf(total * (1.0 + facts * 2.0**-52)):
-            with np.errstate(over="ignore"):
-                total = np.cumsum(np.full(facts, self.entropy_per_fact))[-1]
-        if math.isinf(total):
+        # fl(e*K) overflows exactly when the fsum behind h_tot does.
+        if math.isinf(self.entropy_per_fact * facts):
             raise ValueError(
                 f"entropy_per_fact {self.entropy_per_fact} times {facts} facts overflows: "
                 "the total entropy leaves the float range"

@@ -350,6 +350,8 @@ class _FrontierCurve:
     capacity is spent in that order; the boundary fact is learned
     fractionally. Prefix sums led by 0.0 make index, the one search,
     O(log K); the loss and the learned layout at a capacity read its answer.
+    The entropy prefix sums stop at the correctly rounded total H_tot, so
+    every fact fits from capacity H_tot on.
     """
 
     def __init__(self, p: np.ndarray, h: np.ndarray, c1: float, h_tot: float):
@@ -366,16 +368,13 @@ class _FrontierCurve:
         h_sorted = h[self.order]
         h_sorted[:self.zeros] = 0.0  # +0.0, so that no -0.0 entropy reaches a sum
         self.cum_h, self.cum_ph = np.zeros(self.count + 1), np.zeros(self.count + 1)
-        # Summed one fact at a time, cum_h can round past the float range where the
-        # fsum behind h_tot does not; an infinite cum_ph fails the loss check below.
+        # Summed one fact at a time, cum_h can round past the fsum h_tot, even past the
+        # float range; clamped, no prefix passes h_tot. An infinite cum_ph fails the
+        # loss check below.
         with np.errstate(over="ignore"):
             np.cumsum(h_sorted, out=self.cum_h[1:])
             np.cumsum(self.p_sorted * h_sorted, out=self.cum_ph[1:])
-        if math.isinf(self.cum_h[-1]):
-            raise ValueError(
-                f"target_entropy values summed in frequency order overflow, though their "
-                f"total {h_tot!r} is finite: the frontier's prefix sums leave the float range"
-            )
+        np.minimum(self.cum_h, h_tot, out=self.cum_h)
         # Python-float views for the O(log K) probes; cum_h_next[k] is cum_h[k + 1].
         self.p_view, self.h_view, self.order_view = map(memoryview, (self.p_sorted, h, self.order))
         self.cum_h_view, self.cum_ph_view = memoryview(self.cum_h), memoryview(self.cum_ph)
@@ -391,17 +390,16 @@ class _FrontierCurve:
         """The number of sorted facts whose cumulative entropy fits in capacity.
 
         That is the count of k with cum_h[k + 1] <= capacity, found by
-        bisection in O(log K). lo is a count known to fit (cum_h[lo] <=
-        capacity); when sorted fact lo does not fit, one probe answers lo.
+        bisection in O(log K); it is K at every capacity >= H_tot. lo is a
+        count known to fit (cum_h[lo] <= capacity); when sorted fact lo does
+        not fit, one probe answers lo.
         """
         if lo == self.count or self.cum_h_next[lo] > capacity:
             return lo
         return bisect.bisect_right(self.cum_h_next, capacity, lo + 1)
 
     def loss_at(self, capacity: float, k: int) -> float:
-        """The knowledge loss at capacity, k being index(capacity)."""
-        if capacity >= self.h_tot:
-            return self.c1
+        """The knowledge loss at capacity, k being index(capacity); c1 + 0.0 from H_tot on."""
         learned = self.cum_ph_view[k]
         if k < self.count:
             learned += self.p_view[k] * (capacity - self.cum_h_view[k])

@@ -283,6 +283,8 @@ class TestZeroLedFrontier:
         assert frontier.cum_h.size == frontier.cum_ph.size == frontier.count + 1
         assert frontier.cum_h[0] == frontier.cum_ph[0] == 0.0
         _, cum_h = greedy_order(knowledge)
+        # Clamped at h_tot, as the frontier's own sums are.
+        cum_h = np.minimum(cum_h, knowledge.h_tot)
         # Inside every fact with entropy, k = K at cum_h[K], and every prefix end.
         capacities = [total, -0.0, 0.0, knowledge.h_tot] + (0.5 * cum_h[1:]).tolist()
         for edge in frontier.cum_h.tolist():
@@ -676,17 +678,96 @@ class TestFrontierIndex:
             assert_index_of_a_fresh_search(mixture, alloc)
 
     def test_every_fact_passing_above_h_tot(self):
-        # Summed one at a time the entropies round up past their exact sum, so
-        # m1 = h_tot holds two of the three cumulative entropies, not three.
-        mixture = MixtureUniverse(KnowledgeUniverse([0.5, 0.3, 0.2], [1.0, 1.5e-16, 1.5e-16]),
-                                  self.WEB, 0.5)
+        # Summed one at a time the entropies round up past their exact sum; the
+        # frontier's sums stop at it, so m1 = h_tot holds all three facts.
+        h = [1.0, 1.5e-16, 1.5e-16]
+        mixture = MixtureUniverse(KnowledgeUniverse([0.5, 0.3, 0.2], h), self.WEB, 0.5)
         frontier, h_tot = mixture.knowledge._frontier, mixture.knowledge.h_tot
-        assert frontier.cum_h[-2] == h_tot < frontier.cum_h[-1]
+        assert np.cumsum(h)[-2] == h_tot < np.cumsum(h)[-1]
+        assert frontier.cum_h[-2] == frontier.cum_h[-1] == h_tot
         alloc = optimal_allocation(mixture, 2.0)
-        assert (alloc.knowledge_capacity, alloc.frontier_index) == (h_tot, 2)
+        assert (alloc.knowledge_capacity, alloc.frontier_index) == (h_tot, 3)
         assert count_accuracy(alloc) == 1.0
         for mixture, alloc in grid_allocations(mixture, 2.0, (0.5, 1.0, 2.0), (0.25, 0.5, 0.75)):
             assert_index_of_a_fresh_search(mixture, alloc)
+
+
+@st.composite
+def wide_mixtures(draw):
+    """A mixture whose entropies, some 0, span 1e-300 to 1e300 bits, on either web kind.
+
+    Each universe draws a scale, and each entropy lies within a factor 10 of
+    it or up to 1e20 below; sums of many similar terms round past their
+    correctly rounded total often.
+    """
+    k = draw(st.integers(1, 40))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        weights[:] = weights[0]
+    scale, spread = draw(log_uniform(-300, 300)), st.floats(1.0, 10.0)
+    shrink = st.sampled_from([1.0, 1.0, 1.0, 1e-5, 1e-20, 0.0])
+    h = [scale * draw(spread) * draw(shrink) for _ in range(k)]
+    knowledge = KnowledgeUniverse(weights / weights.sum() * (1 - 1e-12), h, 0.5)
+    return MixtureUniverse(knowledge, draw(web_curves()), draw(ratios))
+
+
+class TestPrefixSumsStopAtHTot:
+    @PROPERTY_SETTINGS
+    @given(wide_mixtures())
+    def test_every_fact_fits_at_h_tot(self, mixture):
+        knowledge, r = mixture.knowledge, mixture.mixing_ratio
+        frontier, h_tot = knowledge._frontier, knowledge.h_tot
+        assert np.all(np.diff(frontier.cum_h) >= 0.0) and np.all(frontier.cum_h <= h_tot)
+        assert frontier.index(h_tot) == frontier.count
+        # h_tot and its neighbours, alone and past each fact's onset.
+        onsets = [m0_minus(mixture.web, r * p / (1.0 - r)) for p in frontier.p_sorted.tolist()]
+        sizes = {0.0}
+        for base in [0.0] + onsets:
+            for edge in (base + h_tot, 2.0 * (base + h_tot)):
+                sizes |= {edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, math.inf))}
+        sizes = tuple(sorted(m for m in sizes if math.isfinite(m)))
+        with no_hang():
+            solved = grid_allocations(mixture, sizes[-1], sizes, (0.001, 0.25, 0.5, 0.999))
+        for mixture, alloc in solved:
+            if alloc.knowledge_capacity == h_tot > 0.0:
+                assert alloc.frontier_index == frontier.count
+            assert_index_of_a_fresh_search(mixture, alloc)
+
+
+class TestNegativeZeroCapacity:
+    """The bytes of a solve at capacity -0.0, which passes the capacity check.
+
+    m1 is min(h_tot, max(bound, cum_h[j])), the bound first: on a tabulated web
+    whose m0_minus is 0 at the first fact with entropy the bound is -0.0 - 0.0,
+    so m1 is -0.0. A power-law m0_minus is positive, so m1 is +0.0 there, and so
+    it is where every entropy is 0, at h_tot.
+    """
+
+    TABULATED = TabulatedCurve(points=((0.0, 1.0), (1.0, 0.99)))
+    POWER_LAW = PowerLawCurve(1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("h, web, m1, m2, index", [
+        ([0.0, 1.0], TABULATED, "-0x0.0p+0", "0x0.0p+0", 1),
+        ([2.0, 1.0], TABULATED, "-0x0.0p+0", "0x0.0p+0", 0),
+        ([0.0, 0.0], TABULATED, "0x0.0p+0", "-0x0.0p+0", 2),
+        ([0.0, 1.0], POWER_LAW, "0x0.0p+0", "-0x0.0p+0", 1),
+        ([2.0, 1.0], POWER_LAW, "0x0.0p+0", "-0x0.0p+0", 0),
+        ([0.0, 0.0], POWER_LAW, "0x0.0p+0", "-0x0.0p+0", 2),
+    ])
+    def test_split_at_negative_zero(self, h, web, m1, m2, index):
+        mixture = MixtureUniverse(KnowledgeUniverse([0.5, 0.1], h), web, 0.5)
+        alloc = optimal_allocation(mixture, -0.0)
+        assert (alloc.knowledge_capacity.hex(), alloc.web_capacity.hex()) == (m1, m2)
+        assert alloc.frontier_index == index
+        [solved] = _grid_solve(mixture, [(0.5, -0.0)])
+        assert (solved[0].hex(), solved[1].hex(), solved[-1]) == (m1, m2, index)
+
+    @pytest.mark.parametrize("capacity", [0.0, -0.0])
+    def test_all_zero_entropy_universe_is_learned_at_capacity_0(self, capacity):
+        # boundary's capacity >= h_tot branch: m1 = 0 learns every fact.
+        mixture = MixtureUniverse(KnowledgeUniverse([0.5, 0.1], [0.0, 0.0]), self.POWER_LAW, 0.5)
+        alloc = optimal_allocation(mixture, capacity)
+        assert count_accuracy(alloc) == 1.0 and alloc.learned.tolist() == [1.0, 1.0]
 
 
 @st.composite

@@ -502,8 +502,9 @@ class TestSubsets:
         )}
         assert not out.exists()
 
-    def test_prefix_sum_that_overflows_exits_2_naming_entropy_per_fact(self, tmp_path, capsys):
-        # 100 times the entropy is finite; the frontier's one-at-a-time sum is not.
+    def test_prefix_sum_that_overflows_is_solved(self, tmp_path):
+        # 100 times the entropy is finite; the frontier's one-at-a-time sum
+        # is not, and stops at the total.
         config = _write_config(tmp_path, {
             "entropy_per_fact": 1.7976931348623156e306, "group_count": 10, "group_size": 10,
             "capacity_grid": [1e9, 1e300],
@@ -511,10 +512,10 @@ class TestSubsets:
         out = tmp_path / "subsets.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["subsets", "--config", config, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert "entropy_per_fact 1.7976931348623156e+306 times 100 facts overflows" in err
-        assert list(tmp_path.glob("subsets*")) == []
+            assert run(["subsets", "--config", config, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 20
+        thresholds = tmp_path / "subsets_thresholds.csv"
+        assert len(thresholds.read_text().splitlines()) == 1 + 2
 
     def test_more_facts_than_synbio_holds_exits_2_at_once(self, tmp_path):
         # In a child capped at 2 GiB of address space and 60 s, so that a
@@ -907,6 +908,22 @@ class TestEstimateAndFit:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("json_errors, expected", [
+        (False, "internal error: MemoryError\n"),
+        (True, json.dumps({"error": "internal: MemoryError"}) + "\n"),
+    ])
+    def test_internal_error_without_a_message_names_its_type(
+        self, tmp_path, monkeypatch, capsys, config_path, json_errors, expected
+    ):
+        # A MemoryError raised by numpy or the interpreter carries no message.
+        def handler(params):
+            raise MemoryError()
+
+        monkeypatch.setitem(COMMANDS, "allocate", COMMANDS["allocate"]._replace(handler=handler))
+        argv = ["allocate", "--config", config_path, "--out", tmp_path / "a.json"]
+        assert run(argv + ["--json-errors"] * json_errors) == 1
+        assert capsys.readouterr().err == expected
+
     def test_out_dir_env(self, tmp_path, monkeypatch, config_path):
         monkeypatch.setenv("MIXCAP_OUT_DIR", str(tmp_path / "outputs"))
         assert run(["allocate", "--config", config_path]) == 0

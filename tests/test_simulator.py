@@ -490,14 +490,16 @@ class TestSubsetExperiment:
         exp = SubsetExperiment(entropy_per_fact=largest / 4, group_count=2, group_size=2)
         assert build_subset_universe(exp).h_tot == largest
 
-    def test_prefix_sum_that_overflows_names_entropy_per_fact(self):
+    def test_prefix_sum_that_overflows_is_solved(self):
         # 100 times the entropy is finite; summed one fact at a time, as the
-        # frontier sums it, it rounds past the float range.
-        with pytest.raises(ValueError, match=(
-            r"^entropy_per_fact 1\.7976931348623156e\+306 times 100 facts overflows"
-        )):
-            SubsetExperiment(entropy_per_fact=1.7976931348623156e306, group_count=10,
-                             group_size=10, capacity_grid=(1e9, 1e300))
+        # frontier sums it, it rounds past the float range and stops at h_tot.
+        exp = SubsetExperiment(entropy_per_fact=1.7976931348623156e306, group_count=10,
+                               group_size=10, capacity_grid=(1e9, 1e300))
+        results = run_subset_experiment(exp)
+        assert [r.capacity for r in results] == [1e9, 1e300]
+        for r in results:
+            assert len(r.group_accuracies) == 10
+            assert all(math.isfinite(acc) for acc in r.group_accuracies)
 
     def test_more_facts_than_synbio_holds_are_refused_before_the_weights(self):
         with pytest.raises(ValueError, match=(

@@ -655,16 +655,17 @@ class TestKnowledgeFrontier:
             else:
                 optimal_allocation(mix, 1.0)
 
-    def test_prefix_sum_that_overflows_names_target_entropy(self):
+    def test_prefix_sum_that_overflows_stops_at_h_tot(self):
         # 100 times the entropy is finite, so fsum's h_tot is; the sum one
-        # fact at a time rounds past the float range.
+        # fact at a time rounds past the float range, and stops at h_tot.
         ku = KnowledgeUniverse(np.full(100, 0.01), np.full(100, 1.7976931348623156e306))
         assert math.isfinite(ku.h_tot)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^target_entropy values summed in frequency "
-                                                 r"order overflow"):
-                knowledge_frontier(ku, 1.0)
+            frontier = ku._frontier
+            loss, learned = knowledge_frontier(ku, ku.h_tot)
+        assert np.all(np.diff(frontier.cum_h) >= 0.0) and frontier.cum_h[-1] == ku.h_tot
+        assert loss == 0.0 and learned.tolist() == [1.0] * 100
 
     def test_zero_led_prefix_sums(self):
         ku = KnowledgeUniverse([0.125, 0.5, 0.25], [4.0, 2.0, 1.0])
