@@ -667,6 +667,13 @@ class TestKnowledgeFrontier:
         assert np.all(np.diff(frontier.cum_h) >= 0.0) and frontier.cum_h[-1] == ku.h_tot
         assert loss == 0.0 and learned.tolist() == [1.0] * 100
 
+    def test_loss_from_h_tot_on_is_c1_plus_zero(self):
+        # An irreducible_loss of -0.0 gives +0.0 at H_tot and past it, as the
+        # empty remainder total_ph - cum_ph[K] is +0.0.
+        ku = KnowledgeUniverse([0.5, 0.25], [1.0, 2.0], irreducible_loss=-0.0)
+        for capacity in (ku.h_tot, 2.0 * ku.h_tot):
+            assert knowledge_frontier(ku, capacity)[0].hex() == "0x0.0p+0"
+
     def test_zero_led_prefix_sums(self):
         ku = KnowledgeUniverse([0.125, 0.5, 0.25], [4.0, 2.0, 1.0])
         frontier = ku._frontier
