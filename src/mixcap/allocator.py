@@ -65,10 +65,12 @@ class Allocation:
     zero-entropy ones first, whose cumulative entropy fits in m1 (the
     boundary fact's sorted position when one is fractional, and the fact
     count K once m1 reaches H_tot), and learned,
-    the per-fact learned fraction in fact order as a read-only float64 array.
+    the per-fact learned fraction in fact order as a read-only float64 array:
+    1.0 on the first frontier_index sorted facts, zero-entropy ones at any m1.
     optimal_allocation, the one function here that builds an Allocation,
     fills frontier_index from its solve's own search; an allocation built
-    by hand, replaced or unpickled searches for it. Equality compares the scalar
+    by hand, replaced or unpickled searches for it, and one whose m1 is
+    negative or NaN is refused there. Equality compares the scalar
     fields and the universe, hashing reads the scalar fields and the
     universe's O(1) hash, and pickling carries the universe, so a list of
     allocations from one universe pickles it once. Neither derived value
@@ -97,6 +99,8 @@ class Allocation:
 
     @cached_property
     def frontier_index(self) -> int:
+        if not self.knowledge_capacity >= 0.0:
+            raise ValueError(f"knowledge_capacity must be >= 0, got {self.knowledge_capacity}")
         return self.knowledge._frontier.index(self.knowledge_capacity)
 
     @cached_property
@@ -122,8 +126,8 @@ class Allocation:
 class ThresholdReport:
     """Phase-transition thresholds for a mixture configuration.
 
-    model_size_lower is the greatest capacity at which nothing from the
-    knowledge domain is learned (set by its most frequent fact with entropy);
+    model_size_lower is the greatest capacity at which m1 is 0, so no fact
+    with entropy is learned (set by the most frequent of those facts);
     model_size_upper the least one at or above which everything is. The
     mixing-ratio and single-fact-frequency fields are the analogous bounds at a
     fixed capacity and are None when no capacity was supplied. Asymptotic fields
@@ -220,6 +224,7 @@ def _grid_solve(
     the case's j: the j facts fit in m1, as no prefix sum passes h_tot, and sorted
     fact j does not fit unless cum_h[j + 1] == cum_h[j], so one probe usually finds
     it. The knowledge loss is read at that index, and the case's tuple keeps it.
+    At capacity -0.0, m1 is +0.0 and m2 -0.0 on a power-law and a tabulated web alike.
 
     This gives the splits of independent solves. Sorted fact k passes the solve's test
     fl(M - m0_minus(fl(r*p_k/(1-r)))) >= cum_h[k + 1] at a case if it passes at an
@@ -242,7 +247,7 @@ def _grid_solve(
     p, cum_h, cum_h_next = frontier.p_view, frontier.cum_h_view, frontier.cum_h_next
     scale, power, slopes, caps = _m0_terms(web)
     solved = [None] * len(cases)
-    # Pending halves: cases [a, b) whose j lie in [lo, hi]; any m1 > 0 learns the zeros.
+    # Pending halves: cases [a, b) whose j lie in [lo, hi]; every m1 learns the zeros.
     stack = [(0, len(cases), frontier.zeros, count)]
     while stack:
         a, b, lo, hi = stack.pop()
@@ -266,8 +271,9 @@ def _grid_solve(
             t = r * p[j] / q
             bound -= ((scale / t) ** power if slopes is None
                       else caps[bisect.bisect_left(slopes, -t)])
-        # cum_h[j] <= h_tot, so the j passing facts fit in m1.
-        m1 = min(h_tot, max(bound, cum_h[j]))
+        # cum_h[j] <= h_tot, so the j passing facts fit in m1. max keeps the first of
+        # equal arguments, so a bound of -0.0 gives cum_h[j]'s +0.0 on either web kind.
+        m1 = min(h_tot, max(cum_h[j], bound))
         k = frontier.index(m1, j)
         m2 = capacity - m1
         loss1 = frontier.loss_at(m1, k)

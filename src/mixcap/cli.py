@@ -8,7 +8,8 @@ which generating commands require outright (no wall-clock fallback), so
 rerunning any command with the same config and seed produces byte-identical
 artifacts at any BLAS thread count: no result goes through a BLAS call.
 Files are written atomically (temp file + rename) to keep long sweeps
-restartable. Each handler imports the library modules it runs, so a command
+restartable; a symlink's target is replaced, and a FIFO or device is
+written in place. Each handler imports the library modules it runs, so a command
 loads only those and pays for no module, numpy or scipy it never calls.
 Run as the program (argv None), main caps the OpenBLAS that numpy and scipy
 load at one thread unless OPENBLAS_NUM_THREADS is set, so no command starts
@@ -37,6 +38,7 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -54,18 +56,34 @@ OUT_DIR_ENV = "MIXCAP_OUT_DIR"
 def _atomic_write(path: Path, text: str) -> None:
     """Write text to a temporary file beside path, then rename it to path.
 
-    The temporary file is removed on any failure, and an OSError is raised
-    again naming path alone, not the temporary file that is by then gone. A
-    file where path's directory goes is reported as opening path reports
-    it, Not a directory, not as mkdir's File exists on that file.
+    A symlink is followed, so its target is replaced and the link stays; an
+    existing path that is not a regular file (a FIFO, a device) is written in
+    place with no rename. The temporary file takes the mode of the file it
+    replaces, else 0o666 less the umask, as open(path, "w") would give. It is
+    removed on any failure, and an OSError is raised again naming path alone,
+    not the temporary file that is by then gone. A file where path's
+    directory goes is reported as opening path reports it, Not a directory,
+    not as mkdir's File exists on that file.
     """
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:  # a new file; setting the umask is the one way to read it
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | 0o666 & ~umask
+        if not stat.S_ISREG(mode):
+            with open(path, "w") as handle:
+                handle.write(text)
+            return
+        target = Path(os.path.realpath(path))
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, stat.S_IMODE(mode))
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except FileExistsError:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path)) from None
     except OSError as exc:

@@ -152,12 +152,12 @@ def count_accuracy(allocation: Allocation) -> float:
     """Plain fraction of facts learned, weighting every fact equally.
 
     This is fsum(learned) / n, 1.0 when there are no facts, and it reads no
-    array: the k learned prefix facts (the zero-entropy facts among them
-    once m1 > 0) and the boundary fraction f that the allocation's universe
-    gives at m1 (_FrontierCurve.boundary) make (k + f) / n, the same
-    correctly rounded sum. The boundary is laid out at the allocation's
-    frontier_index, which optimal_allocation fills from its solve's own
-    search, so scoring a solved point searches nothing. sweep scores its
+    array: the k = frontier_index learned prefix facts (the zero-entropy
+    facts among them at every m1) and the share f of the boundary fact
+    that the allocation's universe gives at m1 (_FrontierCurve.fraction)
+    make (k + f) / n, the same correctly rounded sum. optimal_allocation
+    fills frontier_index from its solve's own search, so scoring a solved
+    point searches nothing. sweep scores its
     points with the same expression (_count_accuracy). Secondary metric kept
     alongside the entropy-weighted accuracy for comparison with studies that
     count memorized items.
@@ -170,8 +170,7 @@ def count_accuracy(allocation: Allocation) -> float:
 def _count_accuracy(frontier: _FrontierCurve, m1: float, k: int) -> float:
     if not frontier.count:
         return 1.0
-    k, f = frontier.boundary(m1, k)
-    return (k + f) / frontier.count
+    return (k + frontier.fraction(m1, k)) / frontier.count
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
@@ -295,8 +294,8 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     """Per-capacity group accuracies and the measured threshold frequency.
 
     A group's accuracy is fsum of its learned row over group_size, read off
-    the frontier boundary (k, f) as count_accuracy reads it: O(groups)
-    per point and no fact-length array. No fact has entropy 0 and p does
+    the frontier index k and boundary share f as count_accuracy reads them:
+    O(groups) per point and no fact-length array. No fact has entropy 0 and p does
     not increase, so the stable frontier order is the identity: the first
     k // group_size groups are 1.0, the next holds
     (k % group_size + f) / group_size and the rest are 0.0. The threshold
@@ -313,11 +312,10 @@ def run_subset_experiment(exp: SubsetExperiment) -> list[SubsetCapacityResult]:
     results = []
     solved = _grid_solve(mixture, [(exp.mixing_ratio, c) for c in exp.capacity_grid])
     for capacity, (m1, *_, k) in zip(exp.capacity_grid, solved):
-        k, f = frontier.boundary(m1, k)
         full, part = divmod(k, size)
         group_acc = [1.0] * full
         if full < count:
-            group_acc += [(part + f) / size] + [0.0] * (count - full - 1)
+            group_acc += [(part + frontier.fraction(m1, k)) / size] + [0.0] * (count - full - 1)
         below = next((g for g, acc in enumerate(group_acc) if acc < exp.accuracy_target), None)
         f_thres = None if below is None else exp.mixing_ratio * exp.weights[below] / size
         results.append(SubsetCapacityResult(capacity, tuple(group_acc), f_thres))

@@ -349,9 +349,10 @@ class _FrontierCurve:
     the rest follow by exposure frequency descending (ties by index), and
     capacity is spent in that order; the boundary fact is learned
     fractionally. Prefix sums led by 0.0 make index, the one search,
-    O(log K); the loss and the learned layout at a capacity read its answer.
-    The entropy prefix sums stop at the correctly rounded total H_tot, so
-    every fact fits from capacity H_tot on.
+    O(log K); the loss and the learned layout at a capacity read its answer
+    alone: the first index(capacity) sorted facts, the zero-entropy ones from
+    capacity 0 on. The entropy prefix sums stop at the correctly rounded
+    total H_tot, so every fact fits from capacity H_tot on.
     """
 
     def __init__(self, p: np.ndarray, h: np.ndarray, c1: float, h_tot: float):
@@ -405,33 +406,23 @@ class _FrontierCurve:
             learned += self.p_view[k] * (capacity - self.cum_h_view[k])
         return self.c1 + (self.total_ph - learned)
 
-    def boundary(self, capacity: float, k: int) -> tuple[int, float]:
-        """(k, f): the learned layout at a capacity, k being index(capacity).
-
-        The first k sorted facts, led by the zero-entropy ones once capacity
-        > 0, are fully learned and sorted fact k (if k < K) holds the
-        fraction f; every other fact is 0.
-        """
-        if capacity >= self.h_tot:
-            return self.count, 0.0
-        if not capacity > 0.0:
-            return 0, 0.0
-        f = 0.0
+    def fraction(self, capacity: float, k: int) -> float:
+        """The learned share of sorted fact k, k being index(capacity): 0.0 if k == K,
+        else read off cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0."""
         if k < self.count:
-            # cum_h[k + 1] > capacity >= cum_h[k], so fact k has h > 0.
-            f = (capacity - self.cum_h_view[k]) / self.h_view[self.order_view[k]]
-        return k, f
+            return (capacity - self.cum_h_view[k]) / self.h_view[self.order_view[k]]
+        return 0.0
 
     def fractions_at(self, capacity: float, k: int) -> np.ndarray:
-        """Learned fraction of every fact in original order, laid out by
-        boundary (k being index(capacity)), as a new read-only float64 array.
+        """Learned fraction of every fact in original order (k being
+        index(capacity)), as a new read-only float64 array.
 
         Only the learned prefix and the boundary fact are written through
         the sort order; the rest stay 0.
         """
-        k, f = self.boundary(capacity, k)
         fractions = np.zeros(self.count)
         fractions[self.order[:k]] = 1.0
+        f = self.fraction(capacity, k)
         if f:
             fractions[self.order[k]] = f
         fractions.flags.writeable = False
@@ -443,9 +434,9 @@ def knowledge_frontier(
 ) -> tuple[float, np.ndarray]:
     """Best loss over the knowledge domain alone, plus per-fact learned fractions.
 
-    Any positive capacity learns the zero-entropy facts and is spent greedily
-    on the most frequently exposed other facts first (ties broken by fact
-    index, for determinism), the boundary fact learned fractionally. With
+    Every capacity, 0 included, learns the zero-entropy facts and is spent
+    greedily on the most frequently exposed other facts first (ties broken
+    by fact index, for determinism), the boundary fact learned fractionally. With
     uniform frequencies this matches warmup_loss exactly. The fractions come
     in fact order as a read-only float64 array, the type of Allocation.learned.
     """

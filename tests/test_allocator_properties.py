@@ -177,7 +177,7 @@ def linear_scan_allocation(mixture, total):
     if j == len(bound):
         m1 = min(knowledge.h_tot, total)
     else:
-        m1 = min(max(float(bound[j]), float(cum_h[j])), knowledge.h_tot)
+        m1 = min(max(float(cum_h[j]), float(bound[j])), knowledge.h_tot)
     m2 = total - m1
     loss1, _, _, learned = greedy_frontier(knowledge, m1)
     loss2 = eval_web_loss(web, m2)
@@ -185,26 +185,22 @@ def linear_scan_allocation(mixture, total):
 
 
 def greedy_frontier(knowledge, capacity):
-    """(loss, k, f, learned) at a capacity, over K-entry prefix sums that
-    special-case the empty prefix.
+    """(loss, k, f, learned) at a capacity >= 0, over K-entry prefix sums that
+    special-case the empty prefix and stop at h_tot.
 
-    Zero-entropy facts are learned whole at any capacity > 0; the facts with
+    Zero-entropy facts are learned whole at every capacity; the facts with
     entropy are learned in greedy order, with their sorted p and h as their
     own arrays. k counts the facts learned whole, f is the boundary fact's
     share, and learned holds every fact's fraction in original order.
     """
     p, h = knowledge.p, knowledge.h
-    count, h_tot, c1 = p.size, knowledge.h_tot, knowledge.irreducible_loss
+    count, c1 = p.size, knowledge.irreducible_loss
     order, _ = greedy_order(knowledge)
     p_sorted, h_sorted = p[order], h[order]
-    cum_h, cum_ph = np.cumsum(h_sorted), np.cumsum(p_sorted * h_sorted)
+    cum_h = np.minimum(np.cumsum(h_sorted), knowledge.h_tot)
+    cum_ph = np.cumsum(p_sorted * h_sorted)
     total_ph = float(cum_ph[-1]) if order.size else 0.0
     learned = np.zeros(count)
-    if capacity >= h_tot:
-        learned[:] = 1.0
-        return c1, count, 0.0, learned
-    if not capacity > 0.0:
-        return c1 + total_ph, 0, 0.0, learned
     k = int(np.searchsorted(cum_h, capacity, side="right"))
     rest = capacity - (float(cum_h[k - 1]) if k > 0 else 0.0)
     gained = float(cum_ph[k - 1]) if k > 0 else 0.0
@@ -249,7 +245,7 @@ class TestLinearScanOracle:
         rng = np.random.default_rng(20_000)
         raw = rng.pareto(1.5, 20_000) + 1.0
         p, h = raw / raw.sum(), rng.uniform(20.0, 60.0, raw.size)
-        # Zero-entropy facts cost nothing, so any positive budget learns them.
+        # Zero-entropy facts cost nothing, so every budget, 0 included, learns them.
         h[rng.choice(h.size, 200, replace=False)] = 0.0
         if tabulated:
             web = TabulatedCurve(points=((0.0, 9.0), (1e4, 5.0), (1e5, 3.0), (1e6, 2.5)))
@@ -295,8 +291,7 @@ class TestZeroLedFrontier:
             assert index == int(np.searchsorted(frontier.cum_h[1:], capacity, side="right"))
             assert index == frontier.zeros + int(np.searchsorted(cum_h[1:], capacity, "right"))
             assert frontier.loss_at(capacity, index).hex() == loss.hex()
-            got_k, got_f = frontier.boundary(capacity, index)
-            assert (got_k, got_f.hex()) == (k, f.hex())
+            assert (index, frontier.fraction(capacity, index).hex()) == (k, f.hex())
 
     @PROPERTY_SETTINGS
     @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from([0.0, -0.0, 1.0, 2.0])),
@@ -627,8 +622,8 @@ class TestFrontierIndex:
     )
 
     @pytest.mark.parametrize("capacity, m1, index, count", [
-        # m1 = 0 behind the two leading zero-entropy facts: index 2, nothing learned.
-        (1.0, 0.0, 2, 0.0),
+        # m1 = 0 learns the two leading zero-entropy facts: index 2, and half the facts.
+        (1.0, 0.0, 2, 2 / 4),
         # Boundary fact 1 half learned, behind both zero-entropy facts.
         (3.0, 1.0, 2, 2.5 / 4),
         # Fact 1 whole at m1 = cum_h[3]; fact 3 fails, so the solve stops there.
@@ -737,18 +732,18 @@ class TestPrefixSumsStopAtHTot:
 class TestNegativeZeroCapacity:
     """The bytes of a solve at capacity -0.0, which passes the capacity check.
 
-    m1 is min(h_tot, max(bound, cum_h[j])), the bound first: on a tabulated web
+    m1 is min(h_tot, max(cum_h[j], bound)), cum_h[j] first: on a tabulated web
     whose m0_minus is 0 at the first fact with entropy the bound is -0.0 - 0.0,
-    so m1 is -0.0. A power-law m0_minus is positive, so m1 is +0.0 there, and so
-    it is where every entropy is 0, at h_tot.
+    and max keeps the +0.0 of cum_h[j]. A power-law m0_minus is positive, so
+    on either web kind m1 is +0.0 and m2 = -0.0 - 0.0 is -0.0.
     """
 
     TABULATED = TabulatedCurve(points=((0.0, 1.0), (1.0, 0.99)))
     POWER_LAW = PowerLawCurve(1.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("h, web, m1, m2, index", [
-        ([0.0, 1.0], TABULATED, "-0x0.0p+0", "0x0.0p+0", 1),
-        ([2.0, 1.0], TABULATED, "-0x0.0p+0", "0x0.0p+0", 0),
+        ([0.0, 1.0], TABULATED, "0x0.0p+0", "-0x0.0p+0", 1),
+        ([2.0, 1.0], TABULATED, "0x0.0p+0", "-0x0.0p+0", 0),
         ([0.0, 0.0], TABULATED, "0x0.0p+0", "-0x0.0p+0", 2),
         ([0.0, 1.0], POWER_LAW, "0x0.0p+0", "-0x0.0p+0", 1),
         ([2.0, 1.0], POWER_LAW, "0x0.0p+0", "-0x0.0p+0", 0),
@@ -764,10 +759,66 @@ class TestNegativeZeroCapacity:
 
     @pytest.mark.parametrize("capacity", [0.0, -0.0])
     def test_all_zero_entropy_universe_is_learned_at_capacity_0(self, capacity):
-        # boundary's capacity >= h_tot branch: m1 = 0 learns every fact.
+        # Every prefix sum is 0, so index(0.0) is the fact count: m1 = 0 learns every fact.
         mixture = MixtureUniverse(KnowledgeUniverse([0.5, 0.1], [0.0, 0.0]), self.POWER_LAW, 0.5)
         alloc = optimal_allocation(mixture, capacity)
         assert count_accuracy(alloc) == 1.0 and alloc.learned.tolist() == [1.0, 1.0]
+
+
+@st.composite
+def zero_entropy_mixtures(draw):
+    """A mixture from mixtures() with a drawn set of its entropies, maybe all, 0.0 or -0.0."""
+    mixture = draw(mixtures())
+    knowledge = mixture.knowledge
+    h = knowledge.h.copy()
+    h[draw(st.lists(st.booleans(), min_size=h.size, max_size=h.size))] = draw(
+        st.sampled_from([0.0, -0.0]))
+    return replace(mixture, knowledge=KnowledgeUniverse(knowledge.p, h, knowledge.irreducible_loss))
+
+
+class TestOneLearnedLayout:
+    """learned, count_accuracy and frontier_index read one layout at every m1 >= 0:
+    the first frontier_index sorted facts, the zero-entropy facts among them, are
+    learned and sorted fact frontier_index holds the boundary share."""
+
+    @staticmethod
+    def assert_one_layout(alloc):
+        knowledge, m1, k = alloc.knowledge, alloc.knowledge_capacity, alloc.frontier_index
+        frontier, learned = knowledge._frontier, alloc.learned
+        f = frontier.fraction(m1, k)
+        assert np.all(learned[knowledge.h == 0.0] == 1.0)
+        assert np.all(learned[frontier.order[:k]] == 1.0)
+        if k < frontier.count:
+            assert learned[frontier.order[k]] == f and np.all(learned[frontier.order[k + 1:]] == 0.0)
+        assert not np.signbit(learned).any()
+        assert count_accuracy(alloc) == (k + f) / frontier.count
+        return f
+
+    @PROPERTY_SETTINGS
+    @given(zero_entropy_mixtures())
+    def test_every_capacity_reads_the_first_frontier_index_facts(self, mixture):
+        knowledge = mixture.knowledge
+        frontier = knowledge._frontier
+        for capacity in [-0.0, 0.0, *frontier.cum_h.tolist(), knowledge.h_tot]:
+            with no_hang():
+                solved = optimal_allocation(mixture, capacity)
+            self.assert_one_layout(solved)
+            # At m1 = capacity, a prefix end, no fact is learned in part.
+            at_edge = replace(solved, knowledge_capacity=capacity)
+            assert at_edge.frontier_index == frontier.index(capacity)
+            assert self.assert_one_layout(at_edge) == 0.0
+            assert np.count_nonzero(at_edge.learned) == at_edge.frontier_index
+
+    @pytest.mark.parametrize("m1", [-1.0, -math.inf, math.nan])
+    def test_negative_or_nan_m1_is_refused_naming_knowledge_capacity(self, m1):
+        # A zero-entropy fact leads the order, so a search from m1 = -1 would land on it.
+        knowledge = KnowledgeUniverse([0.5, 0.1], [0.0, 1.0])
+        mixture = MixtureUniverse(knowledge, PowerLawCurve(1.0, 1.0, 0.5), 0.5)
+        moved = replace(optimal_allocation(mixture, 10.0), knowledge_capacity=m1)
+        for read in (lambda a: a.frontier_index, lambda a: a.learned, count_accuracy,
+                     Allocation.to_dict):
+            with pytest.raises(ValueError, match=f"^knowledge_capacity must be >= 0, got {m1}$"):
+                read(moved)
 
 
 @st.composite

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -572,6 +574,103 @@ class TestTinyCapacity:
         assert len(out.read_text().strip().split("\n")) == 3
         sidecar = json.loads((tmp_path / "sweep_thresholds.json").read_text())
         assert sidecar == {"error": "capacity 1e-250 bits" + _DIVERGES.format("marginal", "marginal")}
+
+
+class TestZeroCapacity:
+    """A capacity of 0 learns the zero-entropy facts, and -0.0 splits as on a power law.
+
+    On p = (0.5, 0.1), h = (0, 1), r = 0.5 the tabulated web's m0_minus is 0 at
+    the fact with entropy, so the solve's bound at capacity -0.0 is -0.0 - 0.0.
+    """
+
+    MIXTURE = {
+        "knowledge": {"facts": [{"p": 0.5, "h": 0.0}, {"p": 0.1, "h": 1.0}]},
+        "web": {"tabulated": [[0, 1], [1, 0.99]]},
+        "r": 0.5,
+    }
+
+    def test_allocate_at_negative_zero(self, tmp_path):
+        out = tmp_path / "allocation.json"
+        config = _write_config(tmp_path, {"mixture": self.MIXTURE})
+        assert run(["allocate", "--config", config, "--capacity", "-0.0", "--out", out]) == 0
+        text = out.read_text()
+        assert '"m1": 0.0,' in text and '"m2": -0.0\n' in text
+        assert json.loads(text)["learned"] == [1.0, 0.0]
+
+    def test_sweep_at_negative_zero_writes_no_negative_zero(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        config = _write_config(tmp_path, {"mixture": self.MIXTURE, "grid": [0.25, 0.5, 0.75]})
+        argv = ["sweep", "--axis", "mixing_ratio", "--capacity", "-0.0", "--config", config]
+        assert run([*argv, "--out", out]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1:3] for row in rows] == [["0.0", "0.5"]] * 3
+        assert not any(cell == "-0.0" for row in rows for cell in row)
+
+
+class TestOutputTargets:
+    """--out writes through a symlink into its target and into a FIFO in place,
+    and gives a new file the mode open() would, a replaced file its old mode."""
+
+    ARGV = ["mixplan", "--total-tokens", 1e9, "--ratio", 0.1, "--knowledge-tokens", 1e6]
+
+    def expected(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        assert run([*self.ARGV, "--out", plain]) == 0
+        return plain.read_bytes()
+
+    @pytest.fixture
+    def umask(self):
+        previous = os.umask(0o022)
+        yield os.umask
+        os.umask(previous)
+
+    def test_symlink_target_is_replaced_and_the_link_stays(self, tmp_path):
+        expected = self.expected(tmp_path)
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        assert run([*self.ARGV, "--out", link]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == expected and stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "plain.json",
+                                                               "target.json"]
+
+    def test_render_out_through_a_dangling_symlink_creates_its_target(self, tmp_path):
+        link, target = tmp_path / "bios.txt", tmp_path / "real" / "bios.txt"
+        link.symlink_to(target)
+        argv = ["synbio", "--count", 3, "--seed", 1, "--out", tmp_path / "bios.jsonl"]
+        assert run([*argv, "--render-out", link]) == 0
+        assert link.is_symlink() and target.read_text().count("\n") == 3
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        expected = self.expected(tmp_path)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert run([*self.ARGV, "--out", fifo]) == 0
+        finally:
+            reader.join(10)
+        assert not reader.is_alive() and got == [expected]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "plain.json"]
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask, mask, mode):
+        umask(mask)
+        out = tmp_path / "sub" / "out.json"
+        assert run([*self.ARGV, "--out", out]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, umask):
+        out = tmp_path / "out.json"
+        out.write_text("old")
+        out.chmod(0o640)
+        assert run([*self.ARGV, "--out", out]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_text() != "old"
 
 
 # SHA-256 of CLI corpus outputs that no stored benchmark digest covers.

@@ -342,10 +342,13 @@ class TestRecords:
             assert copy == alloc and copy.frontier_index == alloc.frontier_index
             assert copy.learned.tobytes() == alloc.learned.tobytes()
         # A replaced m1 gets the index of its own m1, not the solve's: at 0.0 that
-        # is the 20 zero-entropy facts that lead the order, none of them learned.
+        # is the 20 zero-entropy facts that lead the order, all of them learned.
         moved = replace(alloc, knowledge_capacity=0.0)
         assert moved.frontier_index == frontier.index(0.0) == frontier.zeros == 20
-        assert count_accuracy(moved) == 0.0 and not moved.learned.any()
+        assert count_accuracy(moved) == 20 / frontier.count
+        assert np.flatnonzero(moved.learned).tolist() == np.flatnonzero(
+            alloc.knowledge.h == 0.0).tolist()
+        assert set(moved.learned.tolist()) == {0.0, 1.0}
         assert moved != alloc and repr(moved).startswith("Allocation(knowledge_capacity=0.0,")
 
 
