@@ -8,8 +8,10 @@ which generating commands require outright (no wall-clock fallback), so
 rerunning any command with the same config and seed produces byte-identical
 artifacts at any BLAS thread count: no result goes through a BLAS call.
 Files are written atomically (temp file + rename) to keep long sweeps
-restartable; a symlink's target is replaced, and a FIFO or device is
-written in place. Each handler imports the library modules it runs, so a command
+restartable; a symlink's target is replaced, a FIFO or device is written
+in place, and a path through an open descriptor (/dev/stdout, /dev/fd/N,
+/proc/PID/fd/N) is written through that descriptor, never renamed over
+the file it names. Each handler imports the library modules it runs, so a command
 loads only those and pays for no module, numpy or scipy it never calls.
 Run as the program (argv None), main caps the OpenBLAS that numpy and scipy
 load at one thread unless OPENBLAS_NUM_THREADS is set, so no command starts
@@ -38,6 +40,7 @@ import gc
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -53,12 +56,42 @@ if TYPE_CHECKING:
 OUT_DIR_ENV = "MIXCAP_OUT_DIR"
 
 
+# A directory of descriptor links: /proc/PID/fd or /proc/PID/task/TID/fd.
+_FD_DIR = re.compile(r"/proc/(\d+)(?:/task/\d+)?/fd")
+
+
+def _descriptor_link(path: Path) -> tuple[int, int] | None:
+    """(pid, fd) of the descriptor link that path reaches through its symlinks, if any.
+
+    Each hop's directory is resolved, so /dev/stdout -> /proc/self/fd/1 and
+    /dev/fd/1 (/dev/fd -> /proc/self/fd) both read as this process's fd 1.
+    The file behind such a link is not found by resolving it: a deleted one
+    reads as "NAME (deleted)", and any file is shared with whoever opened it.
+    """
+    link = os.path.join(os.getcwd(), path)  # abspath would fold '..' before links
+    for _ in range(40):  # the kernel's own limit on links in one lookup
+        name = os.path.basename(link)
+        match = _FD_DIR.fullmatch(os.path.realpath(os.path.dirname(link)))
+        if match and name.isdigit():
+            return int(match[1]), int(name)
+        try:
+            link = os.path.join(os.path.dirname(link), os.readlink(link))
+        except OSError:  # not a link, or nothing there
+            return None
+    return None
+
+
 def _atomic_write(path: Path, text: str) -> None:
     """Write text to a temporary file beside path, then rename it to path.
 
-    A symlink is followed, so its target is replaced and the link stays; an
-    existing path that is not a regular file (a FIFO, a device) is written in
-    place with no rename. The temporary file takes the mode of the file it
+    A path that reaches an open descriptor through its symlinks is written
+    through it, never renamed over: this process's own descriptor (as
+    /dev/stdout names fd 1) through a duplicate that shares its offset and
+    append flag, so `--out /dev/stdout >> log` appends and later stdout
+    output follows; another process's in append mode. Otherwise a symlink
+    is followed, so its target is replaced and the link stays, and an
+    existing path that is not a regular file (a FIFO, a device) is written
+    in place with no rename. The temporary file takes the mode of the file it
     replaces, else 0o666 less the umask, as open(path, "w") would give. It is
     removed on any failure, and an OSError is raised again naming path alone,
     not the temporary file that is by then gone. A file where path's
@@ -67,6 +100,17 @@ def _atomic_write(path: Path, text: str) -> None:
     """
     tmp = None
     try:
+        descriptor = _descriptor_link(path)
+        if descriptor is not None:
+            pid, fd = descriptor
+            if pid == os.getpid():
+                sys.stdout.flush()  # whatever the command printed goes first
+                handle = open(os.dup(fd), "w")
+            else:
+                handle = open(path, "a")
+            with handle:
+                handle.write(text)
+            return
         try:
             mode = os.stat(path).st_mode
         except FileNotFoundError:  # a new file; setting the umask is the one way to read it

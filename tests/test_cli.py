@@ -673,6 +673,70 @@ class TestOutputTargets:
         assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_text() != "old"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/PID/fd links")
+class TestDescriptorTargets:
+    """An --out that reaches an open descriptor (as /dev/stdout reaches
+    /proc/self/fd/1) is written through it, never renamed over its file."""
+
+    ARGV = TestOutputTargets.ARGV
+
+    @pytest.fixture
+    def expected(self, tmp_path):
+        return TestOutputTargets().expected(tmp_path)
+
+    @pytest.mark.parametrize("append", [True, False], ids=["append", "truncate"])
+    def test_own_descriptor_keeps_earlier_bytes_and_shares_its_offset(
+        self, tmp_path, expected, append
+    ):
+        log, link = tmp_path / "log.txt", tmp_path / "stdout"
+        flags = os.O_RDWR | os.O_CREAT | (os.O_APPEND if append else os.O_TRUNC)
+        fd = os.open(log, flags)
+        try:
+            os.write(fd, b"earlier\n")
+            link.symlink_to(f"/proc/self/fd/{fd}")
+            assert run([*self.ARGV, "--out", link]) == 0
+            os.write(fd, b"later\n")
+        finally:
+            os.close(fd)
+        assert log.read_bytes() == b"earlier\n" + expected + b"later\n"
+        assert link.is_symlink() and os.readlink(link) == f"/proc/self/fd/{fd}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt", "plain.json", "stdout"]
+
+    def test_descriptor_reached_through_a_linked_directory(self, tmp_path, expected):
+        log, fds = tmp_path / "log.txt", tmp_path / "fd"
+        fds.symlink_to("/proc/self/fd")  # as /dev/fd links there
+        with open(log, "a") as handle:
+            handle.write("earlier\n")
+            handle.flush()
+            assert run([*self.ARGV, "--out", fds / str(handle.fileno())]) == 0
+        assert log.read_bytes() == b"earlier\n" + expected
+
+    def test_deleted_file_behind_a_descriptor_gets_no_namesake(self, tmp_path, expected):
+        log, link = tmp_path / "log.txt", tmp_path / "stdout"
+        fd = os.open(log, os.O_RDWR | os.O_CREAT)
+        try:
+            log.unlink()
+            link.symlink_to(f"/proc/self/fd/{fd}")
+            assert run([*self.ARGV, "--out", link]) == 0
+            assert os.pread(fd, len(expected) + 1, 0) == expected
+        finally:
+            os.close(fd)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "stdout"]
+
+    def test_other_process_descriptor_is_appended_to(self, tmp_path, expected):
+        log, link = tmp_path / "log.txt", tmp_path / "stdout"
+        log.write_bytes(b"earlier\n")
+        with open(log, "r+b") as out:
+            child = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                                     stdin=subprocess.PIPE, stdout=out)
+        try:
+            link.symlink_to(f"/proc/{child.pid}/fd/1")
+            assert run([*self.ARGV, "--out", link]) == 0
+        finally:
+            child.communicate(timeout=30)
+        assert log.read_bytes() == b"earlier\n" + expected
+
+
 # SHA-256 of CLI corpus outputs that no stored benchmark digest covers.
 PINNED_SHA256 = {
     "bios.txt": "e8fc5c48f07f1bae529d41a4e3b83864c8bb4df711043c48b6129ac53d8869f9",
